@@ -1024,6 +1024,7 @@ let chaos_cmd =
           (match faults with
           | Some f -> Printf.sprintf ", %d faults per schedule" f
           | None -> "");
+        let cpu0 = Sys.time () in
         let rep =
           Chaos.run_campaign ~root_seed ~count:seeds ~replicas ~horizon
             ~workload
@@ -1033,6 +1034,7 @@ let chaos_cmd =
                 ~listen_shards ?admission ~workload:w ~replicas s)
             ?faults ~progress ~jobs ()
         in
+        let cpu_s = Sys.time () -. cpu0 in
         (match report with
         | None -> ()
         | Some path -> (
@@ -1096,6 +1098,12 @@ let chaos_cmd =
         in
         Printf.printf "replication health: %d ok, %d lagging, %d stalled\n"
           (lag_count "ok") (lag_count "lagging") (lag_count "stalled");
+        (* Host cost, on stdout only: the JSON report stays byte-identical
+           across --jobs and hosts. *)
+        Printf.printf
+          "host cost: %.2f CPU s across all domains, %.2f seeds per CPU s\n"
+          cpu_s
+          (float_of_int seeds /. Float.max cpu_s 1e-9);
         let stalled_clean =
           List.filter
             (fun rr ->

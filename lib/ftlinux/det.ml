@@ -341,19 +341,16 @@ let det_start_secondary t ~chans =
   let ctx = ctx_exn t in
   if t.live || ctx.live_seen then det_start_live t ctx ~chans
   else begin
-    let rec wait stalled =
-      if t.live then ctx.live_seen <- true
-      else if not (head_runnable t ctx) then begin
-        (* Count each gated section once, however many wake-ups it absorbs:
-           with parallel replay executors this is the contention signal —
-           how often a delivered tuple had to wait for another executor's
-           channel predecessors. *)
-        if not stalled then Metrics.Counter.incr t.m_gate_stalls;
-        ignore (Sync.wait_on t.turn_changed);
-        wait true
-      end
-    in
-    wait false;
+    let ready () = t.live || head_runnable t ctx in
+    if not (ready ()) then begin
+      (* Count each gated section once, however many wake-ups it absorbs:
+         with parallel replay executors this is the contention signal —
+         how often a delivered tuple had to wait for another executor's
+         channel predecessors. *)
+      Metrics.Counter.incr t.m_gate_stalls;
+      Sync.wait_until t.turn_changed ~ready
+    end;
+    if t.live then ctx.live_seen <- true;
     if ctx.live_seen then det_start_live t ctx ~chans
     else begin
       (* Replay mode: the gate above is the only serialization a replayed

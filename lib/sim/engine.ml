@@ -47,7 +47,9 @@ and state =
 and wait_cell = { mutable k : (unit, unit) Effect.Deep.continuation option }
 
 type _ Effect.t +=
-  | E_suspend : (proc -> (unit -> unit) -> unit) -> unit Effect.t
+  | E_suspend :
+      (unit -> bool) * (proc -> (unit -> unit) -> unit)
+      -> unit Effect.t
   | E_self : proc Effect.t
 
 let create ?(seed = 42) ?evlog_cap () =
@@ -58,8 +60,8 @@ let create ?(seed = 42) ?evlog_cap () =
   let t =
     {
       now = 0;
-      events = Heap.create ();
-      timers = Twheel.create ();
+      events = Heap.create ~filler:ignore ();
+      timers = Twheel.create ~filler:ignore ();
       seq = 0;
       current = None;
       live = 0;
@@ -92,6 +94,7 @@ let engine_of_proc p = p.eng
 
 let schedule t ~at f =
   if at < t.now then invalid_arg "Engine.schedule: time in the past";
+  if at = Time.never then invalid_arg "Engine.schedule: Time.never";
   t.seq <- t.seq + 1;
   Heap.push t.events ~prio:at ~seq:t.seq f
 
@@ -99,6 +102,7 @@ type handle = { h_eng : t; h_timer : (unit -> unit) Twheel.handle }
 
 let timer t ~at f =
   if at < t.now then invalid_arg "Engine.timer: time in the past";
+  if at = Time.never then invalid_arg "Engine.timer: Time.never";
   (* The wheel's clock normally tracks [t.now] (the run loop syncs it before
      firing anything); outside [run] it may lag, so catch up before filing. *)
   Twheel.advance t.timers ~upto:t.now;
@@ -108,7 +112,7 @@ let timer t ~at f =
 
 let cancel h =
   if Twheel.is_armed h.h_timer then begin
-    Twheel.cancel h.h_timer;
+    Twheel.cancel h.h_eng.timers h.h_timer;
     Metrics.Counter.incr h.h_eng.c_timers_cancelled
   end
 
@@ -148,6 +152,32 @@ let fire p k =
       (if p.doomed then discontinue k Killed_exn else continue k ());
       p.eng.current <- saved
 
+(* Park [p] on continuation [k].  The waker's event evaluates [ready] in
+   event context and resumes the fiber only if it holds (or [p] was killed,
+   so that it unwinds); otherwise it parks [k] again exactly as a resumed
+   fiber re-suspending would: same [proc.park], same [register] call, at
+   the same point in the event sequence. *)
+let rec park p k ~ready register =
+  if Evlog.detail p.eng.evlog then
+    Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.park"
+      ~args:[ ("pid", Evlog.Int p.pid) ];
+  let cell = { k = Some k } in
+  p.state <- Blocked cell;
+  let waker () =
+    match (p.state, cell.k) with
+    | Blocked cell', Some k when cell' == cell ->
+        cell.k <- None;
+        p.state <- Ready;
+        schedule p.eng ~at:p.eng.now (fun () -> recheck p k ~ready register)
+    | _ -> ()
+  in
+  register p waker
+
+and recheck p k ~ready register =
+  match p.state with
+  | Exited _ -> ()
+  | _ -> if p.doomed || ready () then fire p k else park p k ~ready register
+
 let handler p =
   let open Effect.Deep in
   {
@@ -159,26 +189,11 @@ let handler p =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
         | E_self -> Some (fun (k : (a, unit) continuation) -> continue k p)
-        | E_suspend register ->
+        | E_suspend (ready, register) ->
             Some
               (fun (k : (a, unit) continuation) ->
                 if p.doomed then discontinue k Killed_exn
-                else begin
-                  if Evlog.detail p.eng.evlog then
-                    Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.park"
-                      ~args:[ ("pid", Evlog.Int p.pid) ];
-                  let cell = { k = Some k } in
-                  p.state <- Blocked cell;
-                  let waker () =
-                    match (p.state, cell.k) with
-                    | Blocked cell', Some k when cell' == cell ->
-                        cell.k <- None;
-                        p.state <- Ready;
-                        schedule p.eng ~at:p.eng.now (fun () -> fire p k)
-                    | _ -> ()
-                  in
-                  register p waker
-                end)
+                else park p k ~ready register)
         | _ -> None);
   }
 
@@ -212,73 +227,70 @@ let spawn t ?(name = "proc") ?at f =
       | Ready | Running | Blocked _ -> assert false);
   p
 
-let run ?until t =
+(* Each pass probes the wheel once ([Twheel.next_event] is O(1)) and, when
+   the heap's head comes first, fires it at once: nothing in the wheel is
+   due before [w], so moving the wheel's clock to [ha] scans nothing.
+   Otherwise the wheel cascades up to [w], after which every due timer has
+   [ta <= w <= ha], and the smaller [(at, seq)] of the two heads fires.  If
+   nothing became due, [w] was only a cascade step: it fires nothing, does
+   not move [t.now], and the next pass decides again — so the heap never
+   fires while an earlier timer is still sifting down the wheel.  Firing
+   allocates nothing; only cascades do (a list cell per level). *)
+let run ?(until = Time.never) t =
   t.stopping <- false;
-  let fire_heap () =
-    match Heap.pop t.events with
-    | Some (at, _, f) ->
-        t.now <- max t.now at;
-        Metrics.Counter.incr t.c_events;
-        f ()
-    | None -> assert false
+  let fire_heap at =
+    let f = Heap.pop t.events in
+    if at > t.now then t.now <- at;
+    Metrics.Counter.incr t.c_events;
+    f ()
   in
-  let fire_timer () =
-    match Twheel.pop_due t.timers with
-    | Some (at, f) ->
-        t.now <- max t.now at;
-        Metrics.Counter.incr t.c_events;
-        Metrics.Counter.incr t.c_timers_fired;
-        if Evlog.detail t.evlog then
-          Evlog.emit t.evlog ~comp:"sim.engine" "timer.fire";
-        f ()
-    | None -> assert false
+  let fire_timer at =
+    let f = Twheel.pop_due t.timers in
+    if at > t.now then t.now <- at;
+    Metrics.Counter.incr t.c_events;
+    Metrics.Counter.incr t.c_timers_fired;
+    if Evlog.detail t.evlog then
+      Evlog.emit t.evlog ~comp:"sim.engine" "timer.fire";
+    f ()
+  in
+  let clock_to_until () =
+    if until > t.now then t.now <- until;
+    Twheel.advance t.timers ~upto:t.now
   in
   let rec loop () =
-    if t.stopping then ()
-    else begin
-      let heap_at = match Heap.peek t.events with
-        | Some (at, _, _) -> Some at
-        | None -> None
-      in
-      let next_at =
-        match (heap_at, Twheel.next_event t.timers) with
-        | None, None -> None
-        | Some a, None | None, Some a -> Some a
-        | Some a, Some w -> Some (min a w)
-      in
-      match next_at with
-      | None -> ()
-      | Some at when (match until with Some u -> at > u | None -> false) ->
-          (match until with
-          | Some u ->
-              t.now <- max t.now u;
-              Twheel.advance t.timers ~upto:t.now
-          | None -> ())
-      | Some at ->
-          (* Let the wheel cascade up to this instant so its due queue holds
-             every timer expiring now; then fire the single globally smallest
-             [(at, seq)] event across both sources.  An instant that was only
-             a cascade step fires nothing and does not move [t.now] — and the
-             heap must not fire either while an earlier timer is still
-             sifting down the wheel. *)
-          Twheel.advance t.timers ~upto:at;
-          (match (Heap.peek t.events, Twheel.peek_due t.timers) with
-          | None, None -> ()
-          | None, Some _ -> fire_timer ()
-          | Some (ha, hs, _), Some (ta, ts) ->
-              if (ta, ts) < (ha, hs) then fire_timer () else fire_heap ()
-          | Some (ha, _, _), None -> (
-              match Twheel.next_event t.timers with
-              | Some w when w <= ha -> () (* keep cascading; loop retries *)
-              | _ -> fire_heap ()));
+    if not t.stopping then begin
+      let w = Twheel.next_event t.timers in
+      let ha = Heap.top_prio t.events in
+      if ha < w then begin
+        if ha > until then clock_to_until ()
+        else begin
+          Twheel.advance t.timers ~upto:ha;
+          fire_heap ha;
           loop ()
+        end
+      end
+      else if w = Time.never then ()
+      else if w > until then clock_to_until ()
+      else begin
+        Twheel.advance t.timers ~upto:w;
+        let ta = Twheel.due_at t.timers in
+        if ta <> Time.never then
+          if ta < ha || Twheel.due_seq t.timers < Heap.top_seq t.events then
+            fire_timer ta
+          else fire_heap ha;
+        loop ()
+      end
     end
   in
   loop ()
 
 let self () = Effect.perform E_self
 
-let suspend register = Effect.perform (E_suspend register)
+let suspend_until ~ready register =
+  Effect.perform (E_suspend (ready, register))
+
+let always () = true
+let suspend register = suspend_until ~ready:always register
 
 (* Park on a cancellable timer.  If the wake-up never happens because the
    process dies first ([kill], partition halt), the [Killed_exn] unwinding

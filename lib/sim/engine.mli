@@ -59,7 +59,8 @@ val spawn : t -> ?name:string -> ?at:Time.t -> (unit -> unit) -> proc
 
 val run : ?until:Time.t -> t -> unit
 (** Run events until the queue empties, [until] is passed, or {!stop}.
-    Returns with the clock at the last fired event (or at [until]). *)
+    Returns with the clock at the last fired event (or at [until]).  Firing
+    an event allocates nothing beyond what the event itself does. *)
 
 val stop : t -> unit
 (** Ask the main loop to return after the event currently firing. *)
@@ -110,6 +111,17 @@ val suspend : (proc -> (unit -> unit) -> unit) -> unit
     makes [p] runnable at the then-current simulated time.  This is the
     primitive from which all blocking structures are built. *)
 
+val suspend_until : ready:(unit -> bool) -> (proc -> (unit -> unit) -> unit) -> unit
+(** [suspend_until ~ready register] is {!suspend} with a guard.  A wake
+    schedules the same event as {!suspend}'s, but that event first
+    evaluates [ready ()]: if it holds (or the process was {!kill}ed), the
+    process resumes; otherwise it stays parked and [register] is called
+    again with a fresh waker, all within the event.  The result equals a
+    resumed process that re-checks [ready] and suspends again — same events
+    fired, same [proc.park] trace, same registration order — without
+    resuming the fiber.  [ready] and the repeated [register] calls run in
+    event context: they must not perform effects or call {!self}. *)
+
 (** {1 Process management} *)
 
 val kill : proc -> unit
@@ -133,7 +145,8 @@ val proc_name : proc -> string
 val engine_of_proc : proc -> t
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> unit
-(** Run a raw callback (not a process: it must not suspend) at time [at].
+(** Run a raw callback (not a process: it must not suspend) at time [at],
+    which must be neither in the past nor {!Time.never}.
     Fire-and-forget; prefer {!timer} when the event may become irrelevant
     before it fires. *)
 
@@ -146,7 +159,7 @@ val schedule : t -> at:Time.t -> (unit -> unit) -> unit
 
 val timer : t -> at:Time.t -> (unit -> unit) -> handle
 (** Arm [f] to run as a raw callback (it must not suspend) at time [at].
-    [at] must not be in the past. *)
+    [at] must be neither in the past nor {!Time.never}. *)
 
 val cancel : handle -> unit
 (** O(1).  Idempotent; a no-op once the timer has fired.  After [cancel]

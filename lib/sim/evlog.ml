@@ -19,12 +19,14 @@ type event = {
   args : (string * value) list;
 }
 
-(* The ring is [buf.(i mod cap)] for [i] in [first .. next_ring - 1]; slots
-   outside that window still hold stale events but are never read. *)
+(* The ring is slot [i mod cap] for [i] in [first .. next_ring - 1]; slots
+   outside that window still hold stale events but are never read.  Slots
+   live in fixed-size chunks, each allocated on its first write, so a log
+   costs memory in proportion to what it has recorded, not to [cap]. *)
 type t = {
   mutable clock : unit -> Time.t;
   mutable cap : int;
-  mutable buf : event array;
+  mutable chunks : event array array;
   mutable first : int;  (* ring index of the oldest retained event *)
   mutable next_ring : int;  (* ring index one past the newest event *)
   mutable next_seq : int;
@@ -50,13 +52,28 @@ let dummy =
   { seq = 0; at = 0; comp = ""; name = ""; kind = Instant; span = 0; args = [] }
 
 let default_cap = 1 lsl 20
+let chunk_bits = 12
+let chunk_size = 1 lsl chunk_bits
+
+let no_chunks cap = Array.make (((cap - 1) lsr chunk_bits) + 1) [||]
+
+let slot_get t i =
+  let j = i mod t.cap in
+  t.chunks.(j lsr chunk_bits).(j land (chunk_size - 1))
+
+let slot_set t i ev =
+  let j = i mod t.cap in
+  let c = j lsr chunk_bits in
+  if Array.length t.chunks.(c) = 0 then
+    t.chunks.(c) <- Array.make (min chunk_size (t.cap - (c lsl chunk_bits))) dummy;
+  t.chunks.(c).(j land (chunk_size - 1)) <- ev
 
 let create ?(cap = default_cap) () =
   if cap < 1 then invalid_arg "Evlog.create: cap must be positive";
   {
     clock = (fun () -> 0);
     cap;
-    buf = Array.make cap dummy;
+    chunks = no_chunks cap;
     first = 0;
     next_ring = 0;
     next_seq = 0;
@@ -88,15 +105,13 @@ let set_capacity t cap =
   if cap < 1 then invalid_arg "Evlog.set_capacity: cap must be positive";
   let live = t.next_ring - t.first in
   let keep = min live cap in
-  let buf = Array.make cap dummy in
-  for i = 0 to keep - 1 do
-    buf.(i) <- t.buf.((t.next_ring - keep + i) mod t.cap)
-  done;
+  let kept = Array.init keep (fun i -> slot_get t (t.next_ring - keep + i)) in
   drop t (live - keep);
-  t.buf <- buf;
+  t.chunks <- no_chunks cap;
   t.cap <- cap;
   t.first <- 0;
-  t.next_ring <- keep
+  t.next_ring <- keep;
+  Array.iteri (slot_set t) kept
 
 let subscribe t f =
   t.next_sub <- t.next_sub + 1;
@@ -115,7 +130,7 @@ let record t ~pin ~comp ~name ~kind ~span ~args =
       t.first <- t.first + 1;
       drop t 1
     end;
-    t.buf.(t.next_ring mod t.cap) <- ev;
+    slot_set t t.next_ring ev;
     t.next_ring <- t.next_ring + 1
   end;
   ev
@@ -148,8 +163,7 @@ let log t ~comp lvl msg =
 
 let events t =
   let ring =
-    List.init (t.next_ring - t.first) (fun i ->
-        t.buf.((t.first + i) mod t.cap))
+    List.init (t.next_ring - t.first) (fun i -> slot_get t (t.first + i))
   in
   (* Both lists are individually seq-sorted; merge. *)
   let pinned = List.rev t.pinned in

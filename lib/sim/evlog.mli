@@ -45,6 +45,8 @@ type span
 
 val create : ?cap:int -> unit -> t
 (** Fresh log.  [cap] is the ring capacity in events (default [1 lsl 20]).
+    Ring storage is allocated in 4096-event chunks as events arrive, so an
+    unused capacity costs next to nothing.
     The clock reads as 0 until {!set_clock}. *)
 
 val set_clock : t -> (unit -> Time.t) -> unit

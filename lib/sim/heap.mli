@@ -1,25 +1,35 @@
 (** Array-backed binary min-heap, specialised to integer priorities.
 
-    Used by the simulation engine as its event queue.  Ties are not broken by
-    the heap itself; callers that need FIFO behaviour among equal priorities
-    must encode a sequence number into the priority comparison, which
-    {!Engine} does. *)
+    Used by the simulation engine as its event queue and by {!Twheel} as its
+    due queue.  Ordering is lexicographic on [(prio, seq)]; callers that need
+    FIFO behaviour among equal priorities pass increasing sequence numbers,
+    as {!Engine} does.  Reads and pops allocate nothing. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : filler:'a -> unit -> 'a t
+(** [filler] occupies every vacant slot, so a popped value is not kept
+    reachable by the heap. *)
 
 val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
 val push : 'a t -> prio:int -> seq:int -> 'a -> unit
-(** [push h ~prio ~seq v] inserts [v].  Ordering is lexicographic on
-    [(prio, seq)], so equal priorities pop in [seq] order. *)
+(** [push h ~prio ~seq v] inserts [v].  Equal priorities pop in [seq]
+    order. *)
 
-val pop : 'a t -> (int * int * 'a) option
-(** Remove and return the minimum [(prio, seq, value)] triple. *)
+val top_prio : 'a t -> int
+(** Priority of the minimum entry; [max_int] when the heap is empty. *)
 
-val peek : 'a t -> (int * int * 'a) option
+val top : 'a t -> 'a
+(** Value of the minimum entry, left in place.
+    @raise Invalid_argument if the heap is empty. *)
 
-val clear : 'a t -> unit
+val top_seq : 'a t -> int
+(** Sequence number of the minimum entry.
+    @raise Invalid_argument if the heap is empty. *)
+
+val pop : 'a t -> 'a
+(** Remove the minimum entry and return its value.
+    @raise Invalid_argument if the heap is empty. *)

@@ -13,6 +13,14 @@ val wait_on : ?deadline:Time.t -> Waitq.t -> outcome
     entry is cancelled (so it will not consume a wake) and [`Timeout] is
     returned. *)
 
+val wait_until : Waitq.t -> ready:(unit -> bool) -> unit
+(** Park the calling process on a wait queue until it is woken while
+    [ready ()] holds; return at once if it already holds.  Equivalent to
+    [while not (ready ()) do ignore (wait_on q) done] — same events, wake
+    order and trace — but each wake re-checks [ready] in event context (see
+    {!Engine.suspend_until}), so a wake that finds it false costs no fiber
+    switch.  [ready] must not perform effects. *)
+
 module Mutex : sig
   type t
 

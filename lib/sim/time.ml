@@ -1,6 +1,7 @@
 type t = int
 
 let zero = 0
+let never = max_int
 let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000

@@ -9,6 +9,10 @@ type t = int
 
 val zero : t
 
+val never : t
+(** [max_int]: later than any instant an event can be scheduled at.  Event
+    sources report it as their next instant when they hold nothing. *)
+
 val ns : int -> t
 (** [ns n] is a duration of [n] nanoseconds. *)
 

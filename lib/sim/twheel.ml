@@ -10,9 +10,9 @@
    they are due.
 
    Determinism: the wheel never fires callbacks itself.  [advance] moves
-   expired timers into a due queue ordered by [(at, seq)]; the engine merges
-   that queue with its event heap on the same [(at, seq)] key, so the global
-   firing order is identical to a single heap's.
+   expired timers into a due heap keyed by [(at, seq)]; the engine merges
+   that heap with its event heap on the same key, so the global firing order
+   is identical to a single heap's.
 
    Cancellation is O(1): the handle is flagged and the live count drops
    immediately; the corpse is discarded when its slot is next visited. *)
@@ -24,15 +24,15 @@ type 'a handle = {
   at : Time.t;
   value : 'a;
   mutable state : state;
-  wheel : 'a t;
 }
 
-and 'a t = {
+type 'a t = {
   mutable wnow : Time.t;
   slots : 'a handle list array array; (* levels x 32, unordered *)
   bits : int array; (* occupancy bitmap per level *)
   mutable overflow : 'a handle list; (* beyond the top level's rotation *)
-  due : 'a handle Queue.t; (* expired, ordered by (at, seq) *)
+  mutable next : Time.t; (* [next_internal t], kept current *)
+  due : 'a handle Heap.t; (* expired, keyed by (at, seq) *)
   mutable live : int;
 }
 
@@ -42,13 +42,14 @@ let levels = 10
 let slot_mask = wheel_slots - 1
 let top_shift = slot_bits * levels
 
-let create ?(now = 0) () =
+let create ?(now = 0) ~filler () =
   {
     wnow = now;
     slots = Array.init levels (fun _ -> Array.make wheel_slots []);
     bits = Array.make levels 0;
     overflow = [];
-    due = Queue.create ();
+    next = Time.never;
+    due = Heap.create ~filler:{ seq = 0; at = 0; value = filler; state = Fired } ();
     live = 0;
   }
 
@@ -56,146 +57,162 @@ let now t = t.wnow
 let live t = t.live
 let is_armed h = h.state = Armed
 
-let cancel h =
+let cancel t h =
   if h.state = Armed then begin
     h.state <- Cancelled;
-    h.wheel.live <- h.wheel.live - 1
+    t.live <- t.live - 1
   end
+
+(* Index of the lowest set bit of a non-zero 32-bit occupancy bitmap:
+   isolate it, then look its de Bruijn product up in a 32-entry table. *)
+let debruijn =
+  [| 0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8;
+     31; 27; 13; 23; 21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9 |]
+
+let lowest_bit bits =
+  debruijn.((((bits land (-bits)) * 0x077CB531) land 0xFFFFFFFF) lsr 27)
+
+(* Earliest instant at which the wheel has internal work: a level-0 expiry,
+   a higher-level (possibly stale) slot to cascade, or an overflow block to
+   bring in.  Excludes the due heap.  Slots at or behind the current index
+   belong to a later rotation: live timers are always filed strictly ahead,
+   so anything behind holds only cancelled corpses, and scheduling their
+   cleanup a rotation later is harmless.  Cancelled overflow entries count
+   too, for the same reason; that keeps the result independent of
+   cancellations, so [t.next] can cache it.  The result is always later than
+   [t.wnow], and moving [t.wnow] to any instant before it leaves it
+   unchanged. *)
+let rec scan_levels t k best =
+  if k = levels then best
+  else begin
+    let bits = t.bits.(k) in
+    let best =
+      if bits = 0 then best
+      else begin
+        let sh = slot_bits * k in
+        let cur = (t.wnow lsr sh) land slot_mask in
+        let block = t.wnow lsr (sh + slot_bits) in
+        let ahead = bits land lnot ((1 lsl (cur + 1)) - 1) in
+        let c =
+          if ahead <> 0 then ((block lsl slot_bits) lor lowest_bit ahead) lsl sh
+          else (((block + 1) lsl slot_bits) lor lowest_bit bits) lsl sh
+        in
+        if c < best then c else best
+      end
+    in
+    scan_levels t (k + 1) best
+  end
+
+let block_start at = (at lsr top_shift) lsl top_shift
+
+let next_internal t =
+  List.fold_left
+    (fun best h ->
+      let c = block_start h.at in
+      if c < best then c else best)
+    (scan_levels t 0 Time.never)
+    t.overflow
+
+(* Lowest level [k] whose current rotation contains an expiry whose bits
+   differ from the clock's in [x]; [levels] means the overflow list. *)
+let rec level_of x k =
+  if k < levels && x lsr (slot_bits * (k + 1)) <> 0 then level_of x (k + 1)
+  else k
 
 (* File [h] at the lowest level whose current rotation contains [h.at];
-   expired timers go through [emit] instead (the caller decides whether that
-   is the public due queue or a per-instant batch awaiting a sort). *)
-let place t h ~emit =
-  if h.at <= t.wnow then emit h
+   an expired timer goes straight to the due heap.  A timer filed ahead of
+   the clock can only bring [next_internal] forward, to its own slot's (or
+   overflow block's) start. *)
+let place t h =
+  if h.at <= t.wnow then Heap.push t.due ~prio:h.at ~seq:h.seq h
   else begin
-    let rec level k =
-      if k >= levels then None
-      else if h.at lsr (slot_bits * (k + 1)) = t.wnow lsr (slot_bits * (k + 1))
-      then Some k
-      else level (k + 1)
-    in
-    match level 0 with
-    | None -> t.overflow <- h :: t.overflow
-    | Some k ->
-        let s = (h.at lsr (slot_bits * k)) land slot_mask in
+    let k = level_of (h.at lxor t.wnow) 0 in
+    let c =
+      if k = levels then begin
+        t.overflow <- h :: t.overflow;
+        block_start h.at
+      end
+      else begin
+        let sh = slot_bits * k in
+        let s = (h.at lsr sh) land slot_mask in
         t.slots.(k).(s) <- h :: t.slots.(k).(s);
-        t.bits.(k) <- t.bits.(k) lor (1 lsl s)
+        t.bits.(k) <- t.bits.(k) lor (1 lsl s);
+        (h.at lsr sh) lsl sh
+      end
+    in
+    if c < t.next then t.next <- c
   end
+
+let rec place_armed t = function
+  | [] -> ()
+  | h :: rest ->
+      if h.state = Armed then place t h;
+      place_armed t rest
 
 let add t ~at ~seq value =
-  let h = { seq; at; value; state = Armed; wheel = t } in
+  let h = { seq; at; value; state = Armed } in
   t.live <- t.live + 1;
-  place t h ~emit:(fun h -> Queue.push h t.due);
+  place t h;
   h
-
-let lowest_bit_index bits =
-  let rec go i = if bits land (1 lsl i) <> 0 then i else go (i + 1) in
-  go 0
-
-(* Earliest instant at which the wheel has internal work: a level-0 expiry
-   or a higher-level (possibly stale) slot to cascade.  Excludes the due
-   queue.  Slots at or behind the current index belong to a later rotation:
-   live timers are always filed strictly ahead, so anything behind holds
-   only cancelled corpses, and scheduling their cleanup a rotation later is
-   harmless. *)
-let next_internal t =
-  let best = ref None in
-  let consider at =
-    match !best with Some b when b <= at -> () | _ -> best := Some at
-  in
-  for k = 0 to levels - 1 do
-    let bits = t.bits.(k) in
-    if bits <> 0 then begin
-      let cur = (t.wnow lsr (slot_bits * k)) land slot_mask in
-      let block = t.wnow lsr (slot_bits * (k + 1)) in
-      let ahead = bits land lnot ((1 lsl (cur + 1)) - 1) in
-      if ahead <> 0 then
-        consider (((block lsl slot_bits) lor lowest_bit_index ahead)
-                  lsl (slot_bits * k))
-      else
-        (* Only stale slots remain: visit the first one next rotation. *)
-        consider ((((block + 1) lsl slot_bits) lor lowest_bit_index bits)
-                  lsl (slot_bits * k))
-    end
-  done;
-  List.iter
-    (fun h ->
-      if h.state = Armed then consider ((h.at lsr top_shift) lsl top_shift))
-    t.overflow;
-  !best
-
-let next_event t =
-  if t.live = 0 then None
-  else begin
-    (* Drop cancelled corpses from the head of the due queue. *)
-    let rec clean () =
-      match Queue.peek_opt t.due with
-      | Some h when h.state <> Armed ->
-          ignore (Queue.pop t.due);
-          clean ()
-      | other -> other
-    in
-    match clean () with
-    | Some h -> Some (max h.at t.wnow)
-    | None -> next_internal t
-  end
 
 (* Process one internal instant: cascade every slot due at [c] (top level
    first, so timers sift all the way down in one pass) and move level-0
-   expiries into the due queue in seq order. *)
+   expiries into the due heap. *)
 let process_instant t c =
   t.wnow <- c;
-  let due_now = ref [] in
-  let emit h = due_now := h :: !due_now in
   if t.overflow <> [] then begin
     let stay, move =
       List.partition (fun h -> h.at lsr top_shift > c lsr top_shift) t.overflow
     in
     t.overflow <- stay;
-    List.iter
-      (fun h -> if h.state = Armed then place t h ~emit)
-      move
+    place_armed t move
   end;
   for k = levels - 1 downto 0 do
-    let s = (c lsr (slot_bits * k)) land slot_mask in
-    if t.bits.(k) land (1 lsl s) <> 0
-       && (k = 0 || c mod (1 lsl (slot_bits * k)) = 0)
-    then begin
+    let sh = slot_bits * k in
+    let s = (c lsr sh) land slot_mask in
+    if t.bits.(k) land (1 lsl s) <> 0 && c land ((1 lsl sh) - 1) = 0 then begin
       let entries = t.slots.(k).(s) in
       t.slots.(k).(s) <- [];
       t.bits.(k) <- t.bits.(k) land lnot (1 lsl s);
-      List.iter (fun h -> if h.state = Armed then place t h ~emit) entries
+      place_armed t entries
     end
   done;
-  let batch = List.sort (fun a b -> compare a.seq b.seq) !due_now in
-  List.iter (fun h -> Queue.push h t.due) batch
+  t.next <- next_internal t
 
-let advance t ~upto =
-  let rec go () =
-    match next_internal t with
-    | Some c when c <= upto ->
-        process_instant t c;
-        go ()
-    | _ -> if upto > t.wnow then t.wnow <- upto
-  in
-  go ()
+let rec advance t ~upto =
+  if upto > t.wnow then
+    if t.next <= upto then begin
+      process_instant t t.next;
+      advance t ~upto
+    end
+    else t.wnow <- upto
 
-let peek_due t =
-  let rec clean () =
-    match Queue.peek_opt t.due with
-    | Some h when h.state <> Armed ->
-        ignore (Queue.pop t.due);
-        clean ()
-    | Some h -> Some (h.at, h.seq)
-    | None -> None
-  in
-  clean ()
+(* Drop cancelled corpses from the head of the due heap. *)
+let rec drop_cancelled t =
+  if (not (Heap.is_empty t.due)) && (Heap.top t.due).state <> Armed then begin
+    ignore (Heap.pop t.due);
+    drop_cancelled t
+  end
+
+let next_event t =
+  if t.live = 0 then Time.never
+  else begin
+    drop_cancelled t;
+    if Heap.is_empty t.due then t.next
+    else
+      let at = Heap.top_prio t.due in
+      if at > t.wnow then at else t.wnow
+  end
+
+let due_at t =
+  drop_cancelled t;
+  Heap.top_prio t.due
+
+let due_seq t = Heap.top_seq t.due
 
 let pop_due t =
-  match peek_due t with
-  | None -> None
-  | Some _ ->
-      let h = Queue.pop t.due in
-      h.state <- Fired;
-      t.live <- t.live - 1;
-      Some (h.at, h.value)
+  drop_cancelled t;
+  let h = Heap.pop t.due in
+  h.state <- Fired;
+  t.live <- t.live - 1;
+  h.value

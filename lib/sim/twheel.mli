@@ -1,15 +1,19 @@
 (** Hierarchical timer wheel: O(1) arm/cancel, deterministic expiry order.
 
     The wheel does not fire callbacks.  The owner drives it with {!advance}
-    and drains expired entries from the due queue with {!pop_due}; entries
-    become due in [(at, seq)] order, so an owner that merges the due queue
+    and drains expired entries from the due heap with {!pop_due}; entries
+    become due in [(at, seq)] order, so an owner that merges the due heap
     with another [(at, seq)]-ordered source (the engine's event heap)
-    preserves a single global deterministic order. *)
+    preserves a single global deterministic order.  Reads, {!advance} steps
+    that cross no wheel work, and {!pop_due} allocate nothing. *)
 
 type 'a t
 type 'a handle
 
-val create : ?now:Time.t -> unit -> 'a t
+val create : ?now:Time.t -> filler:'a -> unit -> 'a t
+(** [filler] is a value the due heap keeps in its vacant slots (see
+    {!Heap.create}); it is never returned. *)
+
 val now : 'a t -> Time.t
 
 (** Number of armed (neither fired nor cancelled) timers. *)
@@ -20,24 +24,32 @@ val live : 'a t -> int
     order.  [at <= now t] is allowed; the entry is immediately due. *)
 val add : 'a t -> at:Time.t -> seq:int -> 'a -> 'a handle
 
-(** O(1); idempotent; no-op after the timer has fired. *)
-val cancel : 'a handle -> unit
+(** [cancel t h] disarms [h], a handle of [t].  O(1); idempotent; no-op
+    after the timer has fired. *)
+val cancel : 'a t -> 'a handle -> unit
 
 val is_armed : 'a handle -> bool
 
 (** Earliest instant at which the wheel needs attention — an expired entry
-    waiting in the due queue (returned as an instant [>= now t]) or an
-    internal cascade step.  [None] when no armed timers remain.  The owner
-    must not advance simulated time past this point without calling
-    {!advance}. *)
-val next_event : 'a t -> Time.t option
+    waiting in the due heap (returned as an instant [>= now t]) or an
+    internal cascade step; {!Time.never} when no armed timers remain.  O(1).
+    The owner must not advance simulated time past this point without
+    calling {!advance}; up to just before it, {!advance} only moves the
+    wheel's clock. *)
+val next_event : 'a t -> Time.t
 
 (** Move the wheel's clock to [upto], cascading slots and collecting entries
-    with [at <= upto] into the due queue.  No callbacks run. *)
+    with [at <= upto] into the due heap.  No callbacks run. *)
 val advance : 'a t -> upto:Time.t -> unit
 
-(** [(at, seq)] of the earliest armed due entry, skipping cancelled ones. *)
-val peek_due : 'a t -> (Time.t * int) option
+(** Expiry instant of the earliest armed due entry, skipping cancelled ones;
+    {!Time.never} when none is due. *)
+val due_at : 'a t -> Time.t
 
-(** Pop the earliest armed due entry, marking it fired. *)
-val pop_due : 'a t -> (Time.t * 'a) option
+(** [seq] of that entry.  Call only after {!due_at} found one. *)
+val due_seq : 'a t -> int
+
+(** Pop the earliest armed due entry, marking it fired, and return its
+    value.
+    @raise Invalid_argument if none is due. *)
+val pop_due : 'a t -> 'a

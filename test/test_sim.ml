@@ -590,12 +590,10 @@ let prop_heap_sorts =
   QCheck.Test.make ~name:"Heap pops in priority order" ~count:100
     QCheck.(list small_int)
     (fun xs ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 () in
       List.iteri (fun i x -> Heap.push h ~prio:x ~seq:i x) xs;
       let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, _, v) -> drain (v :: acc)
+        if Heap.is_empty h then List.rev acc else drain (Heap.pop h :: acc)
       in
       drain [] = List.sort compare xs)
 
@@ -603,16 +601,47 @@ let prop_heap_fifo_ties =
   QCheck.Test.make ~name:"Heap breaks ties by sequence" ~count:100
     QCheck.(int_range 1 50)
     (fun n ->
-      let h = Heap.create () in
+      let h = Heap.create ~filler:0 () in
       for i = 0 to n - 1 do
         Heap.push h ~prio:5 ~seq:i i
       done;
       let rec drain acc =
-        match Heap.pop h with
-        | None -> List.rev acc
-        | Some (_, _, v) -> drain (v :: acc)
+        if Heap.is_empty h then List.rev acc
+        else begin
+          assert (Heap.top_prio h = 5 && Heap.top_seq h = List.length acc);
+          drain (Heap.pop h :: acc)
+        end
       in
-      drain [] = List.init n Fun.id)
+      drain [] = List.init n Fun.id && Heap.top_prio h = max_int)
+
+(* Regression: a popped entry must not stay reachable through a vacated
+   slot of the heap's storage, or every fired event's closure (and whatever
+   it captures) outlives its firing. *)
+let fill_heap h n finalised =
+  for i = 1 to n do
+    let v = ref i in
+    Gc.finalise (fun _ -> incr finalised) v;
+    Heap.push h ~prio:(i * 7919 mod n) ~seq:i v
+  done
+
+let pop_n h n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Heap.pop h))
+  done
+
+let test_heap_pop_releases () =
+  let h = Heap.create ~filler:(ref 0) () in
+  let finalised = ref 0 in
+  fill_heap h 1000 finalised;
+  pop_n h 600;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "every popped value collected" 600 !finalised;
+  pop_n h 400;
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check int) "the rest once popped" 1000 !finalised;
+  Alcotest.(check bool) "heap still alive" true (Heap.is_empty (Sys.opaque_identity h))
 
 (* {1 Cancellable timers} *)
 
@@ -738,25 +767,23 @@ let test_with_timeout_done_cancels_timer () =
 let test_twheel_cancel_after_fire () =
   (* Cancelling a timer that already fired must be a no-op: no state change,
      no double decrement of the live count, no effect on later timers. *)
-  let w = Twheel.create () in
+  let w = Twheel.create ~filler:"" () in
   let h = Twheel.add w ~at:(Time.ms 1) ~seq:0 "a" in
   ignore (Twheel.add w ~at:(Time.ms 2) ~seq:1 "b");
   Twheel.advance w ~upto:(Time.ms 1);
-  (match Twheel.pop_due w with
-  | Some (_, "a") -> ()
-  | _ -> Alcotest.fail "expected a due");
+  Alcotest.(check int) "a due at its deadline" (Time.ms 1) (Twheel.due_at w);
+  Alcotest.(check string) "a pops" "a" (Twheel.pop_due w);
   Alcotest.(check bool) "fired handle is not armed" false (Twheel.is_armed h);
   Alcotest.(check int) "one live timer left" 1 (Twheel.live w);
-  Twheel.cancel h;
-  Twheel.cancel h;
+  Twheel.cancel w h;
+  Twheel.cancel w h;
   Alcotest.(check int) "cancel-after-fire does not touch live" 1 (Twheel.live w);
   Alcotest.(check bool) "still not armed" false (Twheel.is_armed h);
   Twheel.advance w ~upto:(Time.ms 2);
-  (match Twheel.pop_due w with
-  | Some (_, "b") -> ()
-  | _ -> Alcotest.fail "expected b due");
+  Alcotest.(check string) "b pops" "b" (Twheel.pop_due w);
   Alcotest.(check int) "none live" 0 (Twheel.live w);
-  Alcotest.(check bool) "due queue empty" true (Twheel.pop_due w = None)
+  Alcotest.(check int) "due heap empty" Time.never (Twheel.due_at w);
+  Alcotest.(check int) "no next event" Time.never (Twheel.next_event w)
 
 let test_engine_cancel_after_fire () =
   (* Same at the engine layer: a no-op cancel must not count in the
@@ -1037,7 +1064,24 @@ let test_evlog_set_capacity () =
   done;
   Alcotest.(check (list int)) "ring keeps rotating after resize"
     [ 10; 11; 12; 13 ]
-    (List.map (fun e -> e.Evlog.seq) (Evlog.events t))
+    (List.map (fun e -> e.Evlog.seq) (Evlog.events t));
+  (* Capacities that straddle the ring's 4,096-event storage chunks. *)
+  let newest n = List.init n (fun i -> Evlog.emitted t - n + 1 + i) in
+  let check_ring name cap =
+    Alcotest.(check (list int)) name (newest cap)
+      (List.map (fun e -> e.Evlog.seq) (Evlog.events t));
+    Alcotest.(check int) (name ^ ": every eviction counted")
+      (Evlog.emitted t - cap) (Evlog.dropped t);
+    Alcotest.(check bool) (name ^ ": header reports cap") true
+      (contains (Evlog.to_jsonl t) (Printf.sprintf "\"cap\":%d," cap))
+  in
+  Evlog.set_capacity t 4101;
+  for _ = 14 to 10_000 do
+    Evlog.emit t ~comp:"x" "e"
+  done;
+  check_ring "wraps across chunks" 4101;
+  Evlog.set_capacity t 4097;
+  check_ring "shrinks across chunks" 4097
 
 let test_evlog_chrome_shape () =
   let t, now = mk_evlog ~cap:64 () in
@@ -1238,6 +1282,308 @@ let test_trace_seed_sensitive () =
   Alcotest.(check bool) "different seed, different trace" true
     (trace_of_cluster_run 21 <> trace_of_cluster_run 22)
 
+(* {1 Event dispatch} *)
+
+(* {2 Dispatch order against a reference model}
+
+   A random script arms heap events and timers (some while firing), cancels
+   timers, stops the run from inside an event and drives the engine through
+   random [run ~until] slices.  The reference model keeps every armed entry
+   in a list and fires the live one with the smallest [(at, seq)]; the
+   engine's firing sequence and its clock after every slice must match.
+   A final phase restarts [run] after every stop until nothing is left. *)
+
+type d_spec = { d_heap : bool; d_delay : int; d_acts : d_act list }
+and d_act = D_arm of d_spec | D_cancel of int | D_stop
+
+type d_step = { d_arms : d_spec list; d_until : int option }
+
+let d_delay_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0);
+        (4, int_range 0 40);
+        (3, int_range 0 5_000);
+        (* Slot and level boundaries of the wheel, and either side of them. *)
+        (3, map2 (fun k d -> max 0 ((1 lsl (5 * k)) + d)) (int_range 1 10) (int_range (-1) 1));
+        (2, int_range 0 (1 lsl 40));
+        (* Past the wheel's 32^10 ns horizon: the overflow list. *)
+        (1, int_range (1 lsl 50) (1 lsl 52));
+      ])
+
+let d_spec_gen =
+  QCheck.Gen.(
+    sized_size (int_range 0 3)
+    @@ fix (fun self depth ->
+           let leaf =
+             [ (2, map (fun i -> D_cancel i) small_nat); (1, return D_stop) ]
+           in
+           let act =
+             frequency
+               (if depth = 0 then leaf
+                else (3, map (fun s -> D_arm s) (self (depth - 1))) :: leaf)
+           in
+           map3
+             (fun d_heap d_delay d_acts -> { d_heap; d_delay; d_acts })
+             bool d_delay_gen (list_size (int_range 0 4) act)))
+
+let d_script_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (map2
+         (fun d_arms d_until -> { d_arms; d_until })
+         (list_size (int_range 0 8) d_spec_gen)
+         (opt d_delay_gen)))
+
+(* Both interpreters number entries in arming order, so ids and cancel
+   targets agree; the model also mirrors the engine's one [seq] counter. *)
+type d_entry = {
+  e_id : int;
+  e_at : int;
+  e_seq : int;
+  e_spec : d_spec;
+  mutable e_live : bool;
+}
+
+(* The model: a flat list of entries, fired by smallest live [(at, seq)]. *)
+let d_model script =
+  let now = ref 0 and seq = ref 0 and next_id = ref 0 in
+  let entries = ref [] and timers = ref [||] in
+  let log = ref [] and nows = ref [] and stopping = ref false in
+  let arm spec =
+    incr seq;
+    let e =
+      { e_id = !next_id; e_at = !now + spec.d_delay; e_seq = !seq; e_spec = spec;
+        e_live = true }
+    in
+    incr next_id;
+    entries := e :: !entries;
+    if not spec.d_heap then timers := Array.append !timers [| e |]
+  in
+  let act = function
+    | D_arm s -> arm s
+    | D_cancel i ->
+        let ts = !timers in
+        if Array.length ts > 0 then ts.(i mod Array.length ts).e_live <- false
+    | D_stop -> stopping := true
+  in
+  let run until =
+    stopping := false;
+    let rec loop () =
+      if not !stopping then begin
+        let best =
+          List.fold_left
+            (fun b e ->
+              if not e.e_live then b
+              else
+                match b with
+                | Some b when (b.e_at, b.e_seq) < (e.e_at, e.e_seq) -> Some b
+                | _ -> Some e)
+            None !entries
+        in
+        match best with
+        | None -> ()
+        | Some e when e.e_at > until -> if until > !now then now := until
+        | Some e ->
+            e.e_live <- false;
+            if e.e_at > !now then now := e.e_at;
+            log := (e.e_id, !now) :: !log;
+            List.iter act e.e_spec.d_acts;
+            loop ()
+      end
+    in
+    loop ();
+    nows := !now :: !nows
+  in
+  List.iter
+    (fun st ->
+      List.iter arm st.d_arms;
+      run (match st.d_until with Some d -> !now + d | None -> max_int))
+    script;
+  (* Drain, restarting after every stop. *)
+  while List.exists (fun e -> e.e_live) !entries do
+    run max_int
+  done;
+  (List.rev !log, List.rev !nows)
+
+let d_engine script =
+  let eng = Engine.create ~evlog_cap:16 () in
+  let next_id = ref 0 and timers = ref [||] in
+  let log = ref [] and nows = ref [] in
+  let rec arm spec =
+    let id = !next_id in
+    incr next_id;
+    let at = Engine.now eng + spec.d_delay in
+    let body () =
+      log := (id, Engine.now eng) :: !log;
+      List.iter act spec.d_acts
+    in
+    if spec.d_heap then Engine.schedule eng ~at body
+    else timers := Array.append !timers [| Engine.timer eng ~at body |]
+  and act = function
+    | D_arm s -> arm s
+    | D_cancel i ->
+        let ts = !timers in
+        if Array.length ts > 0 then Engine.cancel ts.(i mod Array.length ts)
+    | D_stop -> Engine.stop eng
+  in
+  List.iter
+    (fun st ->
+      List.iter arm st.d_arms;
+      (match st.d_until with
+      | Some d -> Engine.run ~until:(Engine.now eng + d) eng
+      | None -> Engine.run eng);
+      nows := Engine.now eng :: !nows)
+    script;
+  (* Every restart must fire something; one that does not ends the drain
+     (and fails the comparison) instead of spinning. *)
+  let rec drain () =
+    if Engine.pending_events eng > 0 then begin
+      let fired = List.length !log in
+      Engine.run eng;
+      nows := Engine.now eng :: !nows;
+      if List.length !log > fired then drain ()
+    end
+  in
+  drain ();
+  (List.rev !log, List.rev !nows)
+
+let prop_dispatch_matches_model =
+  QCheck.Test.make ~name:"dispatch order matches the (at, seq) model" ~count:500
+    (QCheck.make d_script_gen)
+    (fun script -> d_engine script = d_model script)
+
+(* {2 Dispatch cost}
+
+   [Engine.run] itself allocates nothing per heap event; a timer allocates
+   only its cascades (one list cell per level it sifts down).  The bound
+   leaves room for runtime differences between compiler versions and still
+   fails a dispatch loop that allocates per probe by a wide margin. *)
+let words_per_event ~heap ~timers =
+  let eng = Engine.create ~evlog_cap:16 () in
+  for i = 1 to heap do
+    Engine.schedule eng ~at:(i * 7) ignore
+  done;
+  for i = 1 to timers do
+    ignore (Engine.timer eng ~at:(i * 13) ignore)
+  done;
+  let fired () =
+    Metrics.Counter.value
+      (Metrics.Registry.counter (Engine.metrics eng) "engine.events_fired")
+  in
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "all fired" (heap + timers) (fired ());
+  (w1 -. w0) /. float_of_int (heap + timers)
+
+let test_dispatch_allocation () =
+  let heap_only = words_per_event ~heap:20_000 ~timers:0 in
+  let timers_only = words_per_event ~heap:0 ~timers:20_000 in
+  let mixed = words_per_event ~heap:20_000 ~timers:20_000 in
+  let within name bound v =
+    if v > bound then
+      Alcotest.failf "%s: %.2f words per event, bound %.0f" name v bound
+  in
+  within "heap events" 1. heap_only;
+  within "timers" 12. timers_only;
+  within "mixed" 8. mixed
+
+(* {2 Guarded waits} *)
+
+(* One script, two ways of waiting: a resume-and-recheck loop on
+   [Sync.wait_on], or [Sync.wait_until].  Waiters become ready at different
+   instants, between the ticks of a process that [wake_all]s the queue;
+   some wait twice, one is killed while parked.  Everything observable must
+   be identical: the detail-mode trace, the number of events and the order
+   in which waiters finish. *)
+let guarded_script ~guarded =
+  let eng = Engine.create ~seed:7 () in
+  Evlog.set_detail (Engine.evlog eng) true;
+  let q = Waitq.create () in
+  let done_ = ref [] in
+  let wait ready =
+    if guarded then Sync.wait_until q ~ready
+    else
+      while not (ready ()) do
+        ignore (Sync.wait_on q)
+      done
+  in
+  let past at () = Engine.now eng >= at in
+  let waiters =
+    List.map
+      (fun (i, ready_us, again_us) ->
+        Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
+            wait (past (Time.us ready_us));
+            done_ := (i, 1, Engine.now eng) :: !done_;
+            if again_us > 0 then begin
+              wait (past (Engine.now eng + Time.us again_us));
+              done_ := (i, 2, Engine.now eng) :: !done_
+            end))
+      [ (0, 2500, 0); (1, 700, 3100); (2, 7300, 0); (3, 0, 1); (4, 4100, 900);
+        (5, 9_000_000, 0) ]
+  in
+  ignore
+    (Engine.spawn eng ~name:"ticker" (fun () ->
+         for tick = 1 to 12 do
+           Engine.sleep (Time.ms 1);
+           if tick = 6 then Engine.kill (List.nth waiters 5);
+           ignore (Waitq.wake_all q)
+         done));
+  Engine.run eng;
+  ( Evlog.to_jsonl (Engine.evlog eng),
+    Metrics.Counter.value
+      (Metrics.Registry.counter (Engine.metrics eng) "engine.events_fired"),
+    List.rev !done_,
+    List.map Engine.status waiters )
+
+let test_wait_until_matches_recheck_loop () =
+  let trace_a, events_a, done_a, status_a = guarded_script ~guarded:false in
+  let trace_b, events_b, done_b, status_b = guarded_script ~guarded:true in
+  Alcotest.(check int) "same events fired" events_a events_b;
+  Alcotest.(check (list (triple int int int))) "same completion order" done_a done_b;
+  Alcotest.(check bool) "same exit statuses" true (status_a = status_b);
+  Alcotest.(check bool) "the killed waiter exited Killed" true
+    (List.nth status_b 5 = Some Engine.Killed);
+  Alcotest.(check bool) "parks were traced" true (contains trace_b "proc.park");
+  Alcotest.(check bool) "byte-identical detail trace" true (trace_a = trace_b)
+
+let test_wait_until_semantics () =
+  let eng = Engine.create () in
+  let q = Waitq.create () in
+  let flag = ref false in
+  let resumed = ref None in
+  let p =
+    Engine.spawn eng (fun () ->
+        Sync.wait_until q ~ready:(fun () -> !flag);
+        resumed := Some (Engine.now eng))
+  in
+  (* The guard turning true is not a wake: nothing fires on its own. *)
+  Engine.schedule eng ~at:(Time.ms 1) (fun () -> flag := true);
+  Engine.run eng;
+  Alcotest.(check (option int)) "still parked" None !resumed;
+  Alcotest.(check int) "one live process" 1 (Engine.live_procs eng);
+  Engine.schedule eng ~at:(Time.ms 5) (fun () -> ignore (Waitq.wake_all q));
+  Engine.run eng;
+  Alcotest.(check (option int)) "a wake finds it ready" (Some (Time.ms 5)) !resumed;
+  Alcotest.(check bool) "exits normally" true (Engine.status p = Some Engine.Normal);
+  (* Killed while parked, and killed between a wake and its re-check. *)
+  let never () = false in
+  let parked = Engine.spawn eng (fun () -> Sync.wait_until q ~ready:never) in
+  let waking = Engine.spawn eng (fun () -> Sync.wait_until q ~ready:never) in
+  Engine.run ~until:(Time.ms 6) eng;
+  Engine.kill parked;
+  Engine.schedule eng ~at:(Time.ms 7) (fun () ->
+      ignore (Waitq.wake_all q);
+      Engine.kill waking);
+  Engine.run eng;
+  Alcotest.(check bool) "killed while parked" true
+    (Engine.status parked = Some Engine.Killed);
+  Alcotest.(check bool) "killed with its re-check pending" true
+    (Engine.status waking = Some Engine.Killed);
+  Alcotest.(check int) "none left" 0 (Engine.live_procs eng)
+
 let () =
   Alcotest.run "sim"
     [
@@ -1292,6 +1638,9 @@ let () =
             test_with_timeout_same_tick_wake_first;
           Alcotest.test_case "with_timeout same-tick timer first" `Quick
             test_with_timeout_same_tick_timer_first;
+          QCheck_alcotest.to_alcotest prop_dispatch_matches_model;
+          Alcotest.test_case "dispatch allocation" `Quick
+            test_dispatch_allocation;
         ] );
       ( "ivar",
         [
@@ -1307,6 +1656,10 @@ let () =
           Alcotest.test_case "timed-out waiter eats no signal" `Quick
             test_cond_timedwait_cancel_consumes_no_signal;
           Alcotest.test_case "semaphore bounds" `Quick test_semaphore_bounds;
+          Alcotest.test_case "wait_until matches recheck loop" `Quick
+            test_wait_until_matches_recheck_loop;
+          Alcotest.test_case "wait_until semantics" `Quick
+            test_wait_until_semantics;
         ] );
       ( "bqueue",
         [
@@ -1351,6 +1704,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_fifo_ties;
+          Alcotest.test_case "pop releases values" `Quick test_heap_pop_releases;
         ] );
       ( "evlog",
         [
