@@ -19,14 +19,119 @@ type event = {
   args : (string * value) list;
 }
 
-(* The ring is slot [i mod cap] for [i] in [first .. next_ring - 1]; slots
-   outside that window still hold stale events but are never read.  Slots
-   live in fixed-size chunks, each allocated on its first write, so a log
-   costs memory in proportion to what it has recorded, not to [cap]. *)
+(* {1 Storage}
+
+   Ring events are stored column-wise in [Bytes] chunks that hold no
+   pointers, so the minor GC never promotes a retained event and no chunk
+   enters the remembered set.  [event] records are built only for
+   subscribers, for pinned events and for readers.
+
+   - A slot is 32 bytes: [seq], [at], a header and [x].  The header packs
+     the kind and level (3 bits), the comp and name ids (20 bits each) and
+     the number of arg words the event wrote (20 bits).  [x] is the span id,
+     or a counter's float bits.  Slot chunks hold 4,096 slots and are
+     allocated as the ring reaches them; the ring is slot [i mod cap] for
+     [i] in [first .. next_ring - 1].
+   - Args go to a word stream in emission order, one word per arg: a tag
+     (3 bits), a key id (20 bits) and a signed 40-bit value.  An int too
+     wide for 40 bits, and every float, spills its 64 bits into the next
+     word.  A [Str] arg's value is the position of its string in a parallel
+     string stream, counted from the string-stream mark of the word's chunk.
+   - Comps, names and arg keys are interned in a vocabulary the log owns.
+     [Str] values never are: log lines and process names are unbounded.
+
+   Both streams are addressed by absolute position, in chunks of 1,024 words
+   and 256 strings.  Each word chunk records where the string stream stood
+   when it was made (its mark), so every string a chunk's words refer to
+   lies at or after that mark.  Once the oldest retained event has passed a
+   word chunk, the chunk is released, and so is every string chunk before
+   the mark of the oldest chunk left: eviction never scans args. *)
+
+let default_cap = 1 lsl 20
+let slot_bits = 12
+let slot_n = 1 lsl slot_bits
+let slot_bytes = 32
+let word_bits = 10
+let word_n = 1 lsl word_bits
+let mark_off = word_n * 8 (* the mark follows a word chunk's words *)
+let str_bits = 8
+let str_n = 1 lsl str_bits
+let field_bits = 20
+let field_max = (1 lsl field_bits) - 1
+
+(* A header or word stores at most [field_max] arg words per event, and a
+   wide arg takes two. *)
+let max_args = field_max / 2
+
+let kc_instant = 0
+let kc_begin = 1
+let kc_end = 2
+let kc_counter = 3
+
+let kc_log = function Error -> 4 | Warn -> 5 | Info -> 6 | Debug -> 7
+
+let tag_int = 0
+let tag_wide = 1
+let tag_float = 2
+let tag_bool = 3
+let tag_str = 4
+let inline_max = (1 lsl 39) - 1
+let inline_min = -(1 lsl 39)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+let geti b off = Int64.to_int (get64 b off)
+let seti b off v = set64 b off (Int64.of_int v)
+
+(* A stream of chunks addressed by chunk number: chunks [lo, hi) are held,
+   chunk [k] at [ring.(k land (length ring - 1))]. *)
+type 'c stream = {
+  mutable ring : 'c array;
+  mutable lo : int;
+  mutable hi : int;
+  mutable spare : 'c;  (* a released chunk kept for reuse, or [none] *)
+  none : 'c;
+}
+
+let stream none = { ring = Array.make 4 none; lo = 0; hi = 0; spare = none; none }
+let chunk s k = s.ring.(k land (Array.length s.ring - 1))
+
+(* Hold chunk number [s.hi]: the spare if there is one, else [fresh ()]. *)
+let push s fresh =
+  let n = Array.length s.ring in
+  if s.hi - s.lo = n then begin
+    let ring = Array.make (2 * n) s.none in
+    for k = s.lo to s.hi - 1 do
+      ring.(k land ((2 * n) - 1)) <- chunk s k
+    done;
+    s.ring <- ring
+  end;
+  let c = if s.spare == s.none then fresh () else s.spare in
+  s.spare <- s.none;
+  s.ring.(s.hi land (Array.length s.ring - 1)) <- c;
+  s.hi <- s.hi + 1;
+  c
+
+(* Release every chunk before chunk number [k]; [clear] empties the one
+   kept as the spare. *)
+let release s k clear =
+  while s.lo < k do
+    let i = s.lo land (Array.length s.ring - 1) in
+    if s.spare == s.none then begin
+      clear s.ring.(i);
+      s.spare <- s.ring.(i)
+    end;
+    s.ring.(i) <- s.none;
+    s.lo <- s.lo + 1
+  done
+
+let memo_size = 256
+
 type t = {
   mutable clock : unit -> Time.t;
   mutable cap : int;
-  mutable chunks : event array array;
+  mutable slots : Bytes.t array;  (* [Bytes.empty] until first written *)
   mutable first : int;  (* ring index of the oldest retained event *)
   mutable next_ring : int;  (* ring index one past the newest event *)
   mutable next_seq : int;
@@ -37,10 +142,22 @@ type t = {
   mutable subs : (int * (event -> unit)) list;  (* insertion order *)
   mutable next_sub : int;
   mutable pinned : event list;  (* newest first *)
+  words : Bytes.t stream;
+  mutable w_tail : int;  (* first arg word of the oldest retained event *)
+  mutable w_head : int;  (* next arg word to write *)
+  mutable w_cur : Bytes.t;  (* the chunk [w_head - 1] lies in *)
+  strs : string array stream;
+  mutable s_head : int;  (* next string position to write *)
+  mutable s_cur : string array;  (* the chunk [s_head - 1] lies in *)
+  vocab : (string, int) Hashtbl.t;
+  mutable names : string array;  (* vocabulary id -> string *)
+  (* Direct-mapped memo in front of [vocab], compared by physical identity:
+     call sites pass literals, so a hit skips hashing the string. *)
+  memo_key : string array;
+  memo_id : int array;
 }
 
 type span = {
-  sp_log : t;
   sp_id : int;
   sp_comp : string;
   sp_name : string;
@@ -48,32 +165,17 @@ type span = {
   mutable sp_open : bool;
 }
 
-let dummy =
-  { seq = 0; at = 0; comp = ""; name = ""; kind = Instant; span = 0; args = [] }
-
-let default_cap = 1 lsl 20
-let chunk_bits = 12
-let chunk_size = 1 lsl chunk_bits
-
-let no_chunks cap = Array.make (((cap - 1) lsr chunk_bits) + 1) [||]
-
-let slot_get t i =
-  let j = i mod t.cap in
-  t.chunks.(j lsr chunk_bits).(j land (chunk_size - 1))
-
-let slot_set t i ev =
-  let j = i mod t.cap in
-  let c = j lsr chunk_bits in
-  if Array.length t.chunks.(c) = 0 then
-    t.chunks.(c) <- Array.make (min chunk_size (t.cap - (c lsl chunk_bits))) dummy;
-  t.chunks.(c).(j land (chunk_size - 1)) <- ev
+let no_slots cap = Array.make (((cap - 1) lsr slot_bits) + 1) Bytes.empty
 
 let create ?(cap = default_cap) () =
   if cap < 1 then invalid_arg "Evlog.create: cap must be positive";
+  (* The memo's filler is a fresh string no caller can pass: a shared [""]
+     literal would alias a real lookup of the empty string. *)
+  let filler = Bytes.to_string (Bytes.make 1 '\000') in
   {
     clock = (fun () -> 0);
     cap;
-    chunks = no_chunks cap;
+    slots = no_slots cap;
     first = 0;
     next_ring = 0;
     next_seq = 0;
@@ -84,6 +186,17 @@ let create ?(cap = default_cap) () =
     subs = [];
     next_sub = 0;
     pinned = [];
+    words = stream Bytes.empty;
+    w_tail = 0;
+    w_head = 0;
+    w_cur = Bytes.empty;
+    strs = stream [||];
+    s_head = 0;
+    s_cur = [||];
+    vocab = Hashtbl.create 64;
+    names = [||];
+    memo_key = Array.make memo_size filler;
+    memo_id = Array.make memo_size 0;
   }
 
 let set_clock t f = t.clock <- f
@@ -101,17 +214,171 @@ let drop t n =
     match t.dropped_c with Some c -> Metrics.Counter.add c n | None -> ()
   end
 
+(* {2 Vocabulary} *)
+
+let memo_index s =
+  let n = String.length s in
+  if n = 0 then 0
+  else
+    let h =
+      (n * 31)
+      + (Char.code (String.unsafe_get s 0) * 7)
+      + (Char.code (String.unsafe_get s (n lsr 1)) * 131)
+      + (Char.code (String.unsafe_get s (n - 1)) * 1031)
+    in
+    (h lxor (h lsr 8)) land (memo_size - 1)
+
+let intern t s =
+  let h = memo_index s in
+  if t.memo_key.(h) == s then t.memo_id.(h)
+  else begin
+    let id =
+      match Hashtbl.find t.vocab s with
+      | id -> id
+      | exception Not_found ->
+          let id = Hashtbl.length t.vocab in
+          if id = Array.length t.names then begin
+            let names = Array.make (max 64 (2 * id)) "" in
+            Array.blit t.names 0 names 0 id;
+            t.names <- names
+          end;
+          t.names.(id) <- s;
+          Hashtbl.add t.vocab s id;
+          id
+    in
+    t.memo_key.(h) <- s;
+    t.memo_id.(h) <- id;
+    id
+  end
+
+(* {2 Slots} *)
+
+(* A slot [j] is a ring index reduced mod [cap]. *)
+let slot_chunk t j = t.slots.(j lsr slot_bits)
+let slot_off j = (j land (slot_n - 1)) * slot_bytes
+
+(* The chunk slot [j] is written to, allocated on first use.  The ring
+   fills each chunk from its start, so chunk 0 can start at 32 slots and
+   double as it fills: a log that records a handful of events, as a world
+   under construction does, allocates next to nothing.  Later chunks are
+   allocated whole. *)
+let slot_chunk_w t j =
+  let c = j lsr slot_bits in
+  let b = t.slots.(c) in
+  let need = ((j land (slot_n - 1)) + 1) * slot_bytes in
+  if need <= Bytes.length b then b
+  else begin
+    let full = min slot_n (t.cap - (c lsl slot_bits)) * slot_bytes in
+    let n =
+      if c > 0 then full
+      else min full (max need (max (32 * slot_bytes) (2 * Bytes.length b)))
+    in
+    let nb = Bytes.create n in
+    Bytes.blit b 0 nb 0 (Bytes.length b);
+    t.slots.(c) <- nb;
+    nb
+  end
+
+let seq_at t i =
+  let j = i mod t.cap in
+  geti (slot_chunk t j) (slot_off j)
+
+let header_of t j = geti (slot_chunk t j) (slot_off j + 16)
+let header_at t i = header_of t (i mod t.cap)
+let nwords h = h lsr 43
+
+(* {2 Streams} *)
+
+let fresh_words () = Bytes.create (mark_off + 8)
+let fresh_strs () = Array.make str_n ""
+let clear_strs c = Array.fill c 0 str_n ""
+
+(* Byte offset of the next arg word in [t.w_cur], starting a chunk if
+   needed. *)
+let reserve t =
+  let p = t.w_head in
+  let i = p land (word_n - 1) in
+  if i = 0 then begin
+    let c = push t.words fresh_words in
+    seti c mark_off t.s_head;
+    t.w_cur <- c
+  end;
+  t.w_head <- p + 1;
+  i lsl 3
+
+let put_word t w =
+  let off = reserve t in
+  seti t.w_cur off w
+
+let put_str t s =
+  let p = t.s_head in
+  let i = p land (str_n - 1) in
+  if i = 0 then t.s_cur <- push t.strs fresh_strs;
+  t.s_cur.(i) <- s;
+  t.s_head <- p + 1
+
+let rec put_args t = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      let key = intern t k lsl 3 in
+      (match v with
+      | Int i when i >= inline_min && i <= inline_max ->
+          put_word t ((i lsl 23) lor key lor tag_int)
+      | Int i ->
+          put_word t (key lor tag_wide);
+          put_word t i
+      | Float f ->
+          put_word t (key lor tag_float);
+          let off = reserve t in
+          set64 t.w_cur off (Int64.bits_of_float f)
+      | Bool b -> put_word t ((Bool.to_int b lsl 23) lor key lor tag_bool)
+      | Str s ->
+          (* The word goes first: a chunk it starts must mark the string
+             stream before this string, not after it. *)
+          let off = reserve t in
+          let rel = t.s_head - geti t.w_cur mark_off in
+          seti t.w_cur off ((rel lsl 23) lor key lor tag_str);
+          put_str t s);
+      put_args t rest
+
+(* Release the word and string chunks the oldest retained event no longer
+   reaches. *)
+let release_behind t =
+  release t.words (t.w_tail lsr word_bits) ignore;
+  let floor =
+    if t.w_tail = t.w_head then t.s_head
+    else geti (chunk t.words (t.w_tail lsr word_bits)) mark_off
+  in
+  release t.strs (floor lsr str_bits) clear_strs
+
+(* Evict the oldest event, whose slot is [j]. *)
+let evict_oldest t j =
+  t.w_tail <- t.w_tail + nwords (header_of t j);
+  t.first <- t.first + 1;
+  if t.w_tail lsr word_bits > t.words.lo || t.w_tail = t.w_head then release_behind t
+
 let set_capacity t cap =
   if cap < 1 then invalid_arg "Evlog.set_capacity: cap must be positive";
   let live = t.next_ring - t.first in
   let keep = min live cap in
-  let kept = Array.init keep (fun i -> slot_get t (t.next_ring - keep + i)) in
+  for _ = 1 to live - keep do
+    evict_oldest t (t.first mod t.cap)
+  done;
   drop t (live - keep);
-  t.chunks <- no_chunks cap;
+  let kept = Bytes.create (keep * slot_bytes) in
+  for k = 0 to keep - 1 do
+    let j = (t.first + k) mod t.cap in
+    Bytes.blit (slot_chunk t j) (slot_off j) kept (k * slot_bytes) slot_bytes
+  done;
+  t.slots <- no_slots cap;
   t.cap <- cap;
   t.first <- 0;
   t.next_ring <- keep;
-  Array.iteri (slot_set t) kept
+  for k = 0 to keep - 1 do
+    Bytes.blit kept (k * slot_bytes) (slot_chunk_w t k) (slot_off k) slot_bytes
+  done
+
+(* {2 Recording} *)
 
 let subscribe t f =
   t.next_sub <- t.next_sub + 1;
@@ -120,60 +387,175 @@ let subscribe t f =
 
 let unsubscribe t token = t.subs <- List.filter (fun (k, _) -> k <> token) t.subs
 
-let record t ~pin ~comp ~name ~kind ~span ~args =
-  t.next_seq <- t.next_seq + 1;
-  let ev = { seq = t.next_seq; at = t.clock (); comp; name; kind; span; args } in
-  List.iter (fun (_, f) -> f ev) t.subs;
-  if pin then t.pinned <- ev :: t.pinned
-  else begin
-    if t.next_ring - t.first = t.cap then begin
-      t.first <- t.first + 1;
-      drop t 1
-    end;
-    slot_set t t.next_ring ev;
-    t.next_ring <- t.next_ring + 1
+let rec notify ev = function
+  | [] -> ()
+  | (_, f) :: rest ->
+      f ev;
+      notify ev rest
+
+let kind_of kc v =
+  match kc with
+  | 0 -> Instant
+  | 1 -> Span_begin
+  | 2 -> Span_end
+  | 3 -> Counter v
+  | 4 -> Log Error
+  | 5 -> Log Warn
+  | 6 -> Log Info
+  | _ -> Log Debug
+
+(* Append one event to the ring; [v] is a counter's value, [span] the span
+   id of a begin or end. *)
+let store t ~seq ~at ~comp ~name ~kc ~v ~span args =
+  let comp_id = intern t comp and name_id = intern t name in
+  (* In a full ring, the slot to write is the oldest event's. *)
+  let j = t.next_ring mod t.cap in
+  if t.next_ring - t.first = t.cap then begin
+    evict_oldest t j;
+    drop t 1
   end;
-  ev
+  let w0 = t.w_head in
+  put_args t args;
+  let c = slot_chunk_w t j and off = slot_off j in
+  seti c off seq;
+  seti c (off + 8) at;
+  seti c (off + 16)
+    (((t.w_head - w0) lsl 43) lor (name_id lsl 23) lor (comp_id lsl 3) lor kc);
+  if kc = kc_counter then set64 c (off + 24) (Int64.bits_of_float v)
+  else seti c (off + 24) span;
+  t.next_ring <- t.next_ring + 1
+
+(* Refuse an event the ring could not store, before anything counts it. *)
+let check_room t ~pin args =
+  if not pin then begin
+    let n = List.length args in
+    if n > max_args || Hashtbl.length t.vocab + n + 2 > field_max + 1 then
+      invalid_arg "Evlog: event has too many args, or the vocabulary is full"
+  end
+
+let record t ~pin ~comp ~name ~kc ~v ~span args =
+  check_room t ~pin args;
+  let seq = t.next_seq + 1 in
+  t.next_seq <- seq;
+  let at = t.clock () in
+  if pin || t.subs != [] then begin
+    let ev = { seq; at; comp; name; kind = kind_of kc v; span; args } in
+    notify ev t.subs;
+    if pin then t.pinned <- ev :: t.pinned
+    else store t ~seq ~at ~comp ~name ~kc ~v ~span args
+  end
+  else store t ~seq ~at ~comp ~name ~kc ~v ~span args
 
 let emit t ?(pin = false) ?(args = []) ~comp name =
-  ignore (record t ~pin ~comp ~name ~kind:Instant ~span:0 ~args)
+  record t ~pin ~comp ~name ~kc:kc_instant ~v:0. ~span:0 args
 
 let span_begin t ?(pin = false) ?(args = []) ~comp name =
+  (* The id is taken, and [span_end] closes the span, before [record],
+     whose subscribers may open and close spans themselves. *)
+  check_room t ~pin args;
   t.next_span <- t.next_span + 1;
   let id = t.next_span in
-  ignore (record t ~pin ~comp ~name ~kind:Span_begin ~span:id ~args);
-  { sp_log = t; sp_id = id; sp_comp = comp; sp_name = name; sp_pin = pin;
-    sp_open = true }
+  record t ~pin ~comp ~name ~kc:kc_begin ~v:0. ~span:id args;
+  { sp_id = id; sp_comp = comp; sp_name = name; sp_pin = pin; sp_open = true }
 
 let span_end t ?(args = []) sp =
   if sp.sp_open then begin
+    check_room t ~pin:sp.sp_pin args;
     sp.sp_open <- false;
-    ignore
-      (record t ~pin:sp.sp_pin ~comp:sp.sp_comp ~name:sp.sp_name ~kind:Span_end
-         ~span:sp.sp_id ~args)
+    record t ~pin:sp.sp_pin ~comp:sp.sp_comp ~name:sp.sp_name ~kc:kc_end ~v:0.
+      ~span:sp.sp_id args
   end
 
 let counter t ?(args = []) ~comp name v =
-  ignore (record t ~pin:false ~comp ~name ~kind:(Counter v) ~span:0 ~args)
+  record t ~pin:false ~comp ~name ~kc:kc_counter ~v ~span:0 args
 
 let log t ~comp lvl msg =
-  ignore
-    (record t ~pin:false ~comp ~name:"log" ~kind:(Log lvl) ~span:0
-       ~args:[ ("msg", Str msg) ])
+  record t ~pin:false ~comp ~name:"log" ~kc:(kc_log lvl) ~v:0. ~span:0
+    [ ("msg", Str msg) ]
 
+(* {2 Reading} *)
+
+let word_at t p =
+  geti (chunk t.words (p lsr word_bits)) ((p land (word_n - 1)) lsl 3)
+
+let bits_at t p =
+  get64 (chunk t.words (p lsr word_bits)) ((p land (word_n - 1)) lsl 3)
+
+let str_at t pos = (chunk t.strs (pos lsr str_bits)).(pos land (str_n - 1))
+
+(* The args of an event whose words are [p .. stop - 1]. *)
+let[@tail_mod_cons] rec decode_args t p stop =
+  if p >= stop then []
+  else
+    let c = chunk t.words (p lsr word_bits) in
+    let w = geti c ((p land (word_n - 1)) lsl 3) in
+    let key = t.names.((w lsr 3) land field_max) in
+    match w land 7 with
+    | 0 -> (key, Int (w asr 23)) :: decode_args t (p + 1) stop
+    | 1 -> (key, Int (word_at t (p + 1))) :: decode_args t (p + 2) stop
+    | 2 ->
+        (key, Float (Int64.float_of_bits (bits_at t (p + 1))))
+        :: decode_args t (p + 2) stop
+    | 3 -> (key, Bool (w asr 23 <> 0)) :: decode_args t (p + 1) stop
+    | _ ->
+        (key, Str (str_at t (geti c mark_off + (w asr 23))))
+        :: decode_args t (p + 1) stop
+
+(* Ring event [i], whose arg words start at [p]. *)
+let decode t i p =
+  let j = i mod t.cap in
+  let c = slot_chunk t j and off = slot_off j in
+  let h = geti c (off + 16) in
+  let x = get64 c (off + 24) in
+  let kc = h land 7 in
+  {
+    seq = geti c off;
+    at = geti c (off + 8);
+    comp = t.names.((h lsr 3) land field_max);
+    name = t.names.((h lsr 23) land field_max);
+    kind = (if kc = kc_counter then Counter (Int64.float_of_bits x) else kind_of kc 0.);
+    span = (if kc = kc_begin || kc = kc_end then Int64.to_int x else 0);
+    args = decode_args t p (p + nwords h);
+  }
+
+(* Newest to oldest, consing: the list comes out in seq order. *)
 let events t =
-  let ring =
-    List.init (t.next_ring - t.first) (fun i -> slot_get t (t.first + i))
+  let rec go i p pinned acc =
+    if i < t.first then List.rev_append pinned acc
+    else
+      match pinned with
+      | pe :: rest when pe.seq > seq_at t i -> go i p rest (pe :: acc)
+      | _ ->
+          let p = p - nwords (header_at t i) in
+          go (i - 1) p pinned (decode t i p :: acc)
   in
-  (* Both lists are individually seq-sorted; merge. *)
-  let pinned = List.rev t.pinned in
-  let rec merge a b =
-    match (a, b) with
-    | [], x | x, [] -> x
-    | x :: a', y :: b' ->
-        if x.seq < y.seq then x :: merge a' b else y :: merge a b'
+  go (t.next_ring - 1) t.w_head t.pinned []
+
+(* Surviving events in seq order, decoded one at a time. *)
+let iter t f =
+  let rec go i p pinned =
+    match pinned with
+    | pe :: rest when i = t.next_ring || pe.seq < seq_at t i ->
+        f pe;
+        go i p rest
+    | _ ->
+        if i < t.next_ring then begin
+          let n = nwords (header_at t i) in
+          f (decode t i p);
+          go (i + 1) (p + n) pinned
+        end
   in
-  merge ring pinned
+  go t.first t.w_tail (List.rev t.pinned)
+
+(* The surviving events' components, sorted. *)
+let comps t =
+  let seen = Array.make (Hashtbl.length t.vocab) false in
+  for i = t.first to t.next_ring - 1 do
+    seen.((header_at t i lsr 3) land field_max) <- true
+  done;
+  let comps = ref (List.map (fun e -> e.comp) t.pinned) in
+  Array.iteri (fun id s -> if s then comps := t.names.(id) :: !comps) seen;
+  List.sort_uniq String.compare !comps
 
 (* {1 JSON rendering}
 
@@ -230,125 +612,141 @@ let kind_name = function
   | Counter _ -> "counter"
   | Log _ -> "log"
 
-let to_jsonl t =
-  let b = Buffer.create 4096 in
+let jsonl_event b ev =
   Buffer.add_string b
-    (Printf.sprintf
-       "{\"type\":\"header\",\"cap\":%d,\"emitted\":%d,\"dropped\":%d,\"truncated\":%s}\n"
-       t.cap t.next_seq t.dropped_n
-       (if truncated t then "true" else "false"));
-  List.iter
-    (fun ev ->
-      Buffer.add_string b
-        (Printf.sprintf "{\"seq\":%d,\"at\":%d,\"comp\":" ev.seq ev.at);
+    (Printf.sprintf "{\"seq\":%d,\"at\":%d,\"comp\":" ev.seq ev.at);
+  buf_add_json_string b ev.comp;
+  Buffer.add_string b ",\"name\":";
+  buf_add_json_string b ev.name;
+  Buffer.add_string b ",\"kind\":\"";
+  Buffer.add_string b (kind_name ev.kind);
+  Buffer.add_char b '"';
+  (match ev.kind with
+  | Counter v ->
+      Buffer.add_string b ",\"value\":";
+      buf_add_float b v
+  | Log lvl ->
+      Buffer.add_string b ",\"level\":\"";
+      Buffer.add_string b (level_name lvl);
+      Buffer.add_char b '"'
+  | _ -> ());
+  if ev.span <> 0 then
+    Buffer.add_string b (Printf.sprintf ",\"span\":%d" ev.span);
+  if ev.args <> [] then begin
+    Buffer.add_string b ",\"args\":";
+    buf_add_args b ev.args
+  end;
+  Buffer.add_string b "}\n"
+
+let chrome_event b ~pid_of ev =
+  let pid = pid_of ev.comp in
+  let ts_of at = Printf.sprintf "%.3f" (float_of_int at /. 1000.) in
+  let common ph =
+    Buffer.add_string b
+      (Printf.sprintf "{\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"name\":"
+         ph (ts_of ev.at) pid);
+    buf_add_json_string b ev.name
+  in
+  (match ev.kind with
+  | Instant | Log _ ->
+      common "i";
+      Buffer.add_string b ",\"s\":\"t\"";
+      let args =
+        match ev.kind with
+        | Log lvl -> ("level", Str (level_name lvl)) :: ev.args
+        | _ -> ev.args
+      in
+      if args <> [] then begin
+        Buffer.add_string b ",\"args\":";
+        buf_add_args b args
+      end
+  | Span_begin | Span_end ->
+      common (match ev.kind with Span_begin -> "b" | _ -> "e");
+      Buffer.add_string b ",\"cat\":";
       buf_add_json_string b ev.comp;
-      Buffer.add_string b ",\"name\":";
-      buf_add_json_string b ev.name;
-      Buffer.add_string b ",\"kind\":\"";
-      Buffer.add_string b (kind_name ev.kind);
-      Buffer.add_char b '"';
-      (match ev.kind with
-      | Counter v ->
-          Buffer.add_string b ",\"value\":";
-          buf_add_float b v
-      | Log lvl ->
-          Buffer.add_string b ",\"level\":\"";
-          Buffer.add_string b (level_name lvl);
-          Buffer.add_char b '"'
-      | _ -> ());
-      if ev.span <> 0 then
-        Buffer.add_string b (Printf.sprintf ",\"span\":%d" ev.span);
+      Buffer.add_string b (Printf.sprintf ",\"id\":\"0x%x\"" ev.span);
       if ev.args <> [] then begin
         Buffer.add_string b ",\"args\":";
         buf_add_args b ev.args
-      end;
-      Buffer.add_string b "}\n")
-    (events t);
-  Buffer.contents b
+      end
+  | Counter v ->
+      common "C";
+      Buffer.add_string b ",\"args\":{\"value\":";
+      buf_add_float b v;
+      Buffer.add_char b '}');
+  Buffer.add_char b '}'
 
-(* Chrome trace_event format, JSON-object form.  Components become
-   processes (named via "M" metadata events); spans are async ("b"/"e")
-   keyed by the span id so nesting across processes renders correctly. *)
-let to_chrome t =
-  let evs = events t in
-  let comps =
-    List.sort_uniq String.compare (List.map (fun e -> e.comp) evs)
+let flush_at = 65536
+
+(* Render an export event by event into a buffer that is handed to [flush]
+   whenever it passes [flush_at] bytes, and once at the end. *)
+let render t ~format ~flush =
+  let b = Buffer.create flush_at in
+  let each f ev =
+    f ev;
+    if Buffer.length b >= flush_at then begin
+      flush b;
+      Buffer.clear b
+    end
   in
-  let pid_of =
-    let tbl = Hashtbl.create 16 in
-    List.iteri (fun i c -> Hashtbl.replace tbl c (i + 1)) comps;
-    fun c -> try Hashtbl.find tbl c with Not_found -> 0
-  in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char b ',';
-    Buffer.add_char b '\n'
-  in
-  List.iter
-    (fun c ->
-      sep ();
+  let truncated = if truncated t then "true" else "false" in
+  (match format with
+  | `Jsonl ->
       Buffer.add_string b
         (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
-           (pid_of c));
-      buf_add_json_string b c;
-      Buffer.add_string b "}}")
-    comps;
-  let ts_of at = Printf.sprintf "%.3f" (float_of_int at /. 1000.) in
-  List.iter
-    (fun ev ->
-      sep ();
-      let pid = pid_of ev.comp in
-      let common ph =
-        Buffer.add_string b
-          (Printf.sprintf "{\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"name\":"
-             ph (ts_of ev.at) pid);
-        buf_add_json_string b ev.name
+           "{\"type\":\"header\",\"cap\":%d,\"emitted\":%d,\"dropped\":%d,\"truncated\":%s}\n"
+           t.cap t.next_seq t.dropped_n truncated);
+      iter t (each (jsonl_event b))
+  | `Chrome ->
+      (* Chrome trace_event format, JSON-object form.  Components become
+         processes (named via "M" metadata events); spans are async
+         ("b"/"e") keyed by the span id so nesting across processes renders
+         correctly. *)
+      let comps = comps t in
+      let pid_of =
+        let tbl = Hashtbl.create 16 in
+        List.iteri (fun i c -> Hashtbl.replace tbl c (i + 1)) comps;
+        fun c -> try Hashtbl.find tbl c with Not_found -> 0
       in
-      (match ev.kind with
-      | Instant | Log _ ->
-          common "i";
-          Buffer.add_string b ",\"s\":\"t\"";
-          let args =
-            match ev.kind with
-            | Log lvl -> ("level", Str (level_name lvl)) :: ev.args
-            | _ -> ev.args
-          in
-          if args <> [] then begin
-            Buffer.add_string b ",\"args\":";
-            buf_add_args b args
-          end
-      | Span_begin | Span_end ->
-          common (match ev.kind with Span_begin -> "b" | _ -> "e");
-          Buffer.add_string b ",\"cat\":";
-          buf_add_json_string b ev.comp;
-          Buffer.add_string b (Printf.sprintf ",\"id\":\"0x%x\"" ev.span);
-          if ev.args <> [] then begin
-            Buffer.add_string b ",\"args\":";
-            buf_add_args b ev.args
-          end
-      | Counter v ->
-          common "C";
-          Buffer.add_string b ",\"args\":{\"value\":";
-          buf_add_float b v;
-          Buffer.add_char b '}');
-      Buffer.add_char b '}')
-    evs;
-  Buffer.add_string b
-    (Printf.sprintf
-       "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"cap\":%d,\"emitted\":%d,\"dropped\":%d,\"truncated\":%s}}\n"
-       t.cap t.next_seq t.dropped_n
-       (if truncated t then "true" else "false"));
-  Buffer.contents b
+      Buffer.add_string b "{\"traceEvents\":[";
+      let first = ref true in
+      let sep () =
+        if !first then first := false else Buffer.add_char b ',';
+        Buffer.add_char b '\n'
+      in
+      List.iter
+        (fun c ->
+          sep ();
+          Buffer.add_string b
+            (Printf.sprintf
+               "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
+               (pid_of c));
+          buf_add_json_string b c;
+          Buffer.add_string b "}}")
+        comps;
+      iter t
+        (each (fun ev ->
+             sep ();
+             chrome_event b ~pid_of ev));
+      Buffer.add_string b
+        (Printf.sprintf
+           "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"cap\":%d,\"emitted\":%d,\"dropped\":%d,\"truncated\":%s}}\n"
+           t.cap t.next_seq t.dropped_n truncated));
+  flush b
+
+let to_string t ~format =
+  let out = Buffer.create flush_at in
+  render t ~format ~flush:(Buffer.add_buffer out);
+  Buffer.contents out
+
+let to_jsonl t = to_string t ~format:`Jsonl
+let to_chrome t = to_string t ~format:`Chrome
 
 let write_file t ~format path =
-  let s = match format with `Jsonl -> to_jsonl t | `Chrome -> to_chrome t in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc s)
+    (fun () -> render t ~format ~flush:(Buffer.output_buffer oc))
 
 module Query = struct
   let filter ?comp ?name evs =

@@ -45,8 +45,21 @@ type span
 
 val create : ?cap:int -> unit -> t
 (** Fresh log.  [cap] is the ring capacity in events (default [1 lsl 20]).
-    Ring storage is allocated in 4096-event chunks as events arrive, so an
-    unused capacity costs next to nothing.
+    The ring stores events column-wise in [Bytes] chunks that hold no
+    pointers, allocated as events arrive, so an unused capacity costs next
+    to nothing and the GC never promotes a retained event:
+    - 32 bytes per event, in chunks of 4,096 events;
+    - 8 bytes per arg (16 for a float or an int wider than 40 bits), in
+      chunks of 1,024 words;
+    - for a [Str] arg, 8 bytes more and the string itself, in chunks of
+      256 strings.
+
+    A 3-arg event thus costs 56 bytes.  Comps, names and arg keys are
+    interned in a vocabulary the log owns; [Str] values are not.  The
+    vocabulary holds up to [2^20] strings and an event carries fewer than
+    [2^19] args: an emission that could exceed either raises
+    [Invalid_argument] and records nothing.  Pinned events are kept as
+    {!event} records.
     The clock reads as 0 until {!set_clock}. *)
 
 val set_clock : t -> (unit -> Time.t) -> unit
@@ -137,7 +150,9 @@ val to_chrome : t -> string
     Truncation metadata rides in [otherData].  Opens in Perfetto. *)
 
 val write_file : t -> format:[ `Jsonl | `Chrome ] -> string -> unit
-(** Write an export to a file.  [`Chrome] is picked by [.json] convention in
+(** Write an export to a file, event by event through a 64 KB buffer: the
+    bytes are those of {!to_jsonl} or {!to_chrome}, but the whole export is
+    never held in memory.  [`Chrome] is picked by [.json] convention in
     callers; this function just trusts [format]. *)
 
 (** {1 Querying} *)

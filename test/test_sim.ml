@@ -1046,7 +1046,37 @@ let test_evlog_subscriber () =
   Alcotest.(check int) "saw both" 2 !n;
   Evlog.unsubscribe t tok;
   Evlog.emit t ~comp:"x" "c";
-  Alcotest.(check int) "none after unsubscribe" 2 !n
+  Alcotest.(check int) "none after unsubscribe" 2 !n;
+  (* A subscriber's record is, field for field, the one [events] returns
+     later: ring and pinned, every kind, wide ints and non-finite floats. *)
+  let t, now = mk_evlog ~cap:5 () in
+  let seen = Hashtbl.create 16 in
+  ignore (Evlog.subscribe t (fun e -> Hashtbl.replace seen e.Evlog.seq e));
+  let sp = Evlog.span_begin t ~pin:true ~comp:"x" "phase" in
+  for i = 1 to 12 do
+    now := !now + i;
+    Evlog.emit t ~comp:"x" "e"
+      ~args:
+        [
+          ("i", Evlog.Int (if i land 1 = 0 then max_int - i else i));
+          ("f", Evlog.Float (if i land 1 = 0 then Float.nan else -0.0));
+          ("b", Evlog.Bool (i > 6));
+          ("s", Evlog.Str (string_of_int i));
+        ];
+    if i = 9 then Evlog.span_end t sp
+  done;
+  Evlog.counter t ~comp:"x" "c" Float.infinity;
+  Evlog.log t ~comp:"x" Evlog.Debug "bye";
+  List.iter
+    (fun e ->
+      match Hashtbl.find_opt seen e.Evlog.seq with
+      | Some s ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seq %d: subscriber saw the same record" e.Evlog.seq)
+            true
+            (compare s e = 0)
+      | None -> Alcotest.failf "seq %d never reached the subscriber" e.Evlog.seq)
+    (Evlog.events t)
 
 let test_evlog_set_capacity () =
   let t, _ = mk_evlog ~cap:16 () in
@@ -1142,6 +1172,583 @@ let test_evlog_detail_gates_park_events () =
   in
   Alcotest.(check int) "detail off: no park events" 0 (run false);
   Alcotest.(check bool) "detail on: parks recorded" true (run true > 0)
+
+(* {2 Reference model}
+
+   The plainest storage that meets Evlog's contract, one record per event
+   in a queue, with exporters written directly over an event list.  Random
+   scripts run through the columnar ring and this model must agree on
+   every event, count and export byte. *)
+
+module Ref_log = struct
+  open Evlog
+
+  type t = {
+    now : int ref;
+    mutable cap : int;
+    ring : event Queue.t;
+    mutable pinned : event list;  (* newest first *)
+    mutable next_seq : int;
+    mutable next_span : int;
+    mutable dropped : int;
+  }
+
+  type span = {
+    sp_id : int;
+    sp_comp : string;
+    sp_name : string;
+    sp_pin : bool;
+    mutable live : bool;
+  }
+
+  let create ~now cap =
+    { now; cap; ring = Queue.create (); pinned = []; next_seq = 0; next_span = 0;
+      dropped = 0 }
+
+  let set_capacity t cap =
+    while Queue.length t.ring > cap do
+      ignore (Queue.pop t.ring);
+      t.dropped <- t.dropped + 1
+    done;
+    t.cap <- cap
+
+  let record t ~pin ~comp ~name ~kind ~span args =
+    t.next_seq <- t.next_seq + 1;
+    let ev = { seq = t.next_seq; at = !(t.now); comp; name; kind; span; args } in
+    if pin then t.pinned <- ev :: t.pinned
+    else begin
+      if Queue.length t.ring = t.cap then begin
+        ignore (Queue.pop t.ring);
+        t.dropped <- t.dropped + 1
+      end;
+      Queue.push ev t.ring
+    end
+
+  let emit t ~pin ~comp name args = record t ~pin ~comp ~name ~kind:Instant ~span:0 args
+
+  let span_begin t ~pin ~comp name args =
+    t.next_span <- t.next_span + 1;
+    record t ~pin ~comp ~name ~kind:Span_begin ~span:t.next_span args;
+    { sp_id = t.next_span; sp_comp = comp; sp_name = name; sp_pin = pin; live = true }
+
+  let span_end t sp args =
+    if sp.live then begin
+      sp.live <- false;
+      record t ~pin:sp.sp_pin ~comp:sp.sp_comp ~name:sp.sp_name ~kind:Span_end
+        ~span:sp.sp_id args
+    end
+
+  let counter t ~comp name v args =
+    record t ~pin:false ~comp ~name ~kind:(Counter v) ~span:0 args
+
+  let log t ~comp lvl msg =
+    record t ~pin:false ~comp ~name:"log" ~kind:(Log lvl) ~span:0 [ ("msg", Str msg) ]
+
+  let events t =
+    List.merge
+      (fun a b -> compare a.seq b.seq)
+      (List.of_seq (Queue.to_seq t.ring))
+      (List.rev t.pinned)
+
+  let buf_add_json_string b s =
+    Buffer.add_char b '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.add_char b '"'
+
+  let buf_add_float b f =
+    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.12g" f)
+    else Buffer.add_string b "null"
+
+  let buf_add_value b = function
+    | Int i -> Buffer.add_string b (string_of_int i)
+    | Str s -> buf_add_json_string b s
+    | Float f -> buf_add_float b f
+    | Bool x -> Buffer.add_string b (if x then "true" else "false")
+
+  let buf_add_args b args =
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        buf_add_json_string b k;
+        Buffer.add_char b ':';
+        buf_add_value b v)
+      args;
+    Buffer.add_char b '}'
+
+  let level_name = function
+    | Error -> "error"
+    | Warn -> "warn"
+    | Info -> "info"
+    | Debug -> "debug"
+
+  let kind_name = function
+    | Instant -> "instant"
+    | Span_begin -> "begin"
+    | Span_end -> "end"
+    | Counter _ -> "counter"
+    | Log _ -> "log"
+
+  let truncated t = if t.dropped > 0 then "true" else "false"
+
+  let to_jsonl t =
+    let b = Buffer.create 4096 in
+    Buffer.add_string b
+      (Printf.sprintf
+         "{\"type\":\"header\",\"cap\":%d,\"emitted\":%d,\"dropped\":%d,\"truncated\":%s}\n"
+         t.cap t.next_seq t.dropped (truncated t));
+    List.iter
+      (fun ev ->
+        Buffer.add_string b
+          (Printf.sprintf "{\"seq\":%d,\"at\":%d,\"comp\":" ev.seq ev.at);
+        buf_add_json_string b ev.comp;
+        Buffer.add_string b ",\"name\":";
+        buf_add_json_string b ev.name;
+        Buffer.add_string b ",\"kind\":\"";
+        Buffer.add_string b (kind_name ev.kind);
+        Buffer.add_char b '"';
+        (match ev.kind with
+        | Counter v ->
+            Buffer.add_string b ",\"value\":";
+            buf_add_float b v
+        | Log lvl ->
+            Buffer.add_string b ",\"level\":\"";
+            Buffer.add_string b (level_name lvl);
+            Buffer.add_char b '"'
+        | _ -> ());
+        if ev.span <> 0 then
+          Buffer.add_string b (Printf.sprintf ",\"span\":%d" ev.span);
+        if ev.args <> [] then begin
+          Buffer.add_string b ",\"args\":";
+          buf_add_args b ev.args
+        end;
+        Buffer.add_string b "}\n")
+      (events t);
+    Buffer.contents b
+
+  let to_chrome t =
+    let evs = events t in
+    let comps = List.sort_uniq String.compare (List.map (fun e -> e.comp) evs) in
+    let pid_of =
+      let tbl = Hashtbl.create 16 in
+      List.iteri (fun i c -> Hashtbl.replace tbl c (i + 1)) comps;
+      fun c -> try Hashtbl.find tbl c with Not_found -> 0
+    in
+    let b = Buffer.create 4096 in
+    Buffer.add_string b "{\"traceEvents\":[";
+    let first = ref true in
+    let sep () =
+      if !first then first := false else Buffer.add_char b ',';
+      Buffer.add_char b '\n'
+    in
+    List.iter
+      (fun c ->
+        sep ();
+        Buffer.add_string b
+          (Printf.sprintf
+             "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
+             (pid_of c));
+        buf_add_json_string b c;
+        Buffer.add_string b "}}")
+      comps;
+    let ts_of at = Printf.sprintf "%.3f" (float_of_int at /. 1000.) in
+    List.iter
+      (fun ev ->
+        sep ();
+        let pid = pid_of ev.comp in
+        let common ph =
+          Buffer.add_string b
+            (Printf.sprintf "{\"ph\":\"%s\",\"ts\":%s,\"pid\":%d,\"tid\":0,\"name\":"
+               ph (ts_of ev.at) pid);
+          buf_add_json_string b ev.name
+        in
+        (match ev.kind with
+        | Instant | Log _ ->
+            common "i";
+            Buffer.add_string b ",\"s\":\"t\"";
+            let args =
+              match ev.kind with
+              | Log lvl -> ("level", Str (level_name lvl)) :: ev.args
+              | _ -> ev.args
+            in
+            if args <> [] then begin
+              Buffer.add_string b ",\"args\":";
+              buf_add_args b args
+            end
+        | Span_begin | Span_end ->
+            common (match ev.kind with Span_begin -> "b" | _ -> "e");
+            Buffer.add_string b ",\"cat\":";
+            buf_add_json_string b ev.comp;
+            Buffer.add_string b (Printf.sprintf ",\"id\":\"0x%x\"" ev.span);
+            if ev.args <> [] then begin
+              Buffer.add_string b ",\"args\":";
+              buf_add_args b ev.args
+            end
+        | Counter v ->
+            common "C";
+            Buffer.add_string b ",\"args\":{\"value\":";
+            buf_add_float b v;
+            Buffer.add_char b '}');
+        Buffer.add_char b '}')
+      evs;
+    Buffer.add_string b
+      (Printf.sprintf
+         "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"cap\":%d,\"emitted\":%d,\"dropped\":%d,\"truncated\":%s}}\n"
+         t.cap t.next_seq t.dropped (truncated t));
+    Buffer.contents b
+end
+
+(* A string as a script names it: [fresh] strings are rebuilt at each use,
+   so they equal a literal in content but never physically. *)
+type e_str = { s : string; fresh : bool }
+
+type e_op =
+  | E_emit of bool * e_str * e_str * (e_str * e_val) list
+  | E_begin of bool * e_str * e_str * (e_str * e_val) list
+  | E_end of int * (e_str * e_val) list  (* an already-opened span, maybe closed *)
+  | E_counter of e_str * e_str * float * (e_str * e_val) list
+  | E_log of e_str * Evlog.level * e_str
+  | E_burst of int * (e_str * e_val) list  (* [n] ring events that wrap *)
+  | E_big of int  (* one event with more than 4,096 arg words *)
+  | E_cap of int
+  | E_tick of int
+
+and e_val = V_int of int | V_float of float | V_bool of bool | V_str of e_str
+
+let e_caps =
+  [ 1; 2; 3; 5; 64; 1000; 4095; 4096; 4097; 5000; 8191; 8192; 8193; 9000 ]
+
+let e_cap_gen = QCheck.Gen.(oneof [ oneofl e_caps; int_range 1 9000 ])
+
+let e_str_gen =
+  QCheck.Gen.(
+    map2
+      (fun s fresh -> { s; fresh })
+      (oneof
+         [
+           oneofl
+             [ ""; "ft.det"; "net.tcp"; "tuple.emit"; "lsn"; "q\"uote"; "back\\slash";
+               "ctl\001\n\r\t\031\127"; "hi\128\255\xc3\xa9"; "k" ];
+           string_size ~gen:char (int_range 0 6);
+         ])
+      bool)
+
+(* Ints on both sides of the 40-bit inline width, and the extremes. *)
+let e_int_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        int;
+        small_signed_int;
+        oneofl
+          [ 0; 1; -1; 1 lsl 39; (1 lsl 39) - 1; -(1 lsl 39); -(1 lsl 39) - 1;
+            (1 lsl 39) + 1; min_int; max_int; min_int + 1; max_int - 1 ];
+      ])
+
+let e_float_gen =
+  QCheck.Gen.(
+    oneof [ float; oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 1.5 ] ])
+
+let e_val_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun i -> V_int i) e_int_gen);
+        (2, map (fun f -> V_float f) e_float_gen);
+        (1, map (fun b -> V_bool b) bool);
+        (2, map (fun s -> V_str s) e_str_gen);
+      ])
+
+let e_args_gen = QCheck.Gen.(list_size (int_range 0 4) (pair e_str_gen e_val_gen))
+
+let e_names_gen = QCheck.Gen.pair e_str_gen e_str_gen
+
+let e_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (* One emit in six and one span in four is pinned. *)
+        (6, map3 (fun p (c, n) a -> E_emit (p = 0, c, n, a)) (int_bound 5) e_names_gen e_args_gen);
+        (2, map3 (fun p (c, n) a -> E_begin (p = 0, c, n, a)) (int_bound 3) e_names_gen e_args_gen);
+        (2, map2 (fun i a -> E_end (i, a)) nat e_args_gen);
+        (1, map3 (fun (c, n) v a -> E_counter (c, n, v, a)) e_names_gen e_float_gen e_args_gen);
+        ( 1,
+          map3
+            (fun c l m -> E_log (c, l, m))
+            e_str_gen
+            (oneofl Evlog.[ Error; Warn; Info; Debug ])
+            e_str_gen );
+        (1, map2 (fun n a -> E_burst (n, a)) (int_range 1 10_000) e_args_gen);
+        (1, map (fun n -> E_cap n) e_cap_gen);
+        (2, map (fun d -> E_tick d) (int_range 0 1_000_000));
+      ])
+
+(* Most scripts are short op lists; one in ten also carries a giant event. *)
+let e_script_gen =
+  QCheck.Gen.(
+    map3
+      (fun cap ops big -> (cap, match big with Some n -> ops @ [ E_big n ] @ ops | None -> ops))
+      e_cap_gen
+      (list_size (int_range 0 40) e_op_gen)
+      (frequency [ (9, return None); (1, map Option.some (int_range 4097 4400)) ]))
+
+let e_string { s; fresh } = if fresh then Bytes.to_string (Bytes.of_string s) else s
+
+let e_value = function
+  | V_int i -> Evlog.Int i
+  | V_float f -> Evlog.Float f
+  | V_bool b -> Evlog.Bool b
+  | V_str s -> Evlog.Str (e_string s)
+
+let e_args = List.map (fun (k, v) -> (e_string k, e_value v))
+
+(* One arg of every shape per step, so the words outnumber the args. *)
+let e_big_args n =
+  List.init n (fun j ->
+      let k = [| "i"; "w"; "f"; "s"; "b" |].(j mod 5) in
+      ( k,
+        match j mod 5 with
+        | 0 -> Evlog.Int j
+        | 1 -> Evlog.Int (max_int - j)
+        | 2 -> Evlog.Float (float_of_int j /. 7.)
+        | 3 -> Evlog.Str (string_of_int j)
+        | _ -> Evlog.Bool (j land 8 = 0) ))
+
+(* Run a script through the log and the model side by side; return the
+   log, the model and what the log's subscriber saw, by seq. *)
+let e_run (cap, ops) =
+  let now = ref 0 in
+  let t = Evlog.create ~cap () in
+  Evlog.set_clock t (fun () -> !now);
+  let m = Ref_log.create ~now cap in
+  let seen = Hashtbl.create 64 in
+  ignore (Evlog.subscribe t (fun e -> Hashtbl.replace seen e.Evlog.seq e));
+  let spans = ref [||] in
+  List.iter
+    (function
+      | E_emit (pin, c, n, a) ->
+          let c = e_string c and n = e_string n and a = e_args a in
+          Evlog.emit t ~pin ~args:a ~comp:c n;
+          Ref_log.emit m ~pin ~comp:c n a
+      | E_begin (pin, c, n, a) ->
+          let c = e_string c and n = e_string n and a = e_args a in
+          let sp = Evlog.span_begin t ~pin ~args:a ~comp:c n in
+          let msp = Ref_log.span_begin m ~pin ~comp:c n a in
+          spans := Array.append !spans [| (sp, msp) |]
+      | E_end (i, a) ->
+          let n = Array.length !spans in
+          if n > 0 then begin
+            let sp, msp = !spans.(i mod n) and a = e_args a in
+            Evlog.span_end t ~args:a sp;
+            Ref_log.span_end m msp a
+          end
+      | E_counter (c, n, v, a) ->
+          let c = e_string c and n = e_string n and a = e_args a in
+          Evlog.counter t ~args:a ~comp:c n v;
+          Ref_log.counter m ~comp:c n v a
+      | E_log (c, lvl, msg) ->
+          let c = e_string c and msg = e_string msg in
+          Evlog.log t ~comp:c lvl msg;
+          Ref_log.log m ~comp:c lvl msg
+      | E_burst (k, a) ->
+          for _ = 1 to k do
+            let a = e_args a in
+            Evlog.emit t ~args:a ~comp:"burst" "b";
+            Ref_log.emit m ~pin:false ~comp:"burst" "b" a;
+            incr now
+          done
+      | E_big n ->
+          let a = e_big_args n in
+          Evlog.emit t ~args:a ~comp:"big" "event";
+          Ref_log.emit m ~pin:false ~comp:"big" "event" a
+      | E_cap c ->
+          Evlog.set_capacity t c;
+          Ref_log.set_capacity m c
+      | E_tick d -> now := !now + d)
+    ops;
+  (t, m, seen)
+
+(* Where the log and the model disagree on a script, or [None]. *)
+let e_disagreement script =
+  let t, m, seen = e_run script in
+  let evs = Evlog.events t in
+  let checks =
+    [
+      ("events", compare evs (Ref_log.events m) = 0);
+      ("emitted", Evlog.emitted t = m.Ref_log.next_seq);
+      ("dropped", Evlog.dropped t = m.Ref_log.dropped);
+      ("truncated", Evlog.truncated t = (m.Ref_log.dropped > 0));
+      ("capacity", Evlog.capacity t = m.Ref_log.cap);
+      ( "subscriber records",
+        List.for_all (fun e -> compare (Hashtbl.find_opt seen e.Evlog.seq) (Some e) = 0) evs );
+      ("jsonl", Evlog.to_jsonl t = Ref_log.to_jsonl m);
+      ("chrome", Evlog.to_chrome t = Ref_log.to_chrome m);
+    ]
+  in
+  List.find_map (fun (what, ok) -> if ok then None else Some what) checks
+
+let prop_evlog_matches_model =
+  QCheck.Test.make ~name:"columnar ring matches the record model" ~count:200
+    (QCheck.make e_script_gen)
+    (fun script -> e_disagreement script = None)
+
+(* A script that reaches every corner the generator is asked to reach,
+   run every time. *)
+let test_evlog_model_corners () =
+  let lit s = { s; fresh = false } and fresh s = { s; fresh = true } in
+  let odd =
+    [
+      (lit "", V_str (lit ""));
+      (fresh "lsn", V_int (1 lsl 39));
+      (lit "lsn", V_int ((1 lsl 39) - 1));
+      (lit "w", V_int (-(1 lsl 39) - 1));
+      (lit "lo", V_int min_int);
+      (lit "hi", V_int max_int);
+      (lit "nan", V_float Float.nan);
+      (lit "inf", V_float Float.neg_infinity);
+      (lit "z", V_float (-0.0));
+      (lit "b", V_bool true);
+      (lit "q\"\\", V_str (lit "ctl\001\031\128\255"));
+    ]
+  in
+  let script =
+    ( 4096,
+      [
+        E_emit (true, lit "ft.cluster", lit "pin", odd);
+        E_burst (4095, [ (lit "i", V_int 1) ]);
+        E_begin (false, fresh "ft.det", lit "section", odd);
+        E_burst (2, odd);
+        E_cap 4097;
+        E_big 4200;
+        E_counter (lit "", lit "", Float.nan, []);
+        E_log (fresh "", Evlog.Error, lit "");
+        E_log (lit "x", Evlog.Warn, lit "w");
+        E_log (lit "x", Evlog.Info, lit "i");
+        E_log (lit "x", Evlog.Debug, lit "d");
+        E_burst (9000, odd);
+        E_end (0, odd);
+        E_cap 1;
+        E_emit (false, lit "a", lit "b", odd);
+        E_cap 9000;
+        E_burst (5000, []);
+        E_begin (true, lit "ft.cluster", lit "failover.detect", []);
+        E_cap 4095;
+        E_end (1, [ (lit "x", V_str (fresh "y")) ]);
+      ] )
+  in
+  Alcotest.(check (option string)) "agrees with the model" None (e_disagreement script);
+  (* After one Int-only event, every event writes one word and one string,
+     so word 4,096 (a word chunk's first) carries string 4,095 (a string
+     chunk's last).  The oldest of the 100 retained events is that one. *)
+  let aligned =
+    ( 100,
+      [
+        E_emit (false, lit "c", lit "n", [ (lit "i", V_int 1) ]);
+        E_burst (4195, [ (lit "s", V_str (lit "v")) ]);
+      ] )
+  in
+  Alcotest.(check (option string)) "string at a word-chunk boundary" None
+    (e_disagreement aligned)
+
+(* {2 Memory behaviour} *)
+
+(* Retained events hold no pointers, so a minor collection promotes
+   nothing of them. *)
+let test_evlog_no_promotion () =
+  let t = Evlog.create () in
+  let n = 100_000 in
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  for i = 1 to n do
+    Evlog.emit t ~comp:"test" "e"
+      ~args:[ ("a", Evlog.Int i); ("b", Evlog.Int (i * 3)); ("c", Evlog.Int (-i)) ]
+  done;
+  Gc.minor ();
+  let per_event = ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int n in
+  Alcotest.(check int) "all retained" n (List.length (Evlog.events t));
+  if per_event > 1.0 then
+    Alcotest.failf "%.2f promoted words per retained event (at most 1)" per_event
+
+(* A wrapping ring of unique strings, as [Trace] lines are, holds what its
+   window holds: no interned values, no leaked chunks. *)
+let test_evlog_bounded_under_wrap () =
+  let t = Evlog.create ~cap:1024 () in
+  let feed lo hi =
+    for i = lo to hi do
+      Evlog.log t ~comp:"test.trace" Evlog.Info (Printf.sprintf "line %d" i)
+    done
+  in
+  feed 1 20_000;
+  let w20k = Obj.reachable_words (Obj.repr t) in
+  feed 20_001 200_000;
+  let w200k = Obj.reachable_words (Obj.repr t) in
+  if float_of_int w200k > 1.5 *. float_of_int w20k then
+    Alcotest.failf "log grew from %d words at 20k events to %d at 200k" w20k w200k
+
+(* [write_file] streams what [to_jsonl]/[to_chrome] return, byte for byte,
+   past several flushes of its buffer. *)
+let test_evlog_write_file_streams () =
+  let t, now = mk_evlog ~cap:3000 () in
+  for i = 1 to 12_000 do
+    now := !now + 7;
+    if i mod 1000 = 0 then
+      Evlog.emit t ~pin:true ~comp:"ft.cluster" "phase" ~args:[ ("i", Evlog.Int i) ];
+    Evlog.emit t ~comp:(if i land 1 = 0 then "a" else "b") "e"
+      ~args:[ ("i", Evlog.Int i); ("s", Evlog.Str (string_of_int i)) ]
+  done;
+  Alcotest.(check bool) "wrapped" true (Evlog.truncated t);
+  let read path =
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  List.iter
+    (fun (format, want) ->
+      let path = Filename.temp_file "evlog" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Evlog.write_file t ~format path;
+          let got = read path in
+          Alcotest.(check bool) "export is past one flush" true (String.length got > 65536);
+          Alcotest.(check bool) "file equals the string export" true (got = want)))
+    [ (`Jsonl, Evlog.to_jsonl t); (`Chrome, Evlog.to_chrome t) ]
+
+(* An event with more args than a slot can count is refused whole: no seq,
+   no span id, no subscriber call, nothing stored, and a refused end leaves
+   its span open. *)
+let test_evlog_refuses_oversized_event () =
+  let t, _ = mk_evlog () in
+  let heard = ref 0 in
+  ignore (Evlog.subscribe t (fun _ -> incr heard));
+  Evlog.emit t ~comp:"x" "before";
+  let huge = List.init (1 lsl 19) (fun i -> ("k", Evlog.Int i)) in
+  Alcotest.check_raises "emit refused"
+    (Invalid_argument "Evlog: event has too many args, or the vocabulary is full")
+    (fun () -> Evlog.emit t ~comp:"x" "huge" ~args:huge);
+  Alcotest.check_raises "span refused"
+    (Invalid_argument "Evlog: event has too many args, or the vocabulary is full")
+    (fun () -> ignore (Evlog.span_begin t ~comp:"x" "huge" ~args:huge));
+  let sp = Evlog.span_begin t ~comp:"x" "after" in
+  Alcotest.check_raises "span end refused"
+    (Invalid_argument "Evlog: event has too many args, or the vocabulary is full")
+    (fun () -> Evlog.span_end t ~args:huge sp);
+  Evlog.span_end t sp;
+  Alcotest.(check int) "only recorded events are counted" 3 (Evlog.emitted t);
+  Alcotest.(check int) "subscriber heard only those" 3 !heard;
+  Alcotest.(check (list (pair int int))) "seqs and span ids stay dense"
+    [ (1, 0); (2, 1); (3, 1) ]
+    (List.map (fun e -> (e.Evlog.seq, e.Evlog.span)) (Evlog.events t))
 
 (* {1 Trace: per-component level filtering into the event log} *)
 
@@ -1720,6 +2327,16 @@ let () =
             test_engine_lifecycle_events;
           Alcotest.test_case "detail gates park events" `Quick
             test_evlog_detail_gates_park_events;
+          QCheck_alcotest.to_alcotest prop_evlog_matches_model;
+          Alcotest.test_case "model corners" `Quick test_evlog_model_corners;
+          Alcotest.test_case "no promotion of retained events" `Quick
+            test_evlog_no_promotion;
+          Alcotest.test_case "bounded memory under wrap" `Quick
+            test_evlog_bounded_under_wrap;
+          Alcotest.test_case "write_file streams the exports" `Quick
+            test_evlog_write_file_streams;
+          Alcotest.test_case "refuses an oversized event" `Quick
+            test_evlog_refuses_oversized_event;
         ] );
       ( "trace",
         [
