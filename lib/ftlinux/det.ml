@@ -51,7 +51,7 @@ type t = {
   by_ftpid : (int, thread_ctx) Hashtbl.t;
   mutable ml : Msglayer.sink option;
   mutable next_ftpid : int;
-  turn_changed : Waitq.t;  (* secondary: any delivery or cursor advance *)
+  turn_changed : Engine.Gate.t;  (* secondary: any delivery or cursor advance *)
   mutable live : bool;
   mutable emitted_total : int;  (* primary: sections appended (the epoch) *)
   mutable consumed_total : int;  (* secondary: sections replayed *)
@@ -83,7 +83,7 @@ let make rl ?(shard = true) eng ml =
     by_ftpid = Hashtbl.create 64;
     ml;
     next_ftpid = 0;
-    turn_changed = Waitq.create ();
+    turn_changed = Engine.Gate.create ();
     live = false;
     emitted_total = 0;
     consumed_total = 0;
@@ -107,9 +107,9 @@ let sharded t = t.shard
 (* {1 Channels} *)
 
 let chan_get t id =
-  match Hashtbl.find_opt t.chans id with
-  | Some st -> st
-  | None ->
+  match Hashtbl.find t.chans id with
+  | st -> st
+  | exception Not_found ->
       let st =
         {
           ch_id = id;
@@ -323,11 +323,18 @@ let det_end_primary t =
    consumed exactly the tuple's chan_seq predecessors.  chan_seqs were
    assigned atomically at the primary's commit points, so the per-channel
    orders embed into one global order and this gating cannot cycle. *)
+let rec chans_admit t = function
+  | [] -> true
+  | (c, s) :: rest -> (chan_get t c).ch_consumed = s && chans_admit t rest
+
 let head_runnable t ctx =
-  match Queue.peek_opt ctx.tq with
-  | None -> false
-  | Some pt ->
-      List.for_all (fun (c, s) -> (chan_get t c).ch_consumed = s) pt.pt_chans
+  (not (Queue.is_empty ctx.tq)) && chans_admit t (Queue.peek ctx.tq).pt_chans
+
+(* The replay gate's guard.  Every broadcast evaluates it once per parked
+   executor, so it allocates nothing. *)
+let turn_ready t ctx () = t.live || head_runnable t ctx
+
+let gate_guard t ~ft_pid = turn_ready t (Hashtbl.find t.by_ftpid ft_pid)
 
 let det_start_live t ctx ~chans =
   ctx.live_seen <- true;
@@ -341,14 +348,13 @@ let det_start_secondary t ~chans =
   let ctx = ctx_exn t in
   if t.live || ctx.live_seen then det_start_live t ctx ~chans
   else begin
-    let ready () = t.live || head_runnable t ctx in
-    if not (ready ()) then begin
-      (* Count each gated section once, however many wake-ups it absorbs:
-         with parallel replay executors this is the contention signal —
-         how often a delivered tuple had to wait for another executor's
-         channel predecessors. *)
+    if not (turn_ready t ctx ()) then begin
+      (* Count each gated section once, however many broadcasts it
+         absorbs: with parallel replay executors this is the contention
+         signal — how often a delivered tuple had to wait for another
+         executor's channel predecessors. *)
       Metrics.Counter.incr t.m_gate_stalls;
-      Sync.wait_until t.turn_changed ~ready
+      Engine.Gate.wait t.turn_changed ~ready:(turn_ready t ctx)
     end;
     if t.live then ctx.live_seen <- true;
     if ctx.live_seen then det_start_live t ctx ~chans
@@ -396,7 +402,7 @@ let det_end_secondary t =
     Metrics.Counter.incr t.ops;
     Metrics.Counter.incr t.m_sections;
     section_end t ctx;
-    ignore (Waitq.wake_all t.turn_changed)
+    Engine.Gate.broadcast t.turn_changed
   end
 
 let det_start t ~chans =
@@ -457,7 +463,7 @@ let deliver_tuple t ~ft_pid ~thread_seq ~chans ~payload =
     { pt_thread_seq = thread_seq; pt_chans = chans; pt_payload = payload }
     ctx.tq;
   t.pending_count <- t.pending_count + 1;
-  ignore (Waitq.wake_all t.turn_changed)
+  Engine.Gate.broadcast t.turn_changed
 
 let deliver_syscall t ~ft_pid ~result =
   Bqueue.put (ctx_for_delivery t ft_pid).sys_q (Q_result result)
@@ -530,7 +536,7 @@ let go_live t =
        the primary's order: close the comparable region. *)
     (match t.dig with Some d -> Digest.seal d | None -> ());
     Trace.warnf log ~eng:t.eng "det engine live: replay gates open";
-    ignore (Waitq.wake_all t.turn_changed);
+    Engine.Gate.broadcast t.turn_changed;
     Hashtbl.iter (fun _ ctx -> Bqueue.put ctx.sys_q Q_live) t.by_ftpid
   end
 
@@ -561,7 +567,7 @@ let promote t sink =
   if not t.live then begin
     t.live <- true;
     Trace.warnf log ~eng:t.eng "det engine promoted: recording primary";
-    ignore (Waitq.wake_all t.turn_changed);
+    Engine.Gate.broadcast t.turn_changed;
     Hashtbl.iter (fun _ ctx -> Bqueue.put ctx.sys_q Q_live) t.by_ftpid
   end
 

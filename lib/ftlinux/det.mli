@@ -70,6 +70,13 @@ val det_start : t -> chans:int list -> unit
 
 val det_end : t -> unit
 
+val gate_guard : t -> ft_pid:int -> unit -> bool
+(** Secondary: the replay gate's guard for thread [ft_pid], which must have
+    had a tuple delivered or be registered — the condition {!det_start}
+    parks on, true once the engine is live or the thread's next tuple is
+    admissible.  Every broadcast evaluates it once per parked thread, so
+    it allocates nothing. *)
+
 val set_payload : t -> Wire.det_payload -> unit
 (** Primary, inside a section: attach a logged value to this section's
     tuple. *)

@@ -46,10 +46,26 @@ and state =
 
 and wait_cell = { mutable k : (unit, unit) Effect.Deep.continuation option }
 
+(* A process parked at a gate.  The record is built once per [Gate.wait]
+   and outlives every re-park: [w_blocked] is the process's state while it
+   is parked and [w_k] the box its cell holds, so parking again allocates
+   nothing.  [w_next] links the gate's FIFO, or the rest of a wave. *)
+type waiter =
+  | Nil
+  | Waiter of {
+      w_proc : proc;
+      w_ready : unit -> bool;
+      w_cell : wait_cell;
+      w_blocked : state;
+      w_k : (unit, unit) Effect.Deep.continuation option;
+      mutable w_next : waiter;
+    }
+
+type gate = { mutable g_head : waiter; mutable g_tail : waiter }
+
 type _ Effect.t +=
-  | E_suspend :
-      (unit -> bool) * (proc -> (unit -> unit) -> unit)
-      -> unit Effect.t
+  | E_suspend : (proc -> (unit -> unit) -> unit) -> unit Effect.t
+  | E_gate_wait : gate * (unit -> bool) -> unit Effect.t
   | E_self : proc Effect.t
 
 let create ?(seed = 42) ?evlog_cap () =
@@ -152,12 +168,8 @@ let fire p k =
       (if p.doomed then discontinue k Killed_exn else continue k ());
       p.eng.current <- saved
 
-(* Park [p] on continuation [k].  The waker's event evaluates [ready] in
-   event context and resumes the fiber only if it holds (or [p] was killed,
-   so that it unwinds); otherwise it parks [k] again exactly as a resumed
-   fiber re-suspending would: same [proc.park], same [register] call, at
-   the same point in the event sequence. *)
-let rec park p k ~ready register =
+(* Park [p] on continuation [k]; the waker schedules its resumption. *)
+let park p k register =
   if Evlog.detail p.eng.evlog then
     Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.park"
       ~args:[ ("pid", Evlog.Int p.pid) ];
@@ -168,15 +180,109 @@ let rec park p k ~ready register =
     | Blocked cell', Some k when cell' == cell ->
         cell.k <- None;
         p.state <- Ready;
-        schedule p.eng ~at:p.eng.now (fun () -> recheck p k ~ready register)
+        schedule p.eng ~at:p.eng.now (fun () -> fire p k)
     | _ -> ()
   in
   register p waker
 
-and recheck p k ~ready register =
-  match p.state with
-  | Exited _ -> ()
-  | _ -> if p.doomed || ready () then fire p k else park p k ~ready register
+(* {2 Gates}
+
+   A gate is a wait queue whose waiters carry guards.  A broadcast claims
+   every waiter still parked, exactly as a waker would (the process becomes
+   [Ready], so a kill now only dooms it), reserves one seq per claimed
+   waiter and schedules a single event, the sweep, at the first of them.
+   Waking each waiter with its own event would have given them those very
+   seqs at the current instant: a block of consecutive [(at, seq)] keys
+   that no other event can enter, since every later event draws a larger
+   seq.  So the sweep walks the wave in FIFO order inside one event and
+   fires exactly the schedule the separate events would have.  The one
+   thing that ends a run between two events is [stop] (or an exception
+   escaping a resumed process): the sweep then files the rest of the wave
+   as an event at the next reserved seq, which still precedes everything
+   scheduled since the broadcast. *)
+
+let append q w =
+  match w with
+  | Nil -> ()
+  | Waiter r ->
+      r.w_next <- Nil;
+      (match q.g_tail with Nil -> q.g_head <- w | Waiter t -> t.w_next <- w);
+      q.g_tail <- w
+
+(* Append [w] to the gate, parked: the same [proc.park] a suspension
+   emits, with the waiter's own state and continuation box. *)
+let gate_park g w =
+  match w with
+  | Nil -> ()
+  | Waiter r ->
+      let p = r.w_proc in
+      if Evlog.detail p.eng.evlog then
+        Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.park"
+          ~args:[ ("pid", Evlog.Int p.pid) ];
+      r.w_cell.k <- r.w_k;
+      p.state <- r.w_blocked;
+      append g w
+
+(* Move the waiters from [w] on into [wave], claiming each as a waker
+   would; [n] counts the claimed.  A waiter whose process left the gate
+   (killed while parked) is dropped. *)
+let rec claim_into wave n = function
+  | Nil -> n
+  | Waiter r as w ->
+      let next = r.w_next in
+      if r.w_proc.state == r.w_blocked then begin
+        r.w_cell.k <- None;
+        r.w_proc.state <- Ready;
+        append wave w;
+        claim_into wave (n + 1) next
+      end
+      else claim_into wave n next
+
+(* Resume the waiter if its guard holds or it was killed, else re-park it. *)
+let sweep_one g = function
+  | Nil -> ()
+  | Waiter r as w -> (
+      let p = r.w_proc in
+      match (p.state, r.w_k) with
+      | Exited _, _ | _, None -> ()
+      | _, Some k -> if p.doomed || r.w_ready () then fire p k else gate_park g w)
+
+(* Sweep the wave from [w], whose reserved seq is [seq]. *)
+let rec sweep eng g w seq =
+  match w with
+  | Nil -> ()
+  | Waiter r ->
+      let next = r.w_next in
+      (match sweep_one g w with
+      | () -> ()
+      | exception e ->
+          defer_sweep eng g next (seq + 1);
+          raise e);
+      if eng.stopping then defer_sweep eng g next (seq + 1)
+      else sweep eng g next (seq + 1)
+
+and defer_sweep eng g w seq =
+  match w with
+  | Nil -> ()
+  | Waiter _ ->
+      Heap.push eng.events ~prio:eng.now ~seq (fun () -> sweep eng g w seq)
+
+let gate_broadcast g =
+  match g.g_head with
+  | Nil -> ()
+  | parked -> (
+      g.g_head <- Nil;
+      g.g_tail <- Nil;
+      let wave = { g_head = Nil; g_tail = Nil } in
+      let n = claim_into wave 0 parked in
+      match wave.g_head with
+      | Nil -> ()
+      | Waiter r as head ->
+          let eng = r.w_proc.eng in
+          let seq = eng.seq + 1 in
+          eng.seq <- eng.seq + n;
+          Heap.push eng.events ~prio:eng.now ~seq (fun () ->
+              sweep eng g head seq))
 
 let handler p =
   let open Effect.Deep in
@@ -189,11 +295,27 @@ let handler p =
       (fun (type a) (eff : a Effect.t) ->
         match eff with
         | E_self -> Some (fun (k : (a, unit) continuation) -> continue k p)
-        | E_suspend (ready, register) ->
+        | E_suspend register ->
             Some
               (fun (k : (a, unit) continuation) ->
                 if p.doomed then discontinue k Killed_exn
-                else park p k ~ready register)
+                else park p k register)
+        | E_gate_wait (g, ready) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                if p.doomed then discontinue k Killed_exn
+                else
+                  let w_cell = { k = None } in
+                  gate_park g
+                    (Waiter
+                       {
+                         w_proc = p;
+                         w_ready = ready;
+                         w_cell;
+                         w_blocked = Blocked w_cell;
+                         w_k = Some k;
+                         w_next = Nil;
+                       }))
         | _ -> None);
   }
 
@@ -286,11 +408,7 @@ let run ?(until = Time.never) t =
 
 let self () = Effect.perform E_self
 
-let suspend_until ~ready register =
-  Effect.perform (E_suspend (ready, register))
-
-let always () = true
-let suspend register = suspend_until ~ready:always register
+let suspend register = Effect.perform (E_suspend register)
 
 (* Park on a cancellable timer.  If the wake-up never happens because the
    process dies first ([kill], partition halt), the [Killed_exn] unwinding
@@ -390,3 +508,14 @@ let join p =
               result := r;
               waker ()));
       !result
+
+module Gate = struct
+  type t = gate
+
+  let create () = { g_head = Nil; g_tail = Nil }
+
+  let wait g ~ready =
+    if not (ready ()) then Effect.perform (E_gate_wait (g, ready))
+
+  let broadcast = gate_broadcast
+end

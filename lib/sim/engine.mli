@@ -109,18 +109,43 @@ val suspend : (proc -> (unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and invokes
     [register p waker].  Calling [waker ()] (once; later calls are ignored)
     makes [p] runnable at the then-current simulated time.  This is the
-    primitive from which all blocking structures are built. *)
+    primitive from which every blocking structure but {!Gate} is built. *)
 
-val suspend_until : ready:(unit -> bool) -> (proc -> (unit -> unit) -> unit) -> unit
-(** [suspend_until ~ready register] is {!suspend} with a guard.  A wake
-    schedules the same event as {!suspend}'s, but that event first
-    evaluates [ready ()]: if it holds (or the process was {!kill}ed), the
-    process resumes; otherwise it stays parked and [register] is called
-    again with a fresh waker, all within the event.  The result equals a
-    resumed process that re-checks [ready] and suspends again — same events
-    fired, same [proc.park] trace, same registration order — without
-    resuming the fiber.  [ready] and the repeated [register] calls run in
-    event context: they must not perform effects or call {!self}. *)
+(** {1 Gates}
+
+    Guarded waits for conditions that many broadcasts re-check. *)
+
+module Gate : sig
+  type t
+  (** A FIFO of parked processes, each waiting for its own guard.  Creating
+      one allocates a single record.  A {!wait} allocates one entry when
+      it first parks; re-checks allocate nothing, and a {!broadcast}
+      allocates a few words whatever the number of waiters. *)
+
+  val create : unit -> t
+
+  val wait : t -> ready:(unit -> bool) -> unit
+  (** [wait g ~ready] returns at once if [ready ()] holds.  Otherwise it
+      parks the calling process on [g] until a {!broadcast} finds
+      [ready ()] true; a {!kill} unwinds it as from any other park.  The
+      result is [while not (ready ()) do (* park on a wait queue *) done]
+      with every {!broadcast} a [Waitq.wake_all] — same resumption order,
+      same [proc.park] trace, same events except their count — but a
+      broadcast that finds the guard false leaves the fiber parked.
+      [ready] runs in event context: it must not perform effects or call
+      {!self}. *)
+
+  val broadcast : t -> unit
+  (** Re-check every process parked on [g], in FIFO order.  A waiter whose
+      guard holds (or that was killed) resumes; the rest stay parked, in
+      order, behind any process that parked meanwhile.  The whole wave is
+      one event, fired where waking each waiter separately would have
+      fired the first of its events; {!stop} (or an exception escaping a
+      resumed process) defers the rest of the wave, which the next {!run}
+      fires before anything scheduled after this broadcast.  A waiter
+      whose guard is false costs one call of [ready] and allocates
+      nothing. *)
+end
 
 (** {1 Process management} *)
 

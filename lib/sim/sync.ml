@@ -17,10 +17,6 @@ let wait_on ?deadline q =
       | `Done -> `Woken
       | `Timeout -> `Timeout)
 
-let wait_until q ~ready =
-  if not (ready ()) then
-    Engine.suspend_until ~ready (fun _p waker -> ignore (Waitq.add q waker))
-
 module Mutex = struct
   type t = { mutable locked : bool; q : Waitq.t }
 

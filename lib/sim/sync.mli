@@ -4,7 +4,9 @@
     These are the *simulation-level* primitives used to build the model
     itself.  The kernel's pthread layer ({!Ftsim_kernel.Pthread}) is a
     separate, futex-based implementation — the thing the paper replicates —
-    and does not use this module. *)
+    and does not use this module.  A wait on a condition that many
+    broadcasts re-check belongs on an {!Engine.Gate}, whose broadcast
+    re-checks every waiter in one event. *)
 
 type outcome = [ `Woken | `Timeout ]
 
@@ -12,14 +14,6 @@ val wait_on : ?deadline:Time.t -> Waitq.t -> outcome
 (** Park the calling process on a wait queue.  If [deadline] passes first the
     entry is cancelled (so it will not consume a wake) and [`Timeout] is
     returned. *)
-
-val wait_until : Waitq.t -> ready:(unit -> bool) -> unit
-(** Park the calling process on a wait queue until it is woken while
-    [ready ()] holds; return at once if it already holds.  Equivalent to
-    [while not (ready ()) do ignore (wait_on q) done] — same events, wake
-    order and trace — but each wake re-checks [ready] in event context (see
-    {!Engine.suspend_until}), so a wake that finds it false costs no fiber
-    switch.  [ready] must not perform effects. *)
 
 module Mutex : sig
   type t

@@ -1551,6 +1551,27 @@ let test_lagmon_quiet_invisible () =
   Alcotest.(check string) "trace byte-identical with quiet monitor" trace_off
     trace_on
 
+(* The replay gate evaluates a parked thread's guard on every broadcast, so
+   the guard must allocate nothing: thousands of evaluations, not one word.
+   The tuple claims two channels, the first admissible and the second not,
+   so each evaluation walks the whole claim list before it says no. *)
+let test_gate_guard_allocation () =
+  let eng = Engine.create () in
+  let det = Det.create_secondary eng in
+  Det.deliver_tuple det ~ft_pid:0 ~thread_seq:0 ~chans:[ (2, 0); (3, 1) ]
+    ~payload:Wire.P_plain;
+  let ready = Det.gate_guard det ~ft_pid:0 in
+  Alcotest.(check bool) "channel 3 has not reached chan_seq 1" false (ready ());
+  let evaluations = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to evaluations do
+    ignore (Sys.opaque_identity (ready ()))
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "words allocated" 0 (int_of_float (w1 -. w0));
+  Det.go_live det;
+  Alcotest.(check bool) "live opens the gate" true (ready ())
+
 let () =
   Alcotest.run "ftlinux"
     [
@@ -1564,6 +1585,8 @@ let () =
             test_gettimeofday_synchronized;
           Alcotest.test_case "timedwait outcome replicated" `Quick
             test_cond_timedwait_outcome_replicated;
+          Alcotest.test_case "gate guard allocates nothing" `Quick
+            test_gate_guard_allocation;
         ] );
       ( "tcp-replication",
         [

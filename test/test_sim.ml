@@ -2099,33 +2099,64 @@ let test_dispatch_allocation () =
 
 (* {2 Guarded waits} *)
 
-(* One script, two ways of waiting: a resume-and-recheck loop on
-   [Sync.wait_on], or [Sync.wait_until].  Waiters become ready at different
-   instants, between the ticks of a process that [wake_all]s the queue;
-   some wait twice, one is killed while parked.  Everything observable must
-   be identical: the detail-mode trace, the number of events and the order
-   in which waiters finish. *)
-let guarded_script ~guarded =
+(* Two ways of waiting for a guard: the reference resume-and-recheck loop
+   on [Sync.wait_on], woken by [Waitq.wake_all], or an [Engine.Gate].  The
+   reference's broadcast counts the wake-up events it schedules, so a
+   script knows how many events the gate's sweeps must merge: a wave of
+   [n] waiters fires one event instead of [n]. *)
+type guarded = {
+  wait : (unit -> bool) -> unit;
+  broadcast : unit -> unit;
+  merged : int ref;
+}
+
+let guarded_waits eng ~gate =
+  let merged = ref 0 in
+  if gate then
+    let g = Engine.Gate.create () in
+    {
+      wait = (fun ready -> Engine.Gate.wait g ~ready);
+      broadcast = (fun () -> Engine.Gate.broadcast g);
+      merged;
+    }
+  else
+    let q = Waitq.create () in
+    {
+      wait =
+        (fun ready ->
+          while not (ready ()) do
+            ignore (Sync.wait_on q)
+          done);
+      broadcast =
+        (fun () ->
+          let before = Engine.pending_events eng in
+          ignore (Waitq.wake_all q);
+          merged := !merged + max 0 (Engine.pending_events eng - before - 1));
+      merged;
+    }
+
+let events_fired eng =
+  Metrics.Counter.value
+    (Metrics.Registry.counter (Engine.metrics eng) "engine.events_fired")
+
+(* Waiters become ready at different instants, between the ticks of a
+   process that broadcasts; some wait twice, one is killed while parked.
+   Everything observable must match the reference: the detail-mode trace,
+   the order in which waiters finish and their exit statuses. *)
+let guarded_script ~gate =
   let eng = Engine.create ~seed:7 () in
   Evlog.set_detail (Engine.evlog eng) true;
-  let q = Waitq.create () in
+  let w = guarded_waits eng ~gate in
   let done_ = ref [] in
-  let wait ready =
-    if guarded then Sync.wait_until q ~ready
-    else
-      while not (ready ()) do
-        ignore (Sync.wait_on q)
-      done
-  in
   let past at () = Engine.now eng >= at in
   let waiters =
     List.map
       (fun (i, ready_us, again_us) ->
         Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
-            wait (past (Time.us ready_us));
+            w.wait (past (Time.us ready_us));
             done_ := (i, 1, Engine.now eng) :: !done_;
             if again_us > 0 then begin
-              wait (past (Engine.now eng + Time.us again_us));
+              w.wait (past (Engine.now eng + Time.us again_us));
               done_ := (i, 2, Engine.now eng) :: !done_
             end))
       [ (0, 2500, 0); (1, 700, 3100); (2, 7300, 0); (3, 0, 1); (4, 4100, 900);
@@ -2136,19 +2167,22 @@ let guarded_script ~guarded =
          for tick = 1 to 12 do
            Engine.sleep (Time.ms 1);
            if tick = 6 then Engine.kill (List.nth waiters 5);
-           ignore (Waitq.wake_all q)
+           w.broadcast ()
          done));
   Engine.run eng;
   ( Evlog.to_jsonl (Engine.evlog eng),
-    Metrics.Counter.value
-      (Metrics.Registry.counter (Engine.metrics eng) "engine.events_fired"),
+    events_fired eng,
+    !(w.merged),
     List.rev !done_,
     List.map Engine.status waiters )
 
-let test_wait_until_matches_recheck_loop () =
-  let trace_a, events_a, done_a, status_a = guarded_script ~guarded:false in
-  let trace_b, events_b, done_b, status_b = guarded_script ~guarded:true in
-  Alcotest.(check int) "same events fired" events_a events_b;
+let test_gate_matches_recheck_loop () =
+  let trace_a, events_a, merged, done_a, status_a =
+    guarded_script ~gate:false
+  in
+  let trace_b, events_b, _, done_b, status_b = guarded_script ~gate:true in
+  Alcotest.(check bool) "the script has waves to merge" true (merged > 0);
+  Alcotest.(check int) "one event per wave" (events_a - merged) events_b;
   Alcotest.(check (list (triple int int int))) "same completion order" done_a done_b;
   Alcotest.(check bool) "same exit statuses" true (status_a = status_b);
   Alcotest.(check bool) "the killed waiter exited Killed" true
@@ -2156,40 +2190,164 @@ let test_wait_until_matches_recheck_loop () =
   Alcotest.(check bool) "parks were traced" true (contains trace_b "proc.park");
   Alcotest.(check bool) "byte-identical detail trace" true (trace_a = trace_b)
 
-let test_wait_until_semantics () =
+(* One wave that exercises what an event per waiter got right for free.
+   w0..w5 park; at 1 ms a broadcast wakes them all, then the broadcaster
+   kills w3 (between the broadcast and its sweep) and schedules [after] at
+   the same instant.  In the sweep w0 is not ready and parks again; w1
+   makes w0 ready and broadcasts (a second wave, mid-sweep); w2 parks on
+   the same gate again; w3 unwinds; w4 calls [Engine.stop].  So w5 and
+   [after] wait for the next [run], where w5 still comes first; then the
+   second wave resumes w0, and a broadcast at 2 ms releases w2. *)
+let mid_sweep_script ~gate =
+  let eng = Engine.create ~seed:11 () in
+  Evlog.set_detail (Engine.evlog eng) true;
+  let w = guarded_waits eng ~gate in
+  let log = ref [] in
+  let note s = log := (s, Engine.now eng) :: !log in
+  let go = ref false and w0_ready = ref false in
+  let when_go () = !go in
+  let waiters =
+    List.mapi
+      (fun i (ready, body) ->
+        Engine.spawn eng ~name:(Printf.sprintf "w%d" i) (fun () ->
+            w.wait ready;
+            note (Printf.sprintf "w%d" i);
+            body ()))
+      [
+        ((fun () -> !w0_ready), ignore);
+        ( when_go,
+          fun () ->
+            w0_ready := true;
+            w.broadcast () );
+        ( when_go,
+          fun () ->
+            w.wait (fun () -> Engine.now eng >= Time.ms 2);
+            note "w2 again" );
+        (when_go, ignore);
+        (when_go, fun () -> Engine.stop eng);
+        (when_go, ignore);
+      ]
+  in
+  Engine.schedule eng ~at:(Time.ms 1) (fun () ->
+      go := true;
+      w.broadcast ();
+      Engine.kill (List.nth waiters 3);
+      Engine.schedule eng ~at:(Engine.now eng) (fun () -> note "after"));
+  Engine.schedule eng ~at:(Time.ms 2) w.broadcast;
+  Engine.run eng;
+  let first_run = List.rev !log in
+  Engine.run eng;
+  ( Evlog.to_jsonl (Engine.evlog eng),
+    events_fired eng,
+    !(w.merged),
+    first_run,
+    List.rev !log,
+    List.map Engine.status waiters )
+
+let test_gate_mid_sweep () =
+  let trace_a, events_a, merged, first_a, log_a, status_a =
+    mid_sweep_script ~gate:false
+  in
+  let trace_b, events_b, _, first_b, log_b, status_b =
+    mid_sweep_script ~gate:true
+  in
+  let names l = List.map fst l in
+  Alcotest.(check (list string)) "stop ends the first run after w4"
+    [ "w1"; "w2"; "w4" ] (names first_b);
+  Alcotest.(check (list string)) "the rest of the wave precedes later events"
+    [ "w1"; "w2"; "w4"; "w5"; "after"; "w0"; "w2 again" ]
+    (names log_b);
+  Alcotest.(check (list (pair string int))) "same first run" first_a first_b;
+  Alcotest.(check (list (pair string int))) "same completion order" log_a log_b;
+  Alcotest.(check bool) "same exit statuses" true (status_a = status_b);
+  Alcotest.(check bool) "w3 was killed mid-wave" true
+    (List.nth status_b 3 = Some Engine.Killed);
+  (* The stop split the first wave into two events. *)
+  Alcotest.(check int) "one event per wave, plus the split"
+    (events_a - merged + 1) events_b;
+  Alcotest.(check bool) "byte-identical detail trace" true (trace_a = trace_b)
+
+let test_gate_semantics () =
   let eng = Engine.create () in
-  let q = Waitq.create () in
+  let g = Engine.Gate.create () in
   let flag = ref false in
   let resumed = ref None in
   let p =
     Engine.spawn eng (fun () ->
-        Sync.wait_until q ~ready:(fun () -> !flag);
+        Engine.Gate.wait g ~ready:(fun () -> !flag);
         resumed := Some (Engine.now eng))
   in
-  (* The guard turning true is not a wake: nothing fires on its own. *)
+  (* The guard turning true is not a broadcast: nothing fires on its own. *)
   Engine.schedule eng ~at:(Time.ms 1) (fun () -> flag := true);
   Engine.run eng;
   Alcotest.(check (option int)) "still parked" None !resumed;
   Alcotest.(check int) "one live process" 1 (Engine.live_procs eng);
-  Engine.schedule eng ~at:(Time.ms 5) (fun () -> ignore (Waitq.wake_all q));
+  Engine.schedule eng ~at:(Time.ms 5) (fun () -> Engine.Gate.broadcast g);
   Engine.run eng;
-  Alcotest.(check (option int)) "a wake finds it ready" (Some (Time.ms 5)) !resumed;
+  Alcotest.(check (option int)) "a broadcast finds it ready" (Some (Time.ms 5))
+    !resumed;
   Alcotest.(check bool) "exits normally" true (Engine.status p = Some Engine.Normal);
-  (* Killed while parked, and killed between a wake and its re-check. *)
+  (* Killed while parked, and killed between a broadcast and its sweep. *)
   let never () = false in
-  let parked = Engine.spawn eng (fun () -> Sync.wait_until q ~ready:never) in
-  let waking = Engine.spawn eng (fun () -> Sync.wait_until q ~ready:never) in
+  let parked = Engine.spawn eng (fun () -> Engine.Gate.wait g ~ready:never) in
+  let waking = Engine.spawn eng (fun () -> Engine.Gate.wait g ~ready:never) in
   Engine.run ~until:(Time.ms 6) eng;
   Engine.kill parked;
   Engine.schedule eng ~at:(Time.ms 7) (fun () ->
-      ignore (Waitq.wake_all q);
+      Engine.Gate.broadcast g;
       Engine.kill waking);
   Engine.run eng;
   Alcotest.(check bool) "killed while parked" true
     (Engine.status parked = Some Engine.Killed);
-  Alcotest.(check bool) "killed with its re-check pending" true
+  Alcotest.(check bool) "killed with its sweep pending" true
     (Engine.status waking = Some Engine.Killed);
-  Alcotest.(check int) "none left" 0 (Engine.live_procs eng)
+  Alcotest.(check int) "none left" 0 (Engine.live_procs eng);
+  (* An exception escaping a resumed waiter ends the run like [stop]: the
+     rest of the wave stays pending for the next one. *)
+  let go = ref false and order = ref [] in
+  let ws =
+    List.init 3 (fun i ->
+        Engine.spawn eng (fun () ->
+            Engine.Gate.wait g ~ready:(fun () -> !go);
+            order := i :: !order))
+  in
+  Engine.on_exit (List.hd ws) (fun _ -> failwith "watcher");
+  Engine.run eng;
+  go := true;
+  Engine.Gate.broadcast g;
+  (match Engine.run eng with
+  | () -> Alcotest.fail "the watcher's exception was lost"
+  | exception Failure _ -> ());
+  Alcotest.(check (list int)) "the wave stopped at the raise" [ 0 ] !order;
+  Engine.run eng;
+  Alcotest.(check (list int)) "the next run finished it" [ 2; 1; 0 ] !order
+
+(* A waiter whose guard is false costs its guard call and nothing else:
+   the sweep re-parks it in its own record, so a broadcast allocates a few
+   words however many waiters it re-checks.  A wake event and a fresh
+   registration per waiter cost 30 words per re-park. *)
+let test_gate_allocation () =
+  let eng = Engine.create ~evlog_cap:16 () in
+  let g = Engine.Gate.create () in
+  let never () = false in
+  let waiters = 32 and broadcasts = 1000 in
+  for _ = 1 to waiters do
+    ignore (Engine.spawn eng (fun () -> Engine.Gate.wait g ~ready:never))
+  done;
+  Engine.run eng;
+  for i = 1 to broadcasts do
+    Engine.schedule eng ~at:(Time.us i) (fun () -> Engine.Gate.broadcast g)
+  done;
+  let fired = events_fired eng in
+  let w0 = Gc.minor_words () in
+  Engine.run eng;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "one sweep per broadcast" (2 * broadcasts)
+    (events_fired eng - fired);
+  Alcotest.(check int) "all still parked" waiters (Engine.live_procs eng);
+  let per_repark = (w1 -. w0) /. float_of_int (waiters * broadcasts) in
+  if per_repark > 2. then
+    Alcotest.failf "%.2f words per re-parked waiter, bound 2" per_repark
 
 let () =
   Alcotest.run "sim"
@@ -2263,10 +2421,11 @@ let () =
           Alcotest.test_case "timed-out waiter eats no signal" `Quick
             test_cond_timedwait_cancel_consumes_no_signal;
           Alcotest.test_case "semaphore bounds" `Quick test_semaphore_bounds;
-          Alcotest.test_case "wait_until matches recheck loop" `Quick
-            test_wait_until_matches_recheck_loop;
-          Alcotest.test_case "wait_until semantics" `Quick
-            test_wait_until_semantics;
+          Alcotest.test_case "gate matches recheck loop" `Quick
+            test_gate_matches_recheck_loop;
+          Alcotest.test_case "gate semantics" `Quick test_gate_semantics;
+          Alcotest.test_case "gate mid-sweep" `Quick test_gate_mid_sweep;
+          Alcotest.test_case "gate allocation" `Quick test_gate_allocation;
         ] );
       ( "bqueue",
         [
