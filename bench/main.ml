@@ -472,7 +472,7 @@ let run_fig8 ~mode ~file_mb ~fail_at =
              ~app ())
   in
   (match (cluster_opt, fail_at) with
-  | Some c, Some at -> Cluster.fail_primary c ~at
+  | Some c, Some at -> Cluster.kill c ~role:Replica_set.Primary ~at
   | _ -> ());
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let w =
@@ -697,18 +697,16 @@ let ablation_replica_count () =
           ~app:fileserver_app ()
       in
       fun () -> ());
-  measure "2 (primary+backup)" (fun eng link ->
-      let c =
-        Cluster.create eng ~config:(ft_config ()) ~link:(Link.endpoint_a link)
-          ~app:fileserver_app ()
-      in
-      fun () -> Cluster.shutdown c);
-  measure "3 (quorum 1 of 2)" (fun eng link ->
-      let c =
-        Tricluster.create eng ~config:(ft_config ()) ~link:(Link.endpoint_a link)
-          ~app:fileserver_app ()
-      in
-      fun () -> Tricluster.shutdown c);
+  List.iter
+    (fun (label, replicas) ->
+      measure label (fun eng link ->
+          let c =
+            Cluster.create eng
+              ~config:{ (ft_config ()) with Cluster.replicas }
+              ~link:(Link.endpoint_a link) ~app:fileserver_app ()
+          in
+          fun () -> Cluster.shutdown c))
+    [ ("2 (primary+backup)", 2); ("3 (quorum 1 of 2)", 3) ];
   Printf.printf
     "(with quorum-1 stability the third replica is nearly free on the
     \ output path: the faster backup's acknowledgement releases output)

@@ -765,7 +765,8 @@ let triple_cmd =
     let config =
       {
         Cluster.default_config with
-        Cluster.driver_load_time = Time.ms driver_ms;
+        Cluster.replicas = 3;
+        driver_load_time = Time.ms driver_ms;
         det_shard;
         replay_workers;
         lagmon = lagmon_config_of lagmon;
@@ -789,12 +790,12 @@ let triple_cmd =
       in
       serve ()
     in
-    let t = Tricluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
+    let t = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
     (match fail_backup_ms with
-    | Some ms -> Tricluster.fail_backup t 0 ~at:(Time.ms ms)
+    | Some ms -> Cluster.kill t ~role:Replica_set.Backup ~at:(Time.ms ms)
     | None -> ());
     (match fail_primary_ms with
-    | Some ms -> Tricluster.fail_primary t ~at:(Time.ms ms)
+    | Some ms -> Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms ms)
     | None -> ());
     let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
     let messages = List.init 40 (fun i -> Printf.sprintf "m%02d|" i) in
@@ -819,18 +820,16 @@ let triple_cmd =
              messages;
            Ivar.fill result (Buffer.contents out)));
     drive eng ~cap:(Time.sec 60) ~stop:(fun () -> Ivar.is_filled result);
-    Tricluster.shutdown t;
+    Cluster.shutdown t;
     dump_metrics eng metrics_json;
     dump_trace eng trace_out;
     Printf.printf "backups' received LSN: %d / %d\n"
-      (Tricluster.backup_received_lsn t 0)
-      (Tricluster.backup_received_lsn t 1);
-    (match Tricluster.winner t with
+      (Cluster.backup_received_lsn t 0)
+      (Cluster.backup_received_lsn t 1);
+    (match Cluster.winner t with
     | Some w -> Printf.printf "takeover winner: backup %d\n" w
     | None -> Printf.printf "no failover occurred\n");
-    List.iteri
-      (fun i lm -> print_health (Printf.sprintf "lag.b%d" i) (Some lm))
-      (Tricluster.lagmons t);
+    print_cluster_health t;
     match Ivar.peek result with
     | Some s when s = String.concat "" messages ->
         Printf.printf "client stream: complete, exactly once (%d messages)\n"

@@ -35,13 +35,17 @@ let () =
   let eng = Engine.create ~seed:21 () in
   let link = Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) () in
   let config =
-    { Cluster.default_config with Cluster.driver_load_time = Time.ms 400 }
+    {
+      Cluster.default_config with
+      Cluster.replicas = 3;
+      driver_load_time = Time.ms 400;
+    }
   in
   let t =
-    Tricluster.create eng ~config ~link:(Link.endpoint_a link) ~app:echo_app ()
+    Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app:echo_app ()
   in
-  Tricluster.fail_backup t 0 ~at:(Time.ms 50);
-  Tricluster.fail_primary t ~at:(Time.ms 200);
+  Cluster.kill t ~role:Replica_set.Backup ~at:(Time.ms 50);
+  Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms 200);
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let messages = List.init 40 (fun i -> Printf.sprintf "msg-%02d|" i) in
   let result = Ivar.create () in
@@ -71,12 +75,12 @@ let () =
     end
   in
   drive ();
-  Tricluster.shutdown t;
+  Cluster.shutdown t;
   Printf.printf "backup 0 halted: %b (t=50ms)\n"
-    (Partition.is_halted (Tricluster.backup_partition t 0));
+    (Partition.is_halted (Cluster.backup_partition t 0));
   Printf.printf "primary halted:  %b (t=200ms)\n"
-    (Partition.is_halted (Tricluster.primary_partition t));
-  (match Tricluster.winner t with
+    (Partition.is_halted (Cluster.primary_partition t));
+  (match Cluster.winner t with
   | Some w -> Printf.printf "takeover winner:  backup %d\n" w
   | None -> Printf.printf "takeover winner:  none!\n");
   match Ivar.peek result with

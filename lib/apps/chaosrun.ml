@@ -91,28 +91,19 @@ let app_and_oracle ?(listen_shards = 1) ?admission workload =
       in
       (app, oracle)
 
-let inject_schedule machine ~part_of sched =
-  List.iter
-    (fun i ->
-      Machine.inject machine
-        (Fault.at ~disrupts_coherency:i.Chaos.inj_disrupts i.Chaos.inj_at
-           ~partition_id:(Partition.id (part_of i.Chaos.inj_target))
-           i.Chaos.inj_kind))
-    sched.Chaos.injections
-
-(* Re-protection moves roles across failovers and epoch switches, so the
-   live path resolves each injection's target partition at fire time
-   instead of pinning partitions when the schedule is armed.  A target
+(* Each injection resolves its target partition at fire time: with
+   re-protection roles move across failovers and epoch switches, and
+   without it the accessors name the original assignment.  A target
    already halted (a backup hit again before its regeneration finished)
    absorbs the fault as a no-op. *)
-let inject_schedule_live eng cluster sched =
+let inject_schedule eng cluster ~backups sched =
   List.iter
     (fun (i : Chaos.injection) ->
       Engine.schedule eng ~at:i.Chaos.inj_at (fun () ->
           let part =
             match i.Chaos.inj_target with
             | Chaos.T_primary -> Cluster.primary_partition cluster
-            | Chaos.T_backup _ -> Cluster.secondary_partition cluster
+            | Chaos.T_backup b -> Cluster.backup_partition cluster (b mod backups)
           in
           if not (Partition.is_halted part) then
             Machine.apply (Cluster.machine cluster)
@@ -229,9 +220,9 @@ let arm_stats eng sched = function
         (Statsdump.arm eng ~every
            ~label:(Printf.sprintf "#%03d" sched.Chaos.sched_index))
 
-let run_two ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
+let run ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
     ?(replay_workers = 1) ?(reprotect = false) ?(regen_delay = Time.ms 50)
-    ?listen_shards ?admission ~workload sched =
+    ?listen_shards ?admission ~workload ~replicas sched =
   let eng = Engine.create ~seed:sched.Chaos.sched_seed () in
   arm_stats eng sched stats_interval;
   let link =
@@ -239,12 +230,15 @@ let run_two ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
       ~seed_split:(Engine.prng eng) ()
   in
   let app, mk_oracle = app_and_oracle ?listen_shards ?admission workload in
+  (* Two backups need NUMA nodes that divide four ways. *)
+  let topology = if replicas = 2 then Topology.small else small4 in
   let cluster =
     Cluster.create eng
       ~config:
         {
-          (fast_config Topology.small) with
-          Cluster.det_shard;
+          (fast_config topology) with
+          Cluster.replicas;
+          det_shard;
           replay_workers;
           reprotect;
           regen_delay;
@@ -252,30 +246,22 @@ let run_two ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
       ~link:(Link.endpoint_a link) ~app ()
   in
   if mutate then
-    Namespace.mutate_skip_digest
-      (Cluster.secondary_namespace cluster)
+    Namespace.mutate_skip_digest (Cluster.backup_namespace cluster 0)
       ~global_seq:0;
-  (if reprotect then inject_schedule_live eng cluster sched
-   else
-     let part_of = function
-       | Chaos.T_primary -> Cluster.primary_partition cluster
-       | Chaos.T_backup _ -> Cluster.secondary_partition cluster
-     in
-     inject_schedule (Cluster.machine cluster) ~part_of sched);
+  inject_schedule eng cluster ~backups:(replicas - 1) sched;
   perturb_schedule eng link sched;
   let client = Host.create eng ~ip:client_ip (Link.endpoint_b link) in
   let oracle = mk_oracle client in
   spawn_stopper eng oracle sched;
   Engine.run ~until:sched.Chaos.horizon eng;
   Cluster.shutdown cluster;
-  let all_halted = Replica_set.all_halted (Cluster.replica_set cluster) in
   let sections =
     match Namespace.digest (Cluster.primary_namespace cluster) with
     | Some d -> Digest.comparison_points d
     | None -> 0
   in
   let outcome =
-    judge ~oracle ~all_halted
+    judge ~oracle ~all_halted:(Cluster.all_halted cluster)
       ~replay_div:(Cluster.replay_divergence cluster)
       ~digest_div:(Cluster.compare_digests cluster)
       ~failovers:(Cluster.failover_count cluster)
@@ -284,71 +270,3 @@ let run_two ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
   in
   (match on_trace with Some f -> f (Engine.evlog eng) | None -> ());
   outcome
-
-let run_three ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
-    ?(replay_workers = 1) ?listen_shards ?admission ~workload sched =
-  let eng = Engine.create ~seed:sched.Chaos.sched_seed () in
-  arm_stats eng sched stats_interval;
-  let link =
-    Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100)
-      ~seed_split:(Engine.prng eng) ()
-  in
-  let app, mk_oracle = app_and_oracle ?listen_shards ?admission workload in
-  let tri =
-    Tricluster.create eng
-      ~config:{ (fast_config small4) with Cluster.det_shard; replay_workers }
-      ~link:(Link.endpoint_a link) ~app ()
-  in
-  if mutate then
-    Namespace.mutate_skip_digest (Tricluster.backup_namespace tri 0)
-      ~global_seq:0;
-  let part_of = function
-    | Chaos.T_primary -> Tricluster.primary_partition tri
-    | Chaos.T_backup i -> Tricluster.backup_partition tri (i mod 2)
-  in
-  inject_schedule (Tricluster.machine tri) ~part_of sched;
-  perturb_schedule eng link sched;
-  let client = Host.create eng ~ip:client_ip (Link.endpoint_b link) in
-  let oracle = mk_oracle client in
-  spawn_stopper eng oracle sched;
-  Engine.run ~until:sched.Chaos.horizon eng;
-  Tricluster.shutdown tri;
-  let all_halted =
-    Partition.is_halted (Tricluster.primary_partition tri)
-    && Partition.is_halted (Tricluster.backup_partition tri 0)
-    && Partition.is_halted (Tricluster.backup_partition tri 1)
-  in
-  let digest_div =
-    match Tricluster.compare_digests tri ~backup:0 with
-    | Some d -> Some d
-    | None -> Tricluster.compare_digests tri ~backup:1
-  in
-  let sections =
-    match Namespace.digest (Tricluster.primary_namespace tri) with
-    | Some d -> Digest.comparison_points d
-    | None -> 0
-  in
-  let outcome =
-    judge ~oracle ~all_halted
-      ~replay_div:(Tricluster.replay_divergence tri)
-      ~digest_div
-      ~failovers:(match Tricluster.winner tri with Some _ -> 1 | None -> 0)
-      ~sections ~end_at:(Engine.now eng)
-      ~lag:(lag_label (Tricluster.lagmons tri))
-  in
-  (match on_trace with Some f -> f (Engine.evlog eng) | None -> ());
-  outcome
-
-let run ?on_trace ?stats_interval ?mutate ?det_shard ?replay_workers
-    ?(reprotect = false) ?regen_delay ?listen_shards ?admission ~workload
-    ~replicas sched =
-  match replicas with
-  | 2 ->
-      run_two ?on_trace ?stats_interval ?mutate ?det_shard ?replay_workers
-        ~reprotect ?regen_delay ?listen_shards ?admission ~workload sched
-  | 3 ->
-      if reprotect then
-        invalid_arg "Chaosrun.run: re-protection needs replicas = 2";
-      run_three ?on_trace ?stats_interval ?mutate ?det_shard ?replay_workers
-        ?listen_shards ?admission ~workload sched
-  | n -> invalid_arg (Printf.sprintf "Chaosrun.run: %d replicas" n)

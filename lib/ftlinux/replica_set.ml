@@ -17,29 +17,3 @@ type member = {
   m_epoch : int;  (* epoch at which this replica joined the set *)
   m_partition : Partition.t;
 }
-
-(* Record-of-closures rather than a functor: Cluster and Tricluster have
-   structurally different internals (one pair with role swaps vs a fan-out
-   group), and callers like chaosrun only need the uniform queries. *)
-type t = {
-  rs_label : string;
-  rs_state : unit -> lifecycle;
-  rs_epoch : unit -> int;
-  rs_members : unit -> member list;
-  rs_failovers : unit -> int;
-  rs_supports_reprotect : bool;
-  rs_reprotect : unit -> unit;
-}
-
-let label t = t.rs_label
-let state t = t.rs_state ()
-let epoch t = t.rs_epoch ()
-let members t = t.rs_members ()
-let failovers t = t.rs_failovers ()
-let supports_reprotect t = t.rs_supports_reprotect
-let reprotect t = t.rs_reprotect ()
-
-let partitions t = List.map (fun m -> m.m_partition) (members t)
-
-let all_halted t =
-  List.for_all (fun m -> Partition.is_halted m.m_partition) (members t)

@@ -1,19 +1,15 @@
-(** The replica-lifecycle surface every replica set exposes.
-
-    {!Cluster} (a primary–backup pair with live re-protection) and
-    {!Tricluster} (a fan-out group with quorum stability) share this
-    vocabulary: a set is in one lifecycle state, runs at one epoch, and is
-    made of members each carrying [(role, epoch)].  Orchestration tools
-    (chaos campaigns, the CLI) drive either through this one record
-    instead of special-casing the topology. *)
+(** The replica-lifecycle vocabulary of {!Cluster}: a set is in one
+    lifecycle state, runs at one epoch, and is made of members each
+    carrying [(role, epoch)]. *)
 
 open Ftsim_hw
 
 type lifecycle =
   | Protected  (** every planned replica is live and replicating *)
   | Degraded
-      (** a replica died; the survivor serves alone — outputs release
-          unprotected until re-protection completes *)
+      (** the last backup died, or a backup took over from the primary;
+          the survivor serves alone — outputs release unprotected until
+          re-protection completes *)
   | Regenerating
       (** a fresh backup is booting/catching up while the primary keeps
           serving; ends in [Protected] (epoch switch) or back in
@@ -31,32 +27,3 @@ type member = {
   m_epoch : int;  (** epoch at which this replica joined the set *)
   m_partition : Partition.t;
 }
-
-type t = {
-  rs_label : string;
-  rs_state : unit -> lifecycle;
-  rs_epoch : unit -> int;
-  rs_members : unit -> member list;
-  rs_failovers : unit -> int;
-  rs_supports_reprotect : bool;
-  rs_reprotect : unit -> unit;
-}
-
-val label : t -> string
-val state : t -> lifecycle
-val epoch : t -> int
-val members : t -> member list
-val failovers : t -> int
-
-val supports_reprotect : t -> bool
-
-val reprotect : t -> unit
-(** Ask the set to regenerate its dead replica now (no-op unless the set
-    is [Degraded] and supports re-protection). *)
-
-val partitions : t -> Partition.t list
-(** Current members' partitions (dead ones included until replaced). *)
-
-val all_halted : t -> bool
-(** True when every current member's partition is halted — the outage
-    test chaos judges use. *)

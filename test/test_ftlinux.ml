@@ -283,7 +283,7 @@ let test_secondary_failure_primary_solo () =
   in
   Machine.inject (Cluster.machine cluster)
     (Fault.at (Time.ms 100)
-       ~partition_id:(Partition.id (Cluster.secondary_partition cluster))
+       ~partition_id:(Partition.id (Cluster.backup_partition cluster 0))
        Fault.Memory_uncorrected);
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let result = Ivar.create () in
@@ -539,7 +539,7 @@ let test_fs_replicas_converge () =
   Cluster.shutdown cluster;
   Alcotest.(check int) "both replicas ran" 2 !done_count;
   let vp = Namespace.vfs_of (Cluster.primary_namespace cluster) in
-  let vs = Namespace.vfs_of (Cluster.secondary_namespace cluster) in
+  let vs = Namespace.vfs_of (Cluster.backup_namespace cluster 0) in
   Alcotest.(check (option int)) "sizes equal" (Vfs.size vp ~path:"/var/log/app")
     (Vfs.size vs ~path:"/var/log/app");
   Alcotest.(check bool) "contents byte-identical" true
@@ -601,7 +601,7 @@ let test_fs_survives_failover () =
   Engine.run ~until:(Time.sec 10) eng;
   Cluster.shutdown cluster;
   Alcotest.(check bool) "secondary finished the journal" true !secondary_done;
-  let vs = Namespace.vfs_of (Cluster.secondary_namespace cluster) in
+  let vs = Namespace.vfs_of (Cluster.backup_namespace cluster 0) in
   Alcotest.(check (option int)) "complete journal, no gaps or dups"
     (Some (400 * 5))
     (Vfs.size vs ~path:"/journal")
@@ -793,7 +793,7 @@ let prop_fs_random_programs_converge =
       Engine.run ~until:(Time.sec 30) eng;
       Cluster.shutdown cluster;
       let vp = Namespace.vfs_of (Cluster.primary_namespace cluster) in
-      let vs = Namespace.vfs_of (Cluster.secondary_namespace cluster) in
+      let vs = Namespace.vfs_of (Cluster.backup_namespace cluster 0) in
       Vfs.checksum vp ~path:"/r" <> None
       && Vfs.checksum vp ~path:"/r" = Vfs.checksum vs ~path:"/r")
 

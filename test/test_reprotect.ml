@@ -283,30 +283,29 @@ let test_outage_when_primary_dies_regenerating () =
   (* The half-replayed regeneration target must never go live: every
      member's partition is down. *)
   Alcotest.(check bool) "all members halted" true
-    (Replica_set.all_halted (Cluster.replica_set cluster));
+    (Cluster.all_halted cluster);
   check_clean cluster
 
-(* {1 The uniform replica-set surface} *)
+(* {1 The replica-set surface: lifecycle, epochs, takeovers, members} *)
 
 let test_replica_set_surface () =
   let eng = Engine.create () in
   let messages = List.init 20 (fun i -> Printf.sprintf "rs%02d." i) in
   let cluster, _result = run_scenario ~messages eng in
-  let rs = Cluster.replica_set cluster in
-  Alcotest.(check bool) "supports reprotect" true
-    (Replica_set.supports_reprotect rs);
   Alcotest.(check bool) "protected at launch" true
-    (Replica_set.state rs = Replica_set.Protected);
-  Alcotest.(check int) "epoch 0" 0 (Replica_set.epoch rs);
+    (Cluster.state cluster = Cluster.Protected);
+  Alcotest.(check int) "epoch 0" 0 (Cluster.epoch cluster);
   Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms 120);
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
-  Alcotest.(check int) "epoch 1 via the surface" 1 (Replica_set.epoch rs);
-  Alcotest.(check int) "failovers via the surface" 1 (Replica_set.failovers rs);
-  (match Replica_set.members rs with
+  Alcotest.(check int) "epoch 1" 1 (Cluster.epoch cluster);
+  Alcotest.(check int) "one takeover" 1 (Cluster.failover_count cluster);
+  (match Cluster.members cluster with
   | [ p; b ] ->
       Alcotest.(check bool) "primary role listed" true
         (p.Replica_set.m_role = Replica_set.Primary);
+      Alcotest.(check bool) "the survivor holds it" true
+        (p.Replica_set.m_partition == Cluster.primary_partition cluster);
       Alcotest.(check int) "regenerated backup joined at epoch 1" 1
         b.Replica_set.m_epoch
   | _ -> Alcotest.fail "expected exactly two members");
