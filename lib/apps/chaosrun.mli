@@ -1,7 +1,8 @@
 (** Workload scenario runner for chaos campaigns.
 
     Builds one complete simulation per schedule — a replicated server
-    cluster (two or three replicas), a client host across the modelled
+    {!Cluster} of [replicas] (two, or three on a four-node machine), a
+    client host across the modelled
     1 Gb/s link, the workload application, and a {!Loadgen.verified_start}
     client-consistency oracle — applies the schedule's fault injections and
     link-perturbation windows, runs to quiescence, and judges the run:
@@ -42,13 +43,16 @@ val run :
     order.  [replay_workers] (default 1) sizes the backups' replay-executor
     pools (see {!Cluster.config}).
 
-    [reprotect] (default false; two replicas only — raises with three)
-    turns on {!Cluster} live re-protection with a [regen_delay] dwell
-    (default 50 ms): injections then resolve their target partition {e at
-    fire time} through the lifecycle API — roles move across failovers and
-    epoch switches, and a fault landing on an already-halted target is a
-    no-op — and the run's failover count and outage test come from
-    {!Cluster.failover_count} and {!Replica_set.all_halted}.  Pair with
+    Every injection resolves its target partition {e at fire time} through
+    the cluster's accessors ([T_backup i] names backup [i mod (replicas -
+    1)]), and a fault landing on an already-halted target is a no-op.  The
+    run's failover count and outage test come from
+    {!Cluster.failover_count} and {!Cluster.all_halted}.
+
+    [reprotect] (default false; two replicas only — {!Cluster.create}
+    raises with three) turns on live re-protection with a [regen_delay]
+    dwell (default 50 ms); roles then move across failovers and epoch
+    switches, and injections follow them.  Pair with
     {!Chaos.derive_multi} schedules to exercise kill → regenerate cycles
     of arbitrary length.
 

@@ -485,6 +485,45 @@ let test_chaos_parallel_replay_clean () =
   Alcotest.(check string) "mutated secondary still flagged" "divergence"
     (Chaos.verdict_label mutated.Chaos.verdict)
 
+(* Three replicas, schedule #815 of the root-seed-42 battery shrunk: the
+   primary dies, both backups arbitrate at the same LSN, and backup 0 wins
+   and dies during its driver reload.  Backup 1 holds the same log, so it
+   must re-arbitrate and take over.  Killing the winner only after it went
+   live instead is an outage: its go-live halted the loser, which holds
+   none of the winner's new log. *)
+let winner_death ~winner_dies_at =
+  let fault at target =
+    {
+      Chaos.inj_at = at;
+      inj_target = target;
+      inj_kind = Ftsim_hw.Fault.Memory_uncorrected;
+      inj_disrupts = false;
+    }
+  in
+  {
+    Chaos.sched_index = 815;
+    sched_seed = 0x2c7454cdc7aaa1e9;
+    horizon = Time.sec 3;
+    injections =
+      [ fault (Time.ns 667_409) Chaos.T_primary; fault winner_dies_at (Chaos.T_backup 0) ];
+    perturbations = [];
+  }
+
+let test_three_replica_winner_death () =
+  List.iter
+    (fun workload ->
+      let verdict at =
+        Chaos.verdict_label
+          (Chaosrun.run ~workload ~replicas:3 (winner_death ~winner_dies_at:at))
+            .Chaos.verdict
+      in
+      let w = Chaosrun.workload_to_string workload in
+      Alcotest.(check string) (w ^ ": winner dies reloading") "ok"
+        (verdict (Time.ns 53_477_105));
+      Alcotest.(check string) (w ^ ": winner dies live") "outage"
+        (verdict (Time.ms 400)))
+    [ Chaosrun.Fileserver; Chaosrun.Mongoose ]
+
 let test_three_fault_reprotect_clean () =
   (* The acceptance schedule for live re-protection: three fail-stop kills,
      each aimed at whatever partition holds the primary role when it fires.
@@ -736,6 +775,8 @@ let () =
           Alcotest.test_case "derived schedule clean" `Quick test_chaos_run_clean;
           Alcotest.test_case "parallel replay clean" `Quick
             test_chaos_parallel_replay_clean;
+          Alcotest.test_case "three-replica winner death" `Quick
+            test_three_replica_winner_death;
           Alcotest.test_case "three-fault reprotect clean" `Quick
             test_three_fault_reprotect_clean;
           Alcotest.test_case "derived multi-fault reprotect clean" `Quick
