@@ -719,98 +719,6 @@ let ablations _quick =
   ablation_replica_count ()
 
 (* ------------------------------------------------------------------ *)
-(* Microbenchmarks of the simulator's primitives (Bechamel)            *)
-(* ------------------------------------------------------------------ *)
-
-let micro _quick =
-  hr "Microbenchmarks: simulator primitives (host wall-clock, Bechamel OLS)";
-  let bench_engine_events () =
-    let eng = Engine.create () in
-    for _ = 1 to 100 do
-      ignore
-        (Engine.spawn eng (fun () ->
-             for _ = 1 to 10 do
-               Engine.sleep (Time.us 1)
-             done))
-    done;
-    Engine.run eng
-  in
-  let bench_mailbox () =
-    let eng = Engine.create () in
-    let m = Machine.create eng Topology.small in
-    let a, b = Machine.split_symmetric m in
-    let ch = Mailbox.create eng ~src:a ~dst:b () in
-    ignore
-      (Engine.spawn eng (fun () ->
-           for i = 1 to 100 do
-             Mailbox.send ch ~bytes:32 i
-           done));
-    ignore
-      (Engine.spawn eng (fun () ->
-           for _ = 1 to 100 do
-             ignore (Mailbox.recv ch)
-           done));
-    Engine.run eng
-  in
-  let bench_pthread () =
-    let eng = Engine.create () in
-    let m = Machine.create eng Topology.small in
-    let a, _ = Machine.split_symmetric m in
-    let k = Kernel.boot a () in
-    let pt = Pthread.create k in
-    let mu = Pthread.mutex_create pt in
-    ignore
-      (Engine.spawn eng (fun () ->
-           for _ = 1 to 100 do
-             Pthread.mutex_lock pt mu;
-             Pthread.mutex_unlock pt mu
-           done));
-    Engine.run eng
-  in
-  let bench_prng () =
-    let g = Prng.create ~seed:1 in
-    for _ = 1 to 1000 do
-      ignore (Prng.int g 1000)
-    done
-  in
-  let tests =
-    Bechamel.Test.make_grouped ~name:"ftsim"
-      [
-        Bechamel.Test.make ~name:"engine-1k-events"
-          (Bechamel.Staged.stage bench_engine_events);
-        Bechamel.Test.make ~name:"mailbox-100-rt"
-          (Bechamel.Staged.stage bench_mailbox);
-        Bechamel.Test.make ~name:"pthread-100-lock"
-          (Bechamel.Staged.stage bench_pthread);
-        Bechamel.Test.make ~name:"prng-1k" (Bechamel.Staged.stage bench_prng);
-      ]
-  in
-  let cfg =
-    Bechamel.Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.5) ()
-  in
-  let raw =
-    Bechamel.Benchmark.all cfg
-      Bechamel.Toolkit.Instance.[ monotonic_clock ]
-      tests
-  in
-  let results =
-    Bechamel.Analyze.all
-      (Bechamel.Analyze.ols ~r_square:true ~bootstrap:0
-         ~predictors:[| Bechamel.Measure.run |])
-      Bechamel.Toolkit.Instance.monotonic_clock raw
-  in
-  let rows =
-    Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (name, ols) ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some (est :: _) -> Printf.printf "%-28s %12.0f ns/run\n" name est
-      | _ -> Printf.printf "%-28s (no estimate)\n" name)
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* Chaos campaigns: fault-schedule sweeps with the divergence checker  *)
 (* ------------------------------------------------------------------ *)
 
@@ -940,14 +848,10 @@ let chaosparallel quick =
 (* Not a paper figure: measures what the batched sync-tuple streaming
    optimisation buys.  Each workload runs twice — once with
    [Msglayer.unbatched] (one wire frame per record, the pre-batching
-   behaviour) and once with the default batching config (optionally
-   overridden by --batch-window / --batch-bytes) — and reports the
+   behaviour) and once with the default batching config — and reports the
    replication messages and bytes per application operation.  The
    per-op gauges land in BENCH_batch.json and are the surface the
    bench-regress CI gate diffs against bench/baseline/. *)
-
-let batch_window_override : Time.t option ref = ref None
-let batch_bytes_override : int option ref = ref None
 
 (* --replay-workers: size the backups' replay-executor pools for any
    experiment that builds clusters from [scaling_config] (default 1 = the
@@ -957,17 +861,6 @@ let replay_workers_override : int option ref = ref None
 let effective_replay_workers () =
   match !replay_workers_override with Some n -> n | None -> 1
 
-let batch_on_config () =
-  let b = Msglayer.default_batch in
-  let b =
-    match !batch_window_override with
-    | Some w -> { b with Msglayer.batch_window = w }
-    | None -> b
-  in
-  match !batch_bytes_override with
-  | Some n -> { b with Msglayer.batch_bytes = n }
-  | None -> b
-
 type batch_row = {
   br_ops : float;
   br_msgs : float;
@@ -976,17 +869,10 @@ type batch_row = {
 }
 
 (* Closed-loop memcached clients: each does [iters] set+get pairs with
-   fixed-size values, so every response has a known length and the loop
-   needs no protocol parser. *)
-let run_batch_memcached ~batch ~iters ~clients =
-  let eng = new_engine () in
-  let link = gbit_link eng in
-  let config = { (ft_config ()) with Cluster.batch } in
-  let cluster =
-    Cluster.create eng ~config ~link:(Link.endpoint_a link)
-      ~app:(fun api -> Memcached.server api)
-      ()
-  in
+   fixed-size values over [keys] keys of its own, so every response has a
+   known length and the loop needs no protocol parser.  Returns the
+   operations completed once every client has quit. *)
+let memcached_clients eng link ~clients ~iters ~keys =
   let host = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let ops = ref 0 and finished = ref 0 in
   let value = String.make 64 'v' in
@@ -1007,7 +893,7 @@ let run_batch_memcached ~batch ~iters ~clients =
            in
            (try
               for i = 1 to iters do
-                let key = Printf.sprintf "k%d-%d" cl (i mod 8) in
+                let key = Printf.sprintf "k%d-%d" cl (i mod keys) in
                 Tcp.send c
                   (Payload.of_string
                      (Printf.sprintf "set %s %d\r\n%s" key
@@ -1024,12 +910,24 @@ let run_batch_memcached ~batch ~iters ~clients =
            incr finished))
   done;
   drive eng ~cap:(Time.sec 120) ~stop:(fun () -> !finished = clients);
+  !ops
+
+let run_batch_memcached ~batch ~iters ~clients =
+  let eng = new_engine () in
+  let link = gbit_link eng in
+  let config = { (ft_config ()) with Cluster.batch } in
+  let cluster =
+    Cluster.create eng ~config ~link:(Link.endpoint_a link)
+      ~app:(fun api -> Memcached.server api)
+      ()
+  in
+  let ops = memcached_clients eng link ~clients ~iters ~keys:8 in
   let msgs = Cluster.traffic_msgs cluster in
   let bytes = Cluster.traffic_bytes cluster in
   let dur = Time.to_sec_f (Engine.now eng) in
   Cluster.shutdown cluster;
   {
-    br_ops = float_of_int !ops;
+    br_ops = float_of_int ops;
     br_msgs = float_of_int msgs;
     br_bytes = float_of_int bytes;
     br_dur = dur;
@@ -1103,7 +1001,7 @@ let batch quick =
      BENCH_batch.json — the slot the regression comparator reads. *)
   let summary = new_engine () in
   let reg = Engine.metrics summary in
-  let on = batch_on_config () in
+  let on = Msglayer.default_batch in
   Printf.printf
     "batching: records<=%d, bytes<=%d, window=%s, ack_every=%d, ack_delay=%s\n"
     on.Msglayer.batch_records on.Msglayer.batch_bytes
@@ -1297,47 +1195,12 @@ let run_scaling_memcached ~det_shard ~workers ~iters ~clients =
       ~app:(fun api -> Memcached.server ~params api)
       ()
   in
-  let host = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let ops = ref 0 and finished = ref 0 in
-  let value = String.make 64 'v' in
-  for cl = 0 to clients - 1 do
-    ignore
-      (Host.spawn host
-         (Printf.sprintf "mc-client-%d" cl)
-         (fun () ->
-           let c = Tcp.connect (Host.stack host) ~host:"10.0.0.1" ~port:11211 in
-           let buf = Buffer.create 256 in
-           let read_exactly n =
-             while Buffer.length buf < n do
-               match Tcp.recv c ~max:4096 with
-               | [] -> raise Tcp.Connection_closed
-               | cs -> Buffer.add_string buf (Payload.concat_to_string cs)
-             done;
-             Buffer.clear buf
-           in
-           (try
-              for i = 1 to iters do
-                let key = Printf.sprintf "k%d-%d" cl (i mod 32) in
-                Tcp.send c
-                  (Payload.of_string
-                     (Printf.sprintf "set %s %d\r\n%s" key
-                        (String.length value) value));
-                read_exactly 8 (* STORED\r\n *);
-                incr ops;
-                Tcp.send c (Payload.of_string (Printf.sprintf "get %s\r\n" key));
-                read_exactly (10 + String.length value);
-                incr ops
-              done;
-              Tcp.send c (Payload.of_string "quit\r\n")
-            with Tcp.Connection_closed -> ());
-           incr finished))
-  done;
-  drive eng ~cap:(Time.sec 120) ~stop:(fun () -> !finished = clients);
+  let ops = memcached_clients eng link ~clients ~iters ~keys:32 in
   let dur = Time.to_sec_f (Engine.now eng) in
   Cluster.shutdown cluster;
   let wait_ms, contended, sections = det_overhead eng in
   {
-    sr_ops_per_s = (if dur > 0. then float_of_int !ops /. dur else 0.);
+    sr_ops_per_s = (if dur > 0. then float_of_int ops /. dur else 0.);
     sr_lock_wait_ms = wait_ms;
     sr_contended = contended;
     sr_sections = sections;
@@ -1822,7 +1685,6 @@ let experiments =
     ("fig7", fig6_7, "alias of fig6 (shared runs)");
     ("sec43", sec43, "Section 4.3: mixing replicated and non-replicated apps");
     ("fig8", fig8, "Figure 8: 1 Gb/s transfer with failover");
-    ("micro", micro, "Bechamel microbenchmarks of simulator primitives");
     ("ablation", ablations, "Ablations: proximity, output commit, wake latency");
     ("chaos", chaos, "Chaos campaigns: random fault schedules + divergence checks");
     ("chaosparallel", chaosparallel, "Campaign seeds/sec vs worker domains (deterministic merge)");
@@ -1849,8 +1711,7 @@ let run_all quick =
   run_experiment "replay" replay quick;
   run_experiment "latency" latency quick;
   run_experiment "reprotect" reprotect quick;
-  run_experiment "c10k" c10k quick;
-  run_experiment "micro" micro quick
+  run_experiment "c10k" c10k quick
 
 let () =
   let quick = Array.exists (fun a -> a = "--quick") Sys.argv in
@@ -1872,18 +1733,6 @@ let () =
         strip rest
     | [ "--trace-out" ] ->
         Printf.eprintf "bench: --trace-out requires a PATH argument\n";
-        exit 1
-    | "--batch-window" :: v :: rest ->
-        batch_window_override := Some (Time.us (int_flag "--batch-window" v));
-        strip rest
-    | [ "--batch-window" ] ->
-        Printf.eprintf "bench: --batch-window requires a USEC argument\n";
-        exit 1
-    | "--batch-bytes" :: v :: rest ->
-        batch_bytes_override := Some (int_flag "--batch-bytes" v);
-        strip rest
-    | [ "--batch-bytes" ] ->
-        Printf.eprintf "bench: --batch-bytes requires a BYTES argument\n";
         exit 1
     | "--replay-workers" :: v :: rest ->
         let n = int_flag "--replay-workers" v in
@@ -1927,6 +1776,5 @@ let () =
   | _ ->
       Printf.eprintf
         "usage: bench [EXPERIMENT] [--quick] [--trace-out PATH] \
-         [--batch-window USEC] [--batch-bytes BYTES] [--replay-workers N] \
-         [--jobs N]\n";
+         [--replay-workers N] [--jobs N]\n";
       exit 1

@@ -958,6 +958,9 @@ and do_reprotect t =
       b.journal <- jb;
       t.group <- Msglayer.create_group [ ml_p' ] ~quorum:1;
       sink.ls_ml <- Some (Msglayer.sink_of_group t.group);
+      (* Both digests cover the stream from LSN 0: the fresh backup
+         replayed the whole journal. *)
+      t.cur_pairs <- [ (Option.get (Namespace.digest t.ns_p), d_fresh) ];
       t.epoch <- new_epoch;
       t.failover_started <- None;
       t.failover_completed <- None;
@@ -1034,10 +1037,6 @@ let carve machine cfg =
   | `Symmetric ->
       let spec = Machine.spec machine in
       let nodes = spec.Topology.numa_nodes / 2 in
-      if nodes mod backups <> 0 then
-        invalid_arg
-          "Cluster.create: the backups' half of the NUMA nodes must divide \
-           evenly among them";
       let cores = Topology.total_cores spec and ram = spec.Topology.ram_bytes in
       let p =
         Machine.add_partition machine ~name:"primary" ~cores:(cores / 2)
@@ -1052,12 +1051,21 @@ let carve machine cfg =
               ~ram_bytes:(ram / (2 * backups))
               ~numa_nodes:(List.init per (fun n -> nodes + (i * per) + n))) )
 
+let check_config cfg =
+  let backups = cfg.replicas - 1 in
+  if backups < 1 then Error "replicas < 2"
+  else if backups = 1 then Ok ()
+  else if cfg.reprotect then Error "re-protection needs replicas = 2"
+  else if cfg.split <> `Symmetric then
+    Error "an asymmetric split needs replicas = 2"
+  else if cfg.topology.Topology.numa_nodes / 2 mod backups <> 0 then
+    Error "the backups' half of the NUMA nodes must divide evenly among them"
+  else Ok ()
+
 let create eng ?(config = default_config) ?link ~app () =
-  if config.replicas < 2 then invalid_arg "Cluster.create: replicas < 2";
-  if config.replicas > 2 && config.reprotect then
-    invalid_arg "Cluster.create: re-protection needs replicas = 2";
-  if config.replicas > 2 && config.split <> `Symmetric then
-    invalid_arg "Cluster.create: an asymmetric split needs replicas = 2";
+  (match check_config config with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Cluster.create: " ^ e));
   let machine = Machine.create eng config.topology in
   let part_p, parts_b = carve machine config in
   let kernel_p = Kernel.boot part_p ~config:config.kernel_config () in

@@ -125,15 +125,20 @@ val default_config : config
     mailbox, 10 ms heart-beats with 60 ms timeout, output commit on,
     4.95 s driver load, re-protection off. *)
 
+val check_config : config -> (unit, string) result
+(** The replica shapes {!create} supports: [Error] for fewer than two
+    replicas, for [reprotect] or an [`Asymmetric] split with more than two,
+    and for backups whose half of the NUMA nodes does not divide evenly
+    among them. *)
+
 type t
 
 val create :
   Engine.t -> ?config:config -> ?link:Link.endpoint -> app:Api.app -> unit -> t
 (** Build the machine and start the replicated application.  [link] attaches
     the (single, shared) NIC to the given link endpoint; omit it for
-    compute-only workloads.  Raises [Invalid_argument] for fewer than two
-    replicas, and for [reprotect] or an [`Asymmetric] split with more than
-    two. *)
+    compute-only workloads.  Raises [Invalid_argument] for a shape
+    {!check_config} rejects. *)
 
 (** {1 Lifecycle}
 

@@ -194,6 +194,8 @@ let test_triple_failover_spans () =
 
 let test_create_rejects_unsupported_shapes () =
   let rejects what config =
+    Alcotest.(check bool) (what ^ ": check_config") true
+      (Result.is_error (Cluster.check_config config));
     let eng = Engine.create () in
     match Cluster.create eng ~config ~app:echo_app () with
     | _ -> Alcotest.failf "%s: accepted" what

@@ -2,14 +2,16 @@
    replica-lifecycle API.  Covers the full
    Protected -> Degraded -> Regenerating -> Protected cycle, the gapless
    epoch-switch cursor handoff, clean aborts when the regeneration target
-   dies mid-transfer, backup-death re-protection, and arbitrary-length
-   fault sequences with digests checked across every epoch. *)
+   dies mid-transfer, backup-death re-protection, arbitrary-length fault
+   sequences with digests checked across every epoch, and a divergence
+   seeded into a regenerated backup. *)
 
 open Ftsim_sim
 open Ftsim_hw
 open Ftsim_kernel
 open Ftsim_netstack
 open Ftsim_ftlinux
+open Ftsim_apps
 
 let test_config =
   {
@@ -311,6 +313,54 @@ let test_replica_set_surface () =
   | _ -> Alcotest.fail "expected exactly two members");
   check_clean cluster
 
+(* {1 The regenerated backup's digest is paired with the primary's}
+
+   Skipping one digest fold on the fresh backup must surface as a
+   divergence, after either role's death.  The mutation waits one event:
+   the Regenerating transition fires before the fresh namespace is in
+   place. *)
+
+let run_mongoose_probe ~role ~mutate =
+  let eng = Engine.create ~seed:7 () in
+  let link = gbit_link eng in
+  let app api =
+    Mongoose.run
+      ~params:{ Mongoose.default_params with cpu_per_request = Time.ms 1 }
+      api
+  in
+  let cluster =
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link) ~app ()
+  in
+  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
+  let oracle =
+    Loadgen.verified_start client ~server:"10.0.0.1" ~port:80 ~target:"/"
+      ~expect_bytes:Mongoose.default_params.page_bytes ~requests:600 ()
+  in
+  Cluster.kill cluster ~role ~at:(Time.ms 150);
+  let armed = ref false in
+  Cluster.on_transition cluster (fun tr ->
+      if mutate && tr.Cluster.tr_to = Cluster.Regenerating && not !armed then begin
+        armed := true;
+        Engine.schedule eng ~at:tr.Cluster.tr_at (fun () ->
+            Namespace.mutate_skip_digest
+              (Cluster.backup_namespace cluster 0)
+              ~global_seq:5)
+      end);
+  Engine.run ~until:(Time.sec 5) eng;
+  Cluster.shutdown cluster;
+  Alcotest.(check bool) "client oracle holds" true (Loadgen.oracle_ok oracle);
+  Alcotest.(check int) "all requests verified" 600 oracle.Loadgen.completed;
+  Alcotest.(check int) "epoch advanced" 1 (Cluster.epoch cluster);
+  cluster
+
+let test_regenerated_digest_paired role () =
+  check_clean (run_mongoose_probe ~role ~mutate:false);
+  match Cluster.compare_digests (run_mongoose_probe ~role ~mutate:true) with
+  | Some d ->
+      Alcotest.(check int) "divergence at the skipped fold" 6
+        d.Digest.at_section
+  | None -> Alcotest.fail "the regenerated backup's digest is never compared"
+
 let () =
   Alcotest.run "reprotect"
     [
@@ -337,5 +387,14 @@ let () =
             test_outage_when_primary_dies_regenerating;
           Alcotest.test_case "three-fault campaign" `Slow
             test_three_fault_campaign;
+        ] );
+      ( "digests",
+        [
+          Alcotest.test_case "regenerated backup paired after backup death"
+            `Quick
+            (test_regenerated_digest_paired Replica_set.Backup);
+          Alcotest.test_case "regenerated backup paired after primary death"
+            `Quick
+            (test_regenerated_digest_paired Replica_set.Primary);
         ] );
     ]
