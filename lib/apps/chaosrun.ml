@@ -220,9 +220,22 @@ let arm_stats eng sched = function
         (Statsdump.arm eng ~every
            ~label:(Printf.sprintf "#%03d" sched.Chaos.sched_index))
 
-let run ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
-    ?(replay_workers = 1) ?(reprotect = false) ?(regen_delay = Time.ms 50)
-    ?listen_shards ?admission ~workload ~replicas sched =
+let config ?(det_shard = true) ?(replay_workers = 1) ?(reprotect = false)
+    ?(regen_delay = Time.ms 50) ~replicas () =
+  (* Two backups need NUMA nodes that divide four ways. *)
+  let topology = if replicas = 2 then Topology.small else small4 in
+  {
+    (fast_config topology) with
+    Cluster.replicas;
+    det_shard;
+    replay_workers;
+    reprotect;
+    regen_delay;
+  }
+
+let run ?on_trace ?stats_interval ?(mutate = false) ?det_shard ?replay_workers
+    ?reprotect ?regen_delay ?listen_shards ?admission ~workload ~replicas sched
+    =
   let eng = Engine.create ~seed:sched.Chaos.sched_seed () in
   arm_stats eng sched stats_interval;
   let link =
@@ -230,19 +243,10 @@ let run ?on_trace ?stats_interval ?(mutate = false) ?(det_shard = true)
       ~seed_split:(Engine.prng eng) ()
   in
   let app, mk_oracle = app_and_oracle ?listen_shards ?admission workload in
-  (* Two backups need NUMA nodes that divide four ways. *)
-  let topology = if replicas = 2 then Topology.small else small4 in
   let cluster =
     Cluster.create eng
       ~config:
-        {
-          (fast_config topology) with
-          Cluster.replicas;
-          det_shard;
-          replay_workers;
-          reprotect;
-          regen_delay;
-        }
+        (config ?det_shard ?replay_workers ?reprotect ?regen_delay ~replicas ())
       ~link:(Link.endpoint_a link) ~app ()
   in
   if mutate then

@@ -19,6 +19,19 @@ type workload = Fileserver | Mongoose
 val workload_of_string : string -> (workload, string) result
 val workload_to_string : workload -> string
 
+val config :
+  ?det_shard:bool ->
+  ?replay_workers:int ->
+  ?reprotect:bool ->
+  ?regen_delay:Time.t ->
+  replicas:int ->
+  unit ->
+  Cluster.config
+(** The cluster config {!run} builds: 5/25 ms heartbeats, a 200 ms driver
+    reload and a quiet {!Lagmon} on a small machine (a four-node one for
+    three replicas).  The knobs and their defaults are {!run}'s; pass the
+    result to {!Cluster.check_config} to reject a shape before any run. *)
+
 val run :
   ?on_trace:(Evlog.t -> unit) ->
   ?stats_interval:Time.t ->
