@@ -1,28 +1,31 @@
 (* bench-regression gate: compare a fresh BENCH_*.json against the
-   committed baseline and fail (exit 1) on >10 % drift in any gated
-   metric.
+   committed baseline and fail (exit 1) when a gated metric drifts the
+   wrong way by more than its tolerance.
 
      regress BASELINE.json CURRENT.json
 
    The dumps are JSON arrays of per-engine metric registries (see
    bench/main.ml: dump_bench).  Numeric leaves are flattened to
-   "<engine-index>.<metric-name>" keys.  Only metrics under a "batch."
-   prefix are gated — those are the per-operation gauges the batch
-   experiment publishes precisely for this comparison; raw counters
-   elsewhere in the dump move for benign reasons (extra instrumentation,
-   workload tweaks) and stay informational.  Direction comes from the
-   key's suffix:
+   "<engine-index>.<metric-name>" keys.  Every key of the baseline whose
+   suffix is listed below is gated, whatever its prefix; the rest (raw
+   counters, timings the simulator does not hold deterministic across
+   refactors) stay informational.  The suffix sets the direction and the
+   tolerance:
 
-     *.msgs_per_op, *.bytes_per_op    lower is better
+     *.msgs_per_op, *.bytes_per_op     lower is better, 10 %
      *.p50_ms, *.p90_ms, *.p99_ms,
-     *.p999_ms, *.window_ms           lower is better (latency percentiles
-                                      and failover-window length regress
-                                      upward)
-     *.ops_per_sec                    higher is better
-     *_reduction_pct                  higher is better
+     *.p999_ms, *.window_ms            lower is better, 10 % (latency
+                                       percentiles and failover-window
+                                       length regress upward)
+     *.shed_rate, *.accept_overflow    lower is better, 10 %
+     *.ops_per_sec, *_reduction_pct    higher is better, 10 %
+     *.seeds_per_sec, *.speedup_x      higher is better, 50 % (wall clock)
+     *.report_identical                exact
 
-   A gated key present in the baseline but missing from the current dump
-   is a failure (a regression can't hide by deleting its metric). *)
+   The 10 % keys are simulated time and repeat exactly run to run; the
+   50 % keys are host wall clock.  A gated key present in the baseline but
+   missing from the current dump is a failure (a regression can't hide by
+   deleting its metric). *)
 
 let threshold = 0.10
 
@@ -232,13 +235,6 @@ let direction key =
     Some (`Exact, 0.0)
   else None
 
-(* Every key of every committed baseline is gated: any metric family that
-   lands in bench/baseline/BENCH_*.json participates automatically.  The
-   direction suffix decides whether a key is actually compared — keys
-   without a recognized suffix (raw counters, timings the simulator does
-   not hold deterministic across refactors) stay informational. *)
-let gated _key = true
-
 let () =
   let baseline_path, current_path =
     match Sys.argv with
@@ -262,30 +258,29 @@ let () =
     "delta%" "verdict";
   List.iter
     (fun (key, bv) ->
-      if gated key then
-        match direction key with
-        | None -> ()
-        | Some (dir, tol) -> (
-            incr compared;
-            match List.assoc_opt key cur with
-            | None ->
-                incr failures;
-                Printf.printf "%-52s %12.3f %12s %8s  FAIL (missing)\n" key bv
-                  "-" "-"
-            | Some cv ->
-                let delta =
-                  if bv <> 0.0 then 100.0 *. ((cv /. bv) -. 1.0) else 0.0
-                in
-                let ok =
-                  match dir with
-                  | `Exact -> cv = bv
-                  | `Lower_better -> bv = 0.0 || cv <= bv *. (1.0 +. tol)
-                  | `Higher_better -> bv = 0.0 || cv >= bv *. (1.0 -. tol)
-                in
-                if not ok then incr failures;
-                Printf.printf "%-52s %12.3f %12.3f %+8.1f  %s\n" key bv cv
-                  delta
-                  (if ok then "ok" else "FAIL")))
+      match direction key with
+      | None -> ()
+      | Some (dir, tol) -> (
+          incr compared;
+          match List.assoc_opt key cur with
+          | None ->
+              incr failures;
+              Printf.printf "%-52s %12.3f %12s %8s  FAIL (missing)\n" key bv
+                "-" "-"
+          | Some cv ->
+              let delta =
+                if bv <> 0.0 then 100.0 *. ((cv /. bv) -. 1.0) else 0.0
+              in
+              let ok =
+                match dir with
+                | `Exact -> cv = bv
+                | `Lower_better -> bv = 0.0 || cv <= bv *. (1.0 +. tol)
+                | `Higher_better -> bv = 0.0 || cv >= bv *. (1.0 -. tol)
+              in
+              if not ok then incr failures;
+              Printf.printf "%-52s %12.3f %12.3f %+8.1f  %s\n" key bv cv
+                delta
+                (if ok then "ok" else "FAIL")))
     base;
   if !compared = 0 then begin
     (* An empty comparison is itself a gate failure: the baseline no longer

@@ -148,26 +148,31 @@ let attach_digest t d = t.dig <- Some d
 let digest t = t.dig
 let mutate_skip_digest t ~global_seq = t.skip_fold <- Some global_seq
 
-let ctx_opt t = Hashtbl.find_opt t.by_proc (Engine.pid (Engine.self ()))
+(* The calling thread's context, or [Not_found]: a lookup runs on every
+   section and syscall, and [Hashtbl.find] allocates no option. *)
+let find_ctx t = Hashtbl.find t.by_proc (Engine.pid (Engine.self ()))
 
 let ctx_exn t =
-  match ctx_opt t with
-  | Some c -> c
-  | None -> failwith "Det: calling thread is not registered in the namespace"
+  match find_ctx t with
+  | c -> c
+  | exception Not_found ->
+      failwith "Det: calling thread is not registered in the namespace"
 
 (* Channel of the calling thread's open section: the first claimed channel
    on the primary (and in live mode), the head tuple's first channel during
    replay — the same id on both replicas. *)
 let cur_chan t =
-  match ctx_opt t with
-  | None -> chan_misc
-  | Some ctx -> (
+  match find_ctx t with
+  | exception Not_found -> chan_misc
+  | ctx -> (
       match ctx.in_chans with
       | st :: _ -> st.ch_id
       | [] -> (
-          match Queue.peek_opt ctx.tq with
-          | Some { pt_chans = (c, _) :: _; _ } -> c
-          | _ -> chan_misc))
+          if Queue.is_empty ctx.tq then chan_misc
+          else
+            match (Queue.peek ctx.tq).pt_chans with
+            | (c, _) :: _ -> c
+            | [] -> chan_misc))
 
 let fold_section t v =
   match t.dig with
@@ -178,9 +183,9 @@ let fold_syscall t v =
   match t.dig with
   | None -> ()
   | Some d -> (
-      match ctx_opt t with
-      | Some ctx -> Digest.fold_thread d ~ft_pid:ctx.ft_pid v
-      | None -> ())
+      match find_ctx t with
+      | ctx -> Digest.fold_thread d ~ft_pid:ctx.ft_pid v
+      | exception Not_found -> ())
 
 (* {1 Thread identity} *)
 
@@ -218,19 +223,28 @@ let current_ftpid t = (ctx_exn t).ft_pid
 
 (* {1 Deterministic sections} *)
 
+(* Keys of a tuple's i-th (channel, chan_seq) pair: "channel",
+   "chan_seq", then "channel2", "chan_seq2", ...  The first eight are
+   built once, because Evlog's key memo matches a key by physical
+   identity. *)
+let make_chan_key i =
+  let suf = if i = 0 then "" else string_of_int (i + 1) in
+  ("channel" ^ suf, "chan_seq" ^ suf)
+
+let chan_keys = Array.init 8 make_chan_key
+
+let chan_key i =
+  if i < Array.length chan_keys then chan_keys.(i) else make_chan_key i
+
 let tuple_args ~ft_pid ~thread_seq ~chans =
-  let base =
-    [ ("ft_pid", Evlog.Int ft_pid); ("thread_seq", Evlog.Int thread_seq) ]
-  in
   let rec go i = function
     | [] -> []
     | (c, s) :: rest ->
-        let suf = if i = 0 then "" else string_of_int (i + 1) in
-        ("channel" ^ suf, Evlog.Int c)
-        :: ("chan_seq" ^ suf, Evlog.Int s)
-        :: go (i + 1) rest
+        let kc, ks = chan_key i in
+        (kc, Evlog.Int c) :: (ks, Evlog.Int s) :: go (i + 1) rest
   in
-  base @ go 0 chans
+  ("ft_pid", Evlog.Int ft_pid) :: ("thread_seq", Evlog.Int thread_seq)
+  :: go 0 chans
 
 let section_begin t ctx chan =
   let ev = Engine.evlog t.eng in

@@ -10,11 +10,13 @@ type 'a chan = {
   src : Partition.t;
   slots : Sync.Semaphore.t;
   inbox : 'a Bqueue.t;
-  (* Messages in the propagation window, keyed by a monotonic token so the
-     delivery timers can be cancelled deterministically on coherency loss.
-     Each carries its open trace span so the drop path can close it. *)
-  pending : (int, Engine.handle * Evlog.span) Hashtbl.t;
-  mutable next_token : int;
+  (* Messages in the propagation window, oldest first, each with its
+     delivery timer (cancelled on coherency loss) and its open trace span
+     (which the drop path closes).  The delay is the same for every
+     message and same-instant timers fire in arming order, so messages are
+     delivered in the order they were sent: delivery pops the head. *)
+  pending : (Engine.handle * Evlog.span) Queue.t;
+  mutable next_token : int;  (* messages sent so far: the next one's id *)
   sent_msgs : Metrics.Counter.t;
   sent_bytes : Metrics.Counter.t;
   r_msgs : Metrics.Counter.t;
@@ -30,7 +32,7 @@ let create eng ?(config = default_config) ~src ~dst () =
     src;
     slots = Sync.Semaphore.create config.capacity;
     inbox = Bqueue.create ();
-    pending = Hashtbl.create 16;
+    pending = Queue.create ();
     next_token = 0;
     sent_msgs = Metrics.Counter.create ();
     sent_bytes = Metrics.Counter.create ();
@@ -56,11 +58,12 @@ let deliver_later t ~bytes v =
     Engine.timer t.eng
       ~at:(Engine.now t.eng + t.cfg.propagation_delay)
       (fun () ->
-        Hashtbl.remove t.pending tok;
+        let _, head = Queue.take t.pending in
+        assert (head == sp);
         Evlog.span_end ev sp;
         Bqueue.put t.inbox v)
   in
-  Hashtbl.replace t.pending tok (h, sp)
+  Queue.push (h, sp) t.pending
 
 let send t ~bytes v =
   Partition.check_alive t.src;
@@ -96,7 +99,7 @@ let poll t =
       Sync.Semaphore.release t.slots;
       Some v
 
-let in_flight t = Hashtbl.length t.pending + Bqueue.length t.inbox
+let in_flight t = Queue.length t.pending + Bqueue.length t.inbox
 
 let src_halted t = Partition.is_halted t.src
 
@@ -118,19 +121,16 @@ let drop_in_flight t =
   drain ();
   (* Messages still in the propagation window are lost too: their delivery
      timers are cancelled, modelling the victim's outbound rings losing
-     coherency mid-flight (§3.5).  Tokens are sorted so the cancel order —
-     and hence the semaphore hand-offs — is independent of hash order. *)
-  let toks = Hashtbl.fold (fun k _ acc -> k :: acc) t.pending [] in
-  List.iter
-    (fun tok ->
-      let h, sp = Hashtbl.find t.pending tok in
-      Engine.cancel h;
-      Evlog.span_end (Engine.evlog t.eng) sp
-        ~args:[ ("dropped", Evlog.Bool true) ];
-      Hashtbl.remove t.pending tok;
-      Sync.Semaphore.release t.slots;
-      incr n)
-    (List.sort compare toks);
+     coherency mid-flight (§3.5).  They go in the order they were sent, and
+     so do the semaphore hand-offs. *)
+  while not (Queue.is_empty t.pending) do
+    let h, sp = Queue.take t.pending in
+    Engine.cancel h;
+    Evlog.span_end (Engine.evlog t.eng) sp
+      ~args:[ ("dropped", Evlog.Bool true) ];
+    Sync.Semaphore.release t.slots;
+    incr n
+  done;
   if !n > 0 then
     Evlog.emit (Engine.evlog t.eng) ~comp:"hw.mailbox" "drop_in_flight"
       ~args:[ ("count", Evlog.Int !n) ];

@@ -12,7 +12,6 @@ type t = {
   events : (unit -> unit) Heap.t;
   timers : (unit -> unit) Twheel.t;
   mutable seq : int;
-  mutable current : proc option;
   mutable live : int;
   mutable next_pid : int;
   mutable stopping : bool;
@@ -26,6 +25,12 @@ type t = {
   c_spawned : Metrics.Counter.t;
 }
 
+(* A parked process keeps its continuation in [k] from the park until the
+   event that resumes it.  [gen] counts its parks: a waker remembers the
+   park it was handed out for and does nothing once that park has ended.
+   [resume] and [sleep_h] are the process's own resume event and the wheel
+   handle of the sleep it is parked in; [resume] is built when the process
+   first runs, so spawning allocates no more than the record. *)
 and proc = {
   pid : int;
   name : string;
@@ -33,40 +38,39 @@ and proc = {
   mutable state : state;
   mutable doomed : bool;
   mutable watchers : (exit_reason -> unit) list;
+  mutable k : (unit, unit) Effect.Deep.continuation option;
+  mutable gen : int;
+  mutable resume : unit -> unit;
+  mutable sleep_h : (unit -> unit) Twheel.handle;
 }
 
-(* [Blocked cell]: the continuation lives in [cell] until the waker claims
-   it.  [Ready]: the continuation is inside a scheduled event closure. *)
-and state =
-  | Embryo
-  | Ready
-  | Running
-  | Blocked of wait_cell
-  | Exited of exit_reason
-
-and wait_cell = { mutable k : (unit, unit) Effect.Deep.continuation option }
+(* [Blocked]: parked, waiting for a waker or a kill to claim it.  [Ready]:
+   claimed, with its resumption scheduled. *)
+and state = Embryo | Ready | Running | Blocked | Exited of exit_reason
 
 (* A process parked at a gate.  The record is built once per [Gate.wait]
-   and outlives every re-park: [w_blocked] is the process's state while it
-   is parked and [w_k] the box its cell holds, so parking again allocates
-   nothing.  [w_next] links the gate's FIFO, or the rest of a wave. *)
+   and outlives every re-park, so parking again allocates nothing.
+   [w_gen] is the park it joined the gate with: a process killed while
+   parked has left that park, so a broadcast drops its entry.  [w_next]
+   links the gate's FIFO, or the rest of a wave. *)
 type waiter =
   | Nil
   | Waiter of {
       w_proc : proc;
       w_ready : unit -> bool;
-      w_cell : wait_cell;
-      w_blocked : state;
-      w_k : (unit, unit) Effect.Deep.continuation option;
+      mutable w_gen : int;
       mutable w_next : waiter;
     }
 
 type gate = { mutable g_head : waiter; mutable g_tail : waiter }
 
 type _ Effect.t +=
-  | E_suspend : (proc -> (unit -> unit) -> unit) -> unit Effect.t
-  | E_gate_wait : gate * (unit -> bool) -> unit Effect.t
   | E_self : proc Effect.t
+  | E_suspend : (proc -> (unit -> unit) -> unit) -> unit Effect.t
+  | E_sleep : Time.t -> unit Effect.t
+  | E_sleep_until : Time.t -> unit Effect.t
+  | E_wait : Waitq.t -> unit Effect.t
+  | E_gate_wait : gate * (unit -> bool) -> unit Effect.t
 
 let create ?(seed = 42) ?evlog_cap () =
   let registry = Metrics.Registry.create () in
@@ -79,7 +83,6 @@ let create ?(seed = 42) ?evlog_cap () =
       events = Heap.create ~filler:ignore ();
       timers = Twheel.create ~filler:ignore ();
       seq = 0;
-      current = None;
       live = 0;
       next_pid = 0;
       stopping = false;
@@ -116,7 +119,8 @@ let schedule t ~at f =
 
 type handle = { h_eng : t; h_timer : (unit -> unit) Twheel.handle }
 
-let timer t ~at f =
+(* File [f] in the wheel at [at], drawing the next seq. *)
+let arm t ~at f =
   if at < t.now then invalid_arg "Engine.timer: time in the past";
   if at = Time.never then invalid_arg "Engine.timer: Time.never";
   (* The wheel's clock normally tracks [t.now] (the run loop syncs it before
@@ -124,14 +128,17 @@ let timer t ~at f =
   Twheel.advance t.timers ~upto:t.now;
   t.seq <- t.seq + 1;
   Metrics.Counter.incr t.c_timers_armed;
-  { h_eng = t; h_timer = Twheel.add t.timers ~at ~seq:t.seq f }
+  Twheel.add t.timers ~at ~seq:t.seq f
 
-let cancel h =
-  if Twheel.is_armed h.h_timer then begin
-    Twheel.cancel h.h_eng.timers h.h_timer;
-    Metrics.Counter.incr h.h_eng.c_timers_cancelled
+let timer t ~at f = { h_eng = t; h_timer = arm t ~at f }
+
+let disarm t th =
+  if Twheel.is_armed th then begin
+    Twheel.cancel t.timers th;
+    Metrics.Counter.incr t.c_timers_cancelled
   end
 
+let cancel h = disarm h.h_eng h.h_timer
 let timer_armed h = Twheel.is_armed h.h_timer
 
 let finish p reason =
@@ -154,36 +161,46 @@ let finish p reason =
   p.watchers <- [];
   List.iter (fun w -> w reason) ws
 
-(* Resume a parked continuation as process [p].  Re-checks [doomed] so that a
-   kill that raced with the wake-up unwinds the process instead of running
-   it. *)
+(* Resume [p]'s continuation [k].  Re-checks [doomed] so that a kill that
+   raced with the wake-up unwinds the process instead of running it. *)
 let fire p k =
-  let open Effect.Deep in
-  match p.state with
-  | Exited _ -> ()
-  | _ ->
-      p.state <- Running;
-      let saved = p.eng.current in
-      p.eng.current <- Some p;
-      (if p.doomed then discontinue k Killed_exn else continue k ());
-      p.eng.current <- saved
+  p.state <- Running;
+  if p.doomed then Effect.Deep.discontinue k Killed_exn
+  else Effect.Deep.continue k ()
 
-(* Park [p] on continuation [k]; the waker schedules its resumption. *)
-let park p k register =
+(* Never armed: the sleep handle of a process that is not asleep. *)
+let no_sleep = Twheel.unarmed ignore
+
+(* [p]'s resume event.  A kill that claimed a sleeper cancels the sleep's
+   timer here, as it unwinds the fiber: a timer due at this instant before
+   this event has already fired, as a no-op, and counts as fired. *)
+let resume p () =
+  match (p.state, p.k) with
+  | Ready, Some k ->
+      p.k <- None;
+      if p.doomed then disarm p.eng p.sleep_h;
+      p.sleep_h <- no_sleep;
+      fire p k
+  | _ -> ()
+
+(* Park [p], whose continuation is already in [p.k]: a new generation. *)
+let park p =
   if Evlog.detail p.eng.evlog then
     Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.park"
       ~args:[ ("pid", Evlog.Int p.pid) ];
-  let cell = { k = Some k } in
-  p.state <- Blocked cell;
-  let waker () =
-    match (p.state, cell.k) with
-    | Blocked cell', Some k when cell' == cell ->
-        cell.k <- None;
-        p.state <- Ready;
-        schedule p.eng ~at:p.eng.now (fun () -> fire p k)
-    | _ -> ()
-  in
-  register p waker
+  p.gen <- p.gen + 1;
+  p.state <- Blocked
+
+(* End [p]'s park and schedule its resume event. *)
+let claim p =
+  p.state <- Ready;
+  schedule p.eng ~at:p.eng.now p.resume
+
+(* A waker for [p]'s current park: it claims [p] if that park is still on,
+   and is inert once it has ended, however late it runs. *)
+let waker p =
+  let gen = p.gen in
+  fun () -> match p.state with Blocked when p.gen = gen -> claim p | _ -> ()
 
 (* {2 Gates}
 
@@ -209,18 +226,12 @@ let append q w =
       (match q.g_tail with Nil -> q.g_head <- w | Waiter t -> t.w_next <- w);
       q.g_tail <- w
 
-(* Append [w] to the gate, parked: the same [proc.park] a suspension
-   emits, with the waiter's own state and continuation box. *)
-let gate_park g w =
+(* Append [w], whose process has just parked, to the gate. *)
+let gate_add g w =
   match w with
   | Nil -> ()
   | Waiter r ->
-      let p = r.w_proc in
-      if Evlog.detail p.eng.evlog then
-        Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.park"
-          ~args:[ ("pid", Evlog.Int p.pid) ];
-      r.w_cell.k <- r.w_k;
-      p.state <- r.w_blocked;
+      r.w_gen <- r.w_proc.gen;
       append g w
 
 (* Move the waiters from [w] on into [wave], claiming each as a waker
@@ -228,24 +239,31 @@ let gate_park g w =
    (killed while parked) is dropped. *)
 let rec claim_into wave n = function
   | Nil -> n
-  | Waiter r as w ->
+  | Waiter r as w -> (
       let next = r.w_next in
-      if r.w_proc.state == r.w_blocked then begin
-        r.w_cell.k <- None;
-        r.w_proc.state <- Ready;
-        append wave w;
-        claim_into wave (n + 1) next
-      end
-      else claim_into wave n next
+      match r.w_proc.state with
+      | Blocked when r.w_proc.gen = r.w_gen ->
+          r.w_proc.state <- Ready;
+          append wave w;
+          claim_into wave (n + 1) next
+      | _ -> claim_into wave n next)
 
 (* Resume the waiter if its guard holds or it was killed, else re-park it. *)
 let sweep_one g = function
   | Nil -> ()
   | Waiter r as w -> (
       let p = r.w_proc in
-      match (p.state, r.w_k) with
-      | Exited _, _ | _, None -> ()
-      | _, Some k -> if p.doomed || r.w_ready () then fire p k else gate_park g w)
+      match (p.state, p.k) with
+      | Ready, Some k ->
+          if p.doomed || r.w_ready () then begin
+            p.k <- None;
+            fire p k
+          end
+          else begin
+            park p;
+            gate_add g w
+          end
+      | _ -> ())
 
 (* Sweep the wave from [w], whose reserved seq is [seq]. *)
 let rec sweep eng g w seq =
@@ -284,38 +302,82 @@ let gate_broadcast g =
           Heap.push eng.events ~prio:eng.now ~seq (fun () ->
               sweep eng g head seq))
 
+(* Placeholders for the refs below (nothing is ever added to [no_queue] or
+   [no_gate]).  A registration and a guard are dropped once used, so a
+   process does not keep what they hold alive after its park. *)
+let no_register _ _ = ()
+let no_ready () = true
+let no_queue = Waitq.create ()
+let no_gate = { g_head = Nil; g_tail = Nil }
+
+(* The handler of [p]'s fiber, built when [p] first runs, with everything a
+   park needs: [p]'s resume event, its sleep waker, and one [Some] closure
+   per effect.  An effect leaves its argument in the refs below and
+   returns its prebuilt closure, so handling it allocates nothing; a park
+   costs the continuation, its [Some] box and what the wait itself files
+   (a wheel entry, a queue entry, a waker). *)
 let handler p =
   let open Effect.Deep in
+  let t = p.eng in
+  let register = ref no_register and deadline = ref 0 in
+  let queue = ref no_queue and gate = ref no_gate and ready = ref no_ready in
+  (* A sleep's timer fires at most once per park and, if a kill claimed
+     [p] first, finds it no longer [Blocked]; the resume event cancels the
+     timer before [p] can park again.  So it needs no generation. *)
+  let alarm () = match p.state with Blocked -> claim p | _ -> () in
+  (* [then_] files the wake-up of the park just begun. *)
+  let parks then_ =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        if p.doomed then discontinue k Killed_exn
+        else begin
+          p.k <- Some k;
+          park p;
+          then_ ()
+        end)
+  in
+  let on_suspend =
+    parks (fun () ->
+        let r = !register in
+        register := no_register;
+        r p (waker p))
+  and on_sleep = parks (fun () -> p.sleep_h <- arm t ~at:!deadline alarm)
+  and on_wait = parks (fun () -> ignore (Waitq.add !queue (waker p)))
+  and on_gate =
+    parks (fun () ->
+        let w =
+          Waiter { w_proc = p; w_ready = !ready; w_gen = 0; w_next = Nil }
+        in
+        ready := no_ready;
+        gate_add !gate w)
+  and on_self = Some (fun (k : (proc, unit) continuation) -> continue k p) in
+  p.resume <- resume p;
   {
     retc = (fun () -> finish p Normal);
     exnc =
       (fun e ->
         match e with Killed_exn -> finish p Killed | e -> finish p (Exn e));
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) continuation -> unit) option ->
         match eff with
-        | E_self -> Some (fun (k : (a, unit) continuation) -> continue k p)
-        | E_suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if p.doomed then discontinue k Killed_exn
-                else park p k register)
-        | E_gate_wait (g, ready) ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if p.doomed then discontinue k Killed_exn
-                else
-                  let w_cell = { k = None } in
-                  gate_park g
-                    (Waiter
-                       {
-                         w_proc = p;
-                         w_ready = ready;
-                         w_cell;
-                         w_blocked = Blocked w_cell;
-                         w_k = Some k;
-                         w_next = Nil;
-                       }))
+        | E_self -> on_self
+        | E_suspend r ->
+            register := r;
+            on_suspend
+        | E_sleep d ->
+            deadline := t.now + d;
+            on_sleep
+        | E_sleep_until at ->
+            deadline := max at t.now;
+            on_sleep
+        | E_wait q ->
+            queue := q;
+            on_wait
+        | E_gate_wait (g, r) ->
+            gate := g;
+            ready := r;
+            on_gate
         | _ -> None);
   }
 
@@ -330,6 +392,10 @@ let spawn t ?(name = "proc") ?at f =
       state = Embryo;
       doomed = false;
       watchers = [];
+      k = None;
+      gen = 0;
+      resume = ignore;
+      sleep_h = no_sleep;
     }
   in
   t.live <- t.live + 1;
@@ -341,12 +407,9 @@ let spawn t ?(name = "proc") ?at f =
       | Embryo when p.doomed -> finish p Killed
       | Embryo ->
           p.state <- Running;
-          let saved = t.current in
-          t.current <- Some p;
-          Effect.Deep.match_with f () (handler p);
-          t.current <- saved
+          Effect.Deep.match_with f () (handler p)
       | Exited _ -> ()
-      | Ready | Running | Blocked _ -> assert false);
+      | Ready | Running | Blocked -> assert false);
   p
 
 (* Each pass probes the wheel once ([Twheel.next_event] is O(1)) and, when
@@ -407,32 +470,13 @@ let run ?(until = Time.never) t =
   loop ()
 
 let self () = Effect.perform E_self
-
 let suspend register = Effect.perform (E_suspend register)
-
-(* Park on a cancellable timer.  If the wake-up never happens because the
-   process dies first ([kill], partition halt), the [Killed_exn] unwinding
-   through this frame cancels the timer, so no dead event lingers in the
-   wheel until its deadline. *)
-let sleep_until at =
-  let h = ref None in
-  try
-    suspend (fun p waker ->
-        h := Some (timer p.eng ~at:(max at p.eng.now) waker))
-  with e ->
-    (match !h with Some h -> cancel h | None -> ());
-    raise e
+let suspend_on q = Effect.perform (E_wait q)
+let sleep_until at = Effect.perform (E_sleep_until at)
 
 let sleep d =
   if d < 0 then invalid_arg "Engine.sleep: negative duration";
-  if d = 0 then ()
-  else
-    let h = ref None in
-    try
-      suspend (fun p waker -> h := Some (timer p.eng ~at:(p.eng.now + d) waker))
-    with e ->
-      (match !h with Some h -> cancel h | None -> ());
-      raise e
+  if d > 0 then Effect.perform (E_sleep d)
 
 type timeout_outcome = [ `Done | `Timeout ]
 
@@ -472,7 +516,7 @@ let with_timeout ~at register =
   | None -> ());
   !outcome
 
-let yield () = suspend (fun p waker -> schedule p.eng ~at:p.eng.now (fun () -> waker ()))
+let yield () = suspend (fun p waker -> schedule p.eng ~at:p.eng.now waker)
 
 let kill p =
   match p.state with
@@ -481,15 +525,9 @@ let kill p =
       Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.kill"
         ~args:[ ("pid", Evlog.Int p.pid); ("name", Evlog.Str p.name) ];
       p.doomed <- true;
-      (match p.state with
-      | Blocked cell -> (
-          match cell.k with
-          | Some k ->
-              cell.k <- None;
-              p.state <- Ready;
-              schedule p.eng ~at:p.eng.now (fun () -> fire p k)
-          | None -> ())
-      | Embryo | Ready | Running | Exited _ -> ())
+      match p.state with
+      | Blocked -> claim p
+      | Embryo | Ready | Running | Exited _ -> ()
 
 let status p = match p.state with Exited r -> Some r | _ -> None
 

@@ -74,11 +74,17 @@ val live_procs : t -> int
 (** {1 Operations usable only from inside a process} *)
 
 val self : unit -> proc
+(** The calling process.  Allocates only the continuation the effect
+    runtime builds (2 words). *)
 
 val sleep : Time.t -> unit
 (** Suspend the calling process for a simulated duration.  Backed by a
-    cancellable timer: if the process is {!kill}ed while asleep, the wakeup
-    is cancelled eagerly rather than left to rot until its deadline. *)
+    cancellable timer: if the process is {!kill}ed while asleep, the event
+    that unwinds it cancels the wakeup rather than leaving it to rot until
+    its deadline.  A sleep allocates its continuation, the box that parks
+    it and the timer's wheel entry, 15 words, plus 3 per wheel level the
+    timer cascades through; no closure, since the waker is built once per
+    process. *)
 
 val sleep_until : Time.t -> unit
 (** Suspend the calling process until an absolute instant.  An instant at or
@@ -103,13 +109,25 @@ val with_timeout :
 
 val yield : unit -> unit
 (** Reschedule the calling process at the current time, letting other
-    processes ready at this instant run first. *)
+    processes ready at this instant run first.  A {!suspend} whose waker
+    is an event at the current instant, so it allocates what that park
+    does. *)
 
 val suspend : (proc -> (unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and invokes
-    [register p waker].  Calling [waker ()] (once; later calls are ignored)
-    makes [p] runnable at the then-current simulated time.  This is the
-    primitive from which every blocking structure but {!Gate} is built. *)
+    [register p waker].  Calling [waker ()] makes [p] runnable at the
+    then-current simulated time.  The waker belongs to this one park: once
+    the park has ended (woken, timed out, killed), calling it again, from
+    whatever queue still holds it, does nothing, even while [p] is parked
+    again.  This is the primitive from which every blocking structure but
+    {!Gate} is built; a park allocates its continuation, its box and the
+    waker closure, plus what [register] allocates. *)
+
+val suspend_on : Waitq.t -> unit
+(** [suspend_on q] parks the calling process on [q] until a
+    {!Waitq.wake_one} or {!Waitq.wake_all} reaches it: the same park, events
+    and trace as [suspend (fun _ w -> ignore (Waitq.add q w))], without the
+    registration closure. *)
 
 (** {1 Gates}
 
@@ -118,9 +136,12 @@ val suspend : (proc -> (unit -> unit) -> unit) -> unit
 module Gate : sig
   type t
   (** A FIFO of parked processes, each waiting for its own guard.  Creating
-      one allocates a single record.  A {!wait} allocates one entry when
-      it first parks; re-checks allocate nothing, and a {!broadcast}
-      allocates a few words whatever the number of waiters. *)
+      one allocates a single record.  A {!wait} that parks allocates its
+      continuation, the box that parks it and a 5-word entry; re-checks
+      allocate nothing, and a {!broadcast} allocates a few words whatever
+      the number of waiters.  An entry records the park it joined with,
+      so a broadcast drops the entry of a process that has left that park
+      (killed while parked) rather than claiming a later one. *)
 
   val create : unit -> t
 

@@ -16,7 +16,7 @@ let read t =
   match t.value with
   | Some v -> v
   | None -> (
-      Engine.suspend (fun _p waker -> ignore (Waitq.add t.waiters waker));
+      Engine.suspend_on t.waiters;
       match t.value with Some v -> v | None -> assert false)
 
 let peek t = t.value

@@ -3,7 +3,7 @@ type outcome = [ `Woken | `Timeout ]
 let wait_on ?deadline q =
   match deadline with
   | None ->
-      Engine.suspend (fun _p waker -> ignore (Waitq.add q waker));
+      Engine.suspend_on q;
       `Woken
   | Some at -> (
       (* The deadline is a cancellable engine timer: a wake cancels it in

@@ -42,6 +42,8 @@ let levels = 10
 let slot_mask = wheel_slots - 1
 let top_shift = slot_bits * levels
 
+let unarmed value = { seq = 0; at = 0; value; state = Fired }
+
 let create ?(now = 0) ~filler () =
   {
     wnow = now;
@@ -49,7 +51,7 @@ let create ?(now = 0) ~filler () =
     bits = Array.make levels 0;
     overflow = [];
     next = Time.never;
-    due = Heap.create ~filler:{ seq = 0; at = 0; value = filler; state = Fired } ();
+    due = Heap.create ~filler:(unarmed filler) ();
     live = 0;
   }
 

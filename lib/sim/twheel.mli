@@ -30,6 +30,10 @@ val cancel : 'a t -> 'a handle -> unit
 
 val is_armed : 'a handle -> bool
 
+(** A handle that belongs to no wheel and was never armed: {!is_armed} is
+    false and {!cancel} a no-op.  A placeholder for a slot that holds one. *)
+val unarmed : 'a -> 'a handle
+
 (** Earliest instant at which the wheel needs attention — an expired entry
     waiting in the due heap (returned as an instant [>= now t]) or an
     internal cascade step; {!Time.never} when no armed timers remain.  O(1).

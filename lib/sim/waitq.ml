@@ -16,16 +16,16 @@ let is_woken e = e.st = `Woken
 (* Cancelled entries are dropped lazily as wake operations walk the queue,
    so [cancel] itself stays O(1). *)
 let rec wake_one t =
-  match Queue.take_opt t.q with
-  | None -> false
-  | Some e -> (
-      match e.st with
-      | `Cancelled -> wake_one t
-      | `Woken -> assert false
-      | `Waiting ->
-          e.st <- `Woken;
-          e.waker ();
-          true)
+  if Queue.is_empty t.q then false
+  else
+    let e = Queue.take t.q in
+    match e.st with
+    | `Cancelled -> wake_one t
+    | `Woken -> assert false
+    | `Waiting ->
+        e.st <- `Woken;
+        e.waker ();
+        true
 
 let wake_all t =
   let n = ref 0 in

@@ -2097,6 +2097,163 @@ let test_dispatch_allocation () =
   within "timers" 12. timers_only;
   within "mixed" 8. mixed
 
+(* {2 Park cost}
+
+   A park allocates the continuation OCaml's effect runtime builds, the
+   box that holds it, and what the wait files: a wheel entry for a sleep,
+   a queue entry and a waker for a wait queue.  The process's resume
+   event, its sleep waker and its handler's closures are built once, when
+   it first runs.  Building closures, a wait cell and a state box per park
+   instead costs sleep 56, yield 34, [wait_on] plus wake 43 and [self] 8
+   words; OCaml 5.1 on 64 bits measures 20.2, 12, 18 and 2.  The bounds
+   leave room for runtime differences between compiler versions and
+   still fail a closure or box added back per park. *)
+let words_per_cycle ~cycles body =
+  let eng = Engine.create ~evlog_cap:16 () in
+  let words = ref nan in
+  ignore
+    (Engine.spawn eng (fun () ->
+         (* The first cycles build the process's closures and grow the
+            engine's heaps; measure the rest. *)
+         for _ = 1 to 100 do
+           body eng
+         done;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to cycles do
+           body eng
+         done;
+         words := Gc.minor_words () -. w0));
+  Engine.run eng;
+  !words /. float_of_int cycles
+
+let test_park_allocation () =
+  let cycles = 20_000 in
+  (* A 10 us sleep files its timer two levels up the wheel, so it pays
+     for two cascades as well. *)
+  let sleep = words_per_cycle ~cycles (fun _ -> Engine.sleep (Time.us 10)) in
+  let yield = words_per_cycle ~cycles (fun _ -> Engine.yield ()) in
+  let q = Waitq.create () in
+  let wake () = ignore (Waitq.wake_one q) in
+  let wait =
+    words_per_cycle ~cycles (fun eng ->
+        Engine.schedule eng ~at:(Engine.now eng) wake;
+        ignore (Sync.wait_on q))
+  in
+  let self =
+    words_per_cycle ~cycles (fun _ ->
+        ignore (Sys.opaque_identity (Engine.self ())))
+  in
+  let within name bound v =
+    if v > bound then
+      Alcotest.failf "%s: %.2f words per cycle, bound %.0f" name v bound
+  in
+  within "sleep" 24. sleep;
+  within "yield" 14. yield;
+  within "wait_on plus wake" 24. wait;
+  within "self" 4. self
+
+(* {2 Stale wakers}
+
+   A waker belongs to one park.  Once that park has ended it must do
+   nothing, however late it runs and whatever the process is doing by
+   then. *)
+
+let counter eng name =
+  Metrics.Counter.value (Metrics.Registry.counter (Engine.metrics eng) name)
+
+(* A poller parks once with its waker on two queues (as [Tcp.poll] does),
+   is woken through the first, then parks on a third.  Waking the second
+   queue runs the first park's waker during the second park. *)
+let test_stale_waker_earlier_park () =
+  let eng = Engine.create () in
+  let q1 = Waitq.create () and q2 = Waitq.create () and q3 = Waitq.create () in
+  let log = ref [] in
+  ignore
+    (Engine.spawn eng (fun () ->
+         Engine.suspend (fun _p waker ->
+             ignore (Waitq.add q1 waker);
+             ignore (Waitq.add q2 waker));
+         log := ("first", Engine.now eng) :: !log;
+         ignore (Sync.wait_on q3);
+         log := ("second", Engine.now eng) :: !log));
+  Engine.schedule eng ~at:(Time.ms 1) (fun () -> ignore (Waitq.wake_one q1));
+  Engine.schedule eng ~at:(Time.ms 2) (fun () ->
+      Alcotest.(check int) "the stale entry is still queued" 1
+        (Waitq.wake_all q2));
+  Engine.schedule eng ~at:(Time.ms 3) (fun () -> ignore (Waitq.wake_one q3));
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "the second park ends at its own wake"
+    [ ("first", Time.ms 1); ("second", Time.ms 3) ]
+    (List.rev !log)
+
+(* The deadline ends the park; a wake kept from it and run later, while
+   the process is parked again, is ignored. *)
+let test_stale_waker_timed_out () =
+  let eng = Engine.create () in
+  let kept = ref ignore in
+  let q = Waitq.create () in
+  let log = ref [] in
+  ignore
+    (Engine.spawn eng (fun () ->
+         let o =
+           Engine.with_timeout ~at:(Time.ms 5) (fun _p wake ->
+               kept := wake;
+               fun () -> ())
+         in
+         let outcome = if o = `Timeout then "timeout" else "done" in
+         log := (outcome, Engine.now eng) :: !log;
+         ignore (Sync.wait_on q);
+         log := ("woken", Engine.now eng) :: !log));
+  Engine.schedule eng ~at:(Time.ms 7) (fun () -> !kept ());
+  Engine.schedule eng ~at:(Time.ms 9) (fun () -> ignore (Waitq.wake_one q));
+  Engine.run eng;
+  Alcotest.(check (list (pair string int)))
+    "the late wake resumes nothing"
+    [ ("timeout", Time.ms 5); ("woken", Time.ms 9) ]
+    (List.rev !log)
+
+(* Two sleepers are killed.  [a] is killed at 5 ms, with its timer due at
+   10 ms: the event that unwinds it cancels the timer, after an event the
+   killer scheduled just before the kill.  [b] is killed at 10 ms by an
+   event filed before its timer, which is due at the same instant: the
+   timer fires first, finds [b] already claimed and does nothing, and
+   counts as fired, not cancelled.  Cancelling in [kill] itself would
+   count [a]'s timer cancelled before its resume event, and [b]'s as
+   cancelled instead of fired, with one event fewer. *)
+let test_stale_waker_killed_sleeper () =
+  let eng = Engine.create () in
+  let seen = ref (-1) in
+  let a = Engine.spawn eng ~name:"a" (fun () -> Engine.sleep (Time.ms 10)) in
+  let b = Engine.spawn eng ~name:"b" (fun () -> Engine.sleep (Time.ms 10)) in
+  (* Filed now, before [b] first runs and arms its timer. *)
+  Engine.schedule eng ~at:(Time.ms 10) (fun () -> Engine.kill b);
+  Engine.schedule eng ~at:(Time.ms 5) (fun () ->
+      Engine.schedule eng ~at:(Engine.now eng) (fun () ->
+          seen := counter eng "engine.timers_cancelled");
+      Engine.kill a);
+  Engine.run eng;
+  Alcotest.(check int) "a's timer is not cancelled by the kill itself" 0 !seen;
+  Alcotest.(check bool) "a killed" true (Engine.status a = Some Engine.Killed);
+  Alcotest.(check bool) "b killed" true (Engine.status b = Some Engine.Killed);
+  Alcotest.(check (list (pair string int)))
+    "engine counters"
+    [
+      ("engine.timers_armed", 2);
+      ("engine.timers_cancelled", 1);
+      ("engine.timers_fired", 1);
+      ("engine.events_fired", 8);
+    ]
+    (List.map
+       (fun n -> (n, counter eng n))
+       [
+         "engine.timers_armed";
+         "engine.timers_cancelled";
+         "engine.timers_fired";
+         "engine.events_fired";
+       ]);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events eng)
+
 (* {2 Guarded waits} *)
 
 (* Two ways of waiting for a guard: the reference resume-and-recheck loop
@@ -2406,6 +2563,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_dispatch_matches_model;
           Alcotest.test_case "dispatch allocation" `Quick
             test_dispatch_allocation;
+          Alcotest.test_case "park allocation" `Quick test_park_allocation;
+          Alcotest.test_case "stale wakers: earlier park" `Quick
+            test_stale_waker_earlier_park;
+          Alcotest.test_case "stale wakers: timed out" `Quick
+            test_stale_waker_timed_out;
+          Alcotest.test_case "stale wakers: killed sleeper" `Quick
+            test_stale_waker_killed_sleeper;
         ] );
       ( "ivar",
         [
