@@ -236,7 +236,9 @@ let config ?(det_shard = true) ?(replay_workers = 1) ?(reprotect = false)
 let run ?on_trace ?stats_interval ?(mutate = false) ?det_shard ?replay_workers
     ?reprotect ?regen_delay ?listen_shards ?admission ~workload ~replicas sched
     =
-  let eng = Engine.create ~seed:sched.Chaos.sched_seed () in
+  (* Only [on_trace] reads the trace: without it a small ring will do. *)
+  let evlog_cap = if on_trace = None then Some 4096 else None in
+  let eng = Engine.create ~seed:sched.Chaos.sched_seed ?evlog_cap () in
   arm_stats eng sched stats_interval;
   let link =
     Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100)

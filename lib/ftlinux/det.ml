@@ -236,24 +236,33 @@ let chan_keys = Array.init 8 make_chan_key
 let chan_key i =
   if i < Array.length chan_keys then chan_keys.(i) else make_chan_key i
 
-let tuple_args ~ft_pid ~thread_seq ~chans =
-  let rec go i = function
-    | [] -> []
-    | (c, s) :: rest ->
-        let kc, ks = chan_key i in
-        (kc, Evlog.Int c) :: (ks, Evlog.Int s) :: go (i + 1) rest
-  in
-  ("ft_pid", Evlog.Int ft_pid) :: ("thread_seq", Evlog.Int thread_seq)
-  :: go 0 chans
+let rec put_chans ev i = function
+  | [] -> ()
+  | (c, s) :: rest ->
+      let kc, ks = chan_key i in
+      Evlog.arg_int ev kc c;
+      Evlog.arg_int ev ks s;
+      put_chans ev (i + 1) rest
+
+(* A sync tuple's [tuple.*] event: its id, then each claimed channel with
+   the tuple's sequence number on it. *)
+let emit_tuple t name ~ft_pid ~thread_seq ~chans =
+  let ev = Engine.evlog t.eng in
+  Evlog.begin_instant ev ~comp:"ft.det" name;
+  Evlog.arg_int ev "ft_pid" ft_pid;
+  Evlog.arg_int ev "thread_seq" thread_seq;
+  put_chans ev 0 chans;
+  Evlog.close ev
 
 let section_begin t ctx chan =
   let ev = Engine.evlog t.eng in
-  if Evlog.detail ev then
-    ctx.cur_span <-
-      Some
-        (Evlog.span_begin ev ~comp:"ft.det" "section"
-           ~args:
-             [ ("ft_pid", Evlog.Int ctx.ft_pid); ("channel", Evlog.Int chan) ])
+  if Evlog.detail ev then begin
+    let sp = Evlog.begin_span ev ~comp:"ft.det" "section" in
+    Evlog.arg_int ev "ft_pid" ctx.ft_pid;
+    Evlog.arg_int ev "channel" chan;
+    Evlog.close ev;
+    ctx.cur_span <- Some sp
+  end
 
 let section_end t ctx =
   match ctx.cur_span with
@@ -310,8 +319,7 @@ let det_end_primary t =
         payload = ctx.cur_payload;
       }
   in
-  Evlog.emit (Engine.evlog t.eng) ~comp:"ft.det" "tuple.emit"
-    ~args:(tuple_args ~ft_pid:ctx.ft_pid ~thread_seq:ctx.dseq ~chans:pairs);
+  emit_tuple t "tuple.emit" ~ft_pid:ctx.ft_pid ~thread_seq:ctx.dseq ~chans:pairs;
   (match t.dig with
   | Some d ->
       Digest.section_end d ~ft_pid:ctx.ft_pid ~thread_seq:ctx.dseq
@@ -402,9 +410,8 @@ let det_end_secondary t =
         Digest.section_end d ~ft_pid:ctx.ft_pid ~thread_seq:ctx.dseq
           ~chans:pt.pt_chans ~payload:pt.pt_payload
     | _ -> ());
-    Evlog.emit (Engine.evlog t.eng) ~comp:"ft.det" "tuple.consume"
-      ~args:
-        (tuple_args ~ft_pid:ctx.ft_pid ~thread_seq:ctx.dseq ~chans:pt.pt_chans);
+    emit_tuple t "tuple.consume" ~ft_pid:ctx.ft_pid ~thread_seq:ctx.dseq
+      ~chans:pt.pt_chans;
     List.iter
       (fun (c, s) ->
         let st = chan_get t c in
@@ -470,8 +477,7 @@ let ctx_for_delivery t ft_pid =
       ctx
 
 let deliver_tuple t ~ft_pid ~thread_seq ~chans ~payload =
-  Evlog.emit (Engine.evlog t.eng) ~comp:"ft.det" "tuple.deliver"
-    ~args:(tuple_args ~ft_pid ~thread_seq ~chans);
+  emit_tuple t "tuple.deliver" ~ft_pid ~thread_seq ~chans;
   let ctx = ctx_for_delivery t ft_pid in
   Queue.add
     { pt_thread_seq = thread_seq; pt_chans = chans; pt_payload = payload }

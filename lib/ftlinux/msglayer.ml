@@ -193,8 +193,11 @@ let flush ?(ack_now = false) p =
         match take_batch p with
         | None -> ()
         | Some (base, n, records) ->
-            Evlog.emit (Engine.evlog p.p_eng) ~comp:"ft.msglayer" "frame.flush"
-              ~args:[ ("base_lsn", Evlog.Int base); ("count", Evlog.Int n) ];
+            let ev = Engine.evlog p.p_eng in
+            Evlog.begin_instant ev ~comp:"ft.msglayer" "frame.flush";
+            Evlog.arg_int ev "base_lsn" base;
+            Evlog.arg_int ev "count" n;
+            Evlog.close ev;
             let msg =
               match records with
               | [ record ] -> Wire.Record { lsn = base; ack_now; record }
@@ -212,15 +215,14 @@ let append p record =
     (match p.p_journal with Some j -> j lsn record | None -> ());
     Metrics.Counter.incr p.p_recs;
     Metrics.Counter.incr p.r_recs;
-    Evlog.emit (Engine.evlog p.p_eng) ~comp:"ft.msglayer" "record.append"
-      ~args:
-        (("lsn", Evlog.Int lsn)
-        :: ("kind", Evlog.Str (record_kind record))
-        ::
-        (match record with
-        | Wire.Sync_tuple { chans = (c, _) :: _; _ } ->
-            [ ("channel", Evlog.Int c) ]
-        | _ -> []));
+    let ev = Engine.evlog p.p_eng and kind = record_kind record in
+    Evlog.begin_instant ev ~comp:"ft.msglayer" "record.append";
+    Evlog.arg_int ev "lsn" lsn;
+    Evlog.arg_str ev "kind" kind;
+    (match record with
+    | Wire.Sync_tuple { chans = (c, _) :: _; _ } -> Evlog.arg_int ev "channel" c
+    | _ -> ());
+    Evlog.close ev;
     if p.batch.batch_records <= 1 then
       (* Unbatched: one frame per record, blocking on a full ring (the
          backpressure throttle). *)
@@ -336,13 +338,11 @@ let spawn_primary_rx p spawn =
                  chans;
                if upto > p.p_acked then begin
                  p.p_acked <- upto;
-                 Evlog.emit (Engine.evlog p.p_eng) ~comp:"ft.msglayer"
-                   "record.acked"
-                   ~args:
-                     [
-                       ("upto", Evlog.Int upto);
-                       ("chans", Evlog.Int (List.length chans));
-                     ];
+                 let ev = Engine.evlog p.p_eng and nchans = List.length chans in
+                 Evlog.begin_instant ev ~comp:"ft.msglayer" "record.acked";
+                 Evlog.arg_int ev "upto" upto;
+                 Evlog.arg_int ev "chans" nchans;
+                 Evlog.close ev;
                  ignore (Waitq.wake_all p.stable_waiters)
                end
            | Wire.Heartbeat _ -> ()
@@ -450,8 +450,9 @@ let send_ack s =
       s.s_last_acked <- s.s_received;
       cancel_ack_timer s;
       let ev = Engine.evlog s.s_eng in
-      Evlog.emit ev ~comp:"ft.msglayer" "record.ack"
-        ~args:[ ("upto", Evlog.Int s.s_received) ];
+      Evlog.begin_instant ev ~comp:"ft.msglayer" "record.ack";
+      Evlog.arg_int ev "upto" s.s_received;
+      Evlog.close ev;
       Evlog.counter ev ~comp:"ft.msglayer" "acked_lsn"
         (float_of_int s.s_received)
     end
@@ -487,12 +488,26 @@ let note_received s ~lsn record =
   if s.s_first < 0 then s.s_first <- lsn;
   match s.journal with Some j -> j lsn record | None -> ()
 
+(* Open a record's replay span, with its LSN; the caller adds any further
+   args and closes it. *)
+let open_replay_span s ~lsn =
+  let ev = Engine.evlog s.s_eng in
+  let sp = Evlog.begin_span ev ~comp:"ft.msglayer" "replay" in
+  Evlog.arg_int ev "lsn" lsn;
+  sp
+
+let batch_span s ~base_lsn ~count =
+  let ev = Engine.evlog s.s_eng in
+  let sp = Evlog.begin_span ev ~comp:"ft.msglayer" "replay.batch" in
+  Evlog.arg_int ev "base_lsn" base_lsn;
+  Evlog.arg_int ev "count" count;
+  Evlog.close ev;
+  sp
+
 let replay_one s ~lsn record =
   note_received s ~lsn record;
-  let sp =
-    Evlog.span_begin (Engine.evlog s.s_eng) ~comp:"ft.msglayer" "replay"
-      ~args:[ ("lsn", Evlog.Int lsn) ]
-  in
+  let sp = open_replay_span s ~lsn in
+  Evlog.close (Engine.evlog s.s_eng);
   (* Records that wake a replaying thread pay the wake_up_process()
      latency — the serial bottleneck the paper identifies (§4.1); TCP
      deltas are absorbed in this context at memcpy-ish cost. *)
@@ -517,15 +532,7 @@ let handle s msg =
          or not at all, and [processing] covers its full replay so a
          failover cannot observe a half-applied frame. *)
       s.processing <- true;
-      let sp =
-        Evlog.span_begin (Engine.evlog s.s_eng) ~comp:"ft.msglayer"
-          "replay.batch"
-          ~args:
-            [
-              ("base_lsn", Evlog.Int base_lsn);
-              ("count", Evlog.Int (List.length records));
-            ]
-      in
+      let sp = batch_span s ~base_lsn ~count:(List.length records) in
       List.iteri (fun i record -> replay_one s ~lsn:(base_lsn + i) record) records;
       Evlog.span_end (Engine.evlog s.s_eng) sp;
       s.processing <- false;
@@ -617,10 +624,8 @@ let dispatch_record s ~lsn record =
   else begin
     (* Inline TCP delta: dispatch order is LSN order, so any record behind
        this one observes the shadow-stream state it had on the primary. *)
-    let sp =
-      Evlog.span_begin (Engine.evlog s.s_eng) ~comp:"ft.msglayer" "replay"
-        ~args:[ ("lsn", Evlog.Int lsn) ]
-    in
+    let sp = open_replay_span s ~lsn in
+    Evlog.close (Engine.evlog s.s_eng);
     Engine.sleep s.delta_cost;
     s.handler record;
     Evlog.span_end (Engine.evlog s.s_eng) sp;
@@ -632,23 +637,17 @@ let dispatch_record s ~lsn record =
 (* One record, executor context: channel-tagged replay span, then the same
    wake_up_process() cost model as the serial drain. *)
 let replay_exec s ~exec ~lsn record =
-  let args =
-    ("lsn", Evlog.Int lsn)
-    :: ("executor", Evlog.Int exec)
-    ::
-    (match record with
+  let ev = Engine.evlog s.s_eng in
+  let channels =
+    match record with
     | Wire.Sync_tuple { chans; _ } ->
-        [
-          ( "channels",
-            Evlog.Str
-              (String.concat ","
-                 (List.map (fun (c, _) -> string_of_int c) chans)) );
-        ]
-    | _ -> [])
+        Some (String.concat "," (List.map (fun (c, _) -> string_of_int c) chans))
+    | _ -> None
   in
-  let sp =
-    Evlog.span_begin (Engine.evlog s.s_eng) ~comp:"ft.msglayer" "replay" ~args
-  in
+  let sp = open_replay_span s ~lsn in
+  Evlog.arg_int ev "executor" exec;
+  (match channels with Some c -> Evlog.arg_str ev "channels" c | None -> ());
+  Evlog.close ev;
   Engine.sleep s.replay_cost;
   s.handler record;
   Evlog.span_end (Engine.evlog s.s_eng) sp;
@@ -692,12 +691,7 @@ let dispatch_msg s msg =
          all-or-nothing replay guarantee. *)
       s.processing <- true;
       let count = List.length records in
-      let sp =
-        Evlog.span_begin (Engine.evlog s.s_eng) ~comp:"ft.msglayer"
-          "replay.batch"
-          ~args:
-            [ ("base_lsn", Evlog.Int base_lsn); ("count", Evlog.Int count) ]
-      in
+      let sp = batch_span s ~base_lsn ~count in
       List.iteri
         (fun i record -> dispatch_record s ~lsn:(base_lsn + i) record)
         records;

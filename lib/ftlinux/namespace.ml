@@ -240,10 +240,11 @@ let install_primary_tcp_hooks t stack =
     (match Det.digest (det_exn t) with
     | Some d -> Digest.mark_commit d ~lsn
     | None -> ());
-    Evlog.emit
-      (Engine.evlog (Kernel.engine t.kernel))
-      ~comp:"ft.namespace" "output.commit"
-      ~args:[ ("lsn", Evlog.Int lsn); ("gate", Evlog.Str gate) ]
+    let ev = Engine.evlog (Kernel.engine t.kernel) in
+    Evlog.begin_instant ev ~comp:"ft.namespace" "output.commit";
+    Evlog.arg_int ev "lsn" lsn;
+    Evlog.arg_str ev "gate" gate;
+    Evlog.close ev
   in
   Tcp.set_hooks stack
     (Some

@@ -50,10 +50,10 @@ let deliver_later t ~bytes v =
   let tok = t.next_token in
   t.next_token <- tok + 1;
   let ev = Engine.evlog t.eng in
-  let sp =
-    Evlog.span_begin ev ~comp:"hw.mailbox" "propagate"
-      ~args:[ ("token", Evlog.Int tok); ("bytes", Evlog.Int bytes) ]
-  in
+  let sp = Evlog.begin_span ev ~comp:"hw.mailbox" "propagate" in
+  Evlog.arg_int ev "token" tok;
+  Evlog.arg_int ev "bytes" bytes;
+  Evlog.close ev;
   let h =
     Engine.timer t.eng
       ~at:(Engine.now t.eng + t.cfg.propagation_delay)

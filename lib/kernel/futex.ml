@@ -93,8 +93,11 @@ let wake t a ~count =
   done;
   (match t.eng with
   | Some eng when !woken > 0 && Evlog.detail (Engine.evlog eng) ->
-      Evlog.emit (Engine.evlog eng) ~comp:"kernel.futex" "wake"
-        ~args:[ ("addr", Evlog.Int a); ("woken", Evlog.Int !woken) ]
+      let ev = Engine.evlog eng in
+      Evlog.begin_instant ev ~comp:"kernel.futex" "wake";
+      Evlog.arg_int ev "addr" a;
+      Evlog.arg_int ev "woken" !woken;
+      Evlog.close ev
   | _ -> ());
   !woken
 

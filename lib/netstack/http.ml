@@ -14,23 +14,22 @@ let refill r =
   | cs -> r.pending <- r.pending @ cs
 
 (* Header blocks are small and always literal strings, so materializing here
-   is cheap. *)
+   is cheap.  Each pass scans only what the last chunk added, from 3 bytes
+   back so a terminator split across chunks is found. *)
 let read_headers r =
   let buf = Buffer.create 256 in
-  let find_end () =
-    let s = Buffer.contents buf in
-    match String.index_opt s '\r' with
-    | _ ->
-        let rec scan i =
-          if i + 3 >= String.length s then None
-          else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r' && s.[i + 3] = '\n'
-          then Some i
-          else scan (i + 1)
-        in
-        scan 0
+  let rec find i =
+    if i + 3 >= Buffer.length buf then None
+    else if
+      Buffer.nth buf i = '\r'
+      && Buffer.nth buf (i + 1) = '\n'
+      && Buffer.nth buf (i + 2) = '\r'
+      && Buffer.nth buf (i + 3) = '\n'
+    then Some i
+    else find (i + 1)
   in
-  let rec loop () =
-    match find_end () with
+  let rec loop from =
+    match find from with
     | Some i ->
         let s = Buffer.contents buf in
         let headers = String.sub s 0 i in
@@ -39,57 +38,50 @@ let read_headers r =
           r.pending <- Payload.of_string rest :: r.pending;
         Some headers
     | None -> (
+        let from = max 0 (Buffer.length buf - 3) in
         match r.pending with
         | c :: rest ->
             r.pending <- rest;
             Buffer.add_string buf (Payload.chunk_to_string c);
-            loop ()
+            loop from
         | [] ->
-            if r.eof then (if Buffer.length buf = 0 then None else None)
+            if r.eof then None
             else begin
               refill r;
-              if r.eof && r.pending = [] then None else loop ()
+              if r.eof && r.pending = [] then None else loop from
             end)
   in
-  loop ()
+  loop 0
 
-let take_pending r n =
+(* Consume up to [n] bytes, folding [f] over them chunk by chunk (refilling
+   as needed) in stream order; stops early at end-of-stream. *)
+let consume r n f acc =
   let rec loop acc need =
-    if need = 0 then (List.rev acc, 0)
+    if need = 0 then acc
     else
       match r.pending with
-      | [] -> (List.rev acc, need)
       | c :: rest ->
           let cl = Payload.chunk_len c in
           if cl <= need then begin
             r.pending <- rest;
-            loop (c :: acc) (need - cl)
+            loop (f acc c) (need - cl)
           end
           else begin
             let hd, tl = Payload.split_chunk c need in
             r.pending <- tl :: rest;
-            loop (hd :: acc) 0
+            f acc hd
+          end
+      | [] ->
+          if r.eof then acc
+          else begin
+            refill r;
+            loop acc need
           end
   in
-  loop [] n
+  loop acc n
 
-let read_body r n =
-  let rec loop acc need =
-    if need = 0 then acc
-    else begin
-      let got, still = take_pending r need in
-      let acc = acc @ got in
-      if still = 0 then acc
-      else if r.eof then acc
-      else begin
-        refill r;
-        loop acc still
-      end
-    end
-  in
-  loop [] n
-
-let skip_body r n = Payload.total_len (read_body r n)
+let read_body r n = List.rev (consume r n (fun acc c -> c :: acc) [])
+let skip_body r n = consume r n (fun k c -> k + Payload.chunk_len c) 0
 
 let request ~meth ~target ?(headers = []) () =
   let hs =

@@ -162,13 +162,13 @@ let transmit s (pkt : Packet.t) =
   Metrics.Counter.incr s.m_segs_out;
   Metrics.Counter.add s.m_bytes_out (Packet.wire_size pkt);
   let ev = Engine.evlog s.env.Netenv.eng in
-  if Evlog.detail ev then
-    Evlog.emit ev ~comp:"net.tcp" "seg.tx"
-      ~args:
-        [
-          ("seq", Evlog.Int pkt.Packet.seq);
-          ("len", Evlog.Int (Packet.payload_len pkt));
-        ];
+  if Evlog.detail ev then begin
+    let len = Packet.payload_len pkt in
+    Evlog.begin_instant ev ~comp:"net.tcp" "seg.tx";
+    Evlog.arg_int ev "seq" pkt.Packet.seq;
+    Evlog.arg_int ev "len" len;
+    Evlog.close ev
+  end;
   match s.nic with
   | Some nic -> Nic.transmit nic pkt
   | None -> Trace.debugf log ~eng:s.env.Netenv.eng "tx with no NIC, dropped"
@@ -278,13 +278,12 @@ and arm_rto c =
              if snd_una c = last_una then begin
                Trace.debugf log ~eng "conn %d RTO: rewind %d -> %d" c.id
                  c.snd_nxt last_una;
-               Evlog.emit (Engine.evlog eng) ~comp:"net.tcp" "rto"
-                 ~args:
-                   [
-                     ("conn", Evlog.Int c.id);
-                     ("rewind_from", Evlog.Int c.snd_nxt);
-                     ("rewind_to", Evlog.Int last_una);
-                   ];
+               let ev = Engine.evlog eng in
+               Evlog.begin_instant ev ~comp:"net.tcp" "rto";
+               Evlog.arg_int ev "conn" c.id;
+               Evlog.arg_int ev "rewind_from" c.snd_nxt;
+               Evlog.arg_int ev "rewind_to" last_una;
+               Evlog.close ev;
                c.snd_nxt <- last_una;
                if c.fin_sent && not c.fin_acked then c.fin_sent <- false;
                wake_all c.send_wake
@@ -535,21 +534,17 @@ let handle_packet s (pkt : Packet.t) =
         c.peer_wnd <- pkt.Packet.window;
         establish c;
         let g_opt = Hashtbl.find_opt s.listeners c.local.Packet.port in
-        let shard_arg =
-          (* only multi-shard groups annotate the event, so shards=1 traces
-             stay byte-identical to the single-listener era *)
-          match g_opt with
-          | Some g when Array.length g.g_shards > 1 ->
-              [ ("shard", Evlog.Int (route_shard g ~remote:c.remote).shard) ]
-          | _ -> []
-        in
-        Evlog.emit (Engine.evlog s.env.Netenv.eng) ~comp:"net.tcp" "accept"
-          ~args:
-            ([
-               ("conn", Evlog.Int c.id);
-               ("port", Evlog.Int c.local.Packet.port);
-             ]
-            @ shard_arg);
+        let ev = Engine.evlog s.env.Netenv.eng in
+        Evlog.begin_instant ev ~comp:"net.tcp" "accept";
+        Evlog.arg_int ev "conn" c.id;
+        Evlog.arg_int ev "port" c.local.Packet.port;
+        (* only multi-shard groups annotate the event, so shards=1 traces
+           stay byte-identical to the single-listener era *)
+        (match g_opt with
+        | Some g when Array.length g.g_shards > 1 ->
+            Evlog.arg_int ev "shard" (route_shard g ~remote:c.remote).shard
+        | _ -> ());
+        Evlog.close ev;
         (match g_opt with
         | Some g ->
             let l = route_shard g ~remote:c.remote in
@@ -695,13 +690,12 @@ let connect s ~host ~port =
   let local = { Packet.host = s.s_ip; port = s.next_ephemeral } in
   let remote = { Packet.host = host; port } in
   let c = make_conn s ~local ~remote ~established:false () in
-  Evlog.emit (Engine.evlog s.env.Netenv.eng) ~comp:"net.tcp" "connect"
-    ~args:
-      [
-        ("conn", Evlog.Int c.id);
-        ("host", Evlog.Str host);
-        ("port", Evlog.Int port);
-      ];
+  let ev = Engine.evlog s.env.Netenv.eng in
+  Evlog.begin_instant ev ~comp:"net.tcp" "connect";
+  Evlog.arg_int ev "conn" c.id;
+  Evlog.arg_str ev "host" host;
+  Evlog.arg_int ev "port" port;
+  Evlog.close ev;
   transmit s (make_packet c ~flags:(Packet.flag ~syn:true ()) ~seq:0 ());
   (* SYN retransmission: a cancellable timer re-fires while unestablished
      (bounded attempts); the SYN-ACK cancels it instead of leaving a sleep

@@ -141,22 +141,26 @@ let disarm t th =
 let cancel h = disarm h.h_eng h.h_timer
 let timer_armed h = Twheel.is_armed h.h_timer
 
+(* Open a [proc.*] event with [p]'s pid and name; the caller closes it. *)
+let proc_event p name =
+  let ev = p.eng.evlog in
+  Evlog.begin_instant ev ~comp:"sim.engine" name;
+  Evlog.arg_int ev "pid" p.pid;
+  Evlog.arg_str ev "name" p.name
+
 let finish p reason =
   (match p.state with Exited _ -> assert false | _ -> ());
   p.state <- Exited reason;
   p.eng.live <- p.eng.live - 1;
-  Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.exit"
-    ~args:
-      [
-        ("pid", Evlog.Int p.pid);
-        ("name", Evlog.Str p.name);
-        ( "reason",
-          Evlog.Str
-            (match reason with
-            | Normal -> "normal"
-            | Killed -> "killed"
-            | Exn e -> Printexc.to_string e) );
-      ];
+  let why =
+    match reason with
+    | Normal -> "normal"
+    | Killed -> "killed"
+    | Exn e -> Printexc.to_string e
+  in
+  proc_event p "proc.exit";
+  Evlog.arg_str p.eng.evlog "reason" why;
+  Evlog.close p.eng.evlog;
   let ws = p.watchers in
   p.watchers <- [];
   List.iter (fun w -> w reason) ws
@@ -185,9 +189,12 @@ let resume p () =
 
 (* Park [p], whose continuation is already in [p.k]: a new generation. *)
 let park p =
-  if Evlog.detail p.eng.evlog then
-    Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.park"
-      ~args:[ ("pid", Evlog.Int p.pid) ];
+  let ev = p.eng.evlog in
+  if Evlog.detail ev then begin
+    Evlog.begin_instant ev ~comp:"sim.engine" "proc.park";
+    Evlog.arg_int ev "pid" p.pid;
+    Evlog.close ev
+  end;
   p.gen <- p.gen + 1;
   p.state <- Blocked
 
@@ -400,8 +407,8 @@ let spawn t ?(name = "proc") ?at f =
   in
   t.live <- t.live + 1;
   Metrics.Counter.incr t.c_spawned;
-  Evlog.emit t.evlog ~comp:"sim.engine" "proc.spawn"
-    ~args:[ ("pid", Evlog.Int p.pid); ("name", Evlog.Str p.name) ];
+  proc_event p "proc.spawn";
+  Evlog.close t.evlog;
   schedule t ~at (fun () ->
       match p.state with
       | Embryo when p.doomed -> finish p Killed
@@ -522,8 +529,8 @@ let kill p =
   match p.state with
   | Exited _ -> ()
   | _ ->
-      Evlog.emit p.eng.evlog ~comp:"sim.engine" "proc.kill"
-        ~args:[ ("pid", Evlog.Int p.pid); ("name", Evlog.Str p.name) ];
+      proc_event p "proc.kill";
+      Evlog.close p.eng.evlog;
       p.doomed <- true;
       match p.state with
       | Blocked -> claim p

@@ -113,17 +113,28 @@ let push s fresh =
   s.hi <- s.hi + 1;
   c
 
-(* Release every chunk before chunk number [k]; [clear] empties the one
-   kept as the spare. *)
+(* Stop holding chunk number [k]; [clear] empties it if it is kept as the
+   spare. *)
+let retire s k clear =
+  let i = k land (Array.length s.ring - 1) in
+  if s.spare == s.none then begin
+    clear s.ring.(i);
+    s.spare <- s.ring.(i)
+  end;
+  s.ring.(i) <- s.none
+
+(* Release every chunk before chunk number [k]. *)
 let release s k clear =
   while s.lo < k do
-    let i = s.lo land (Array.length s.ring - 1) in
-    if s.spare == s.none then begin
-      clear s.ring.(i);
-      s.spare <- s.ring.(i)
-    end;
-    s.ring.(i) <- s.none;
+    retire s s.lo clear;
     s.lo <- s.lo + 1
+  done
+
+(* Give back every chunk from chunk number [k] on, the newest first. *)
+let unpush s k clear =
+  while s.hi > k do
+    s.hi <- s.hi - 1;
+    retire s s.hi clear
   done
 
 let memo_size = 256
@@ -155,6 +166,16 @@ type t = {
      call sites pass literals, so a hit skips hashing the string. *)
   memo_key : string array;
   memo_id : int array;
+  (* The open event (see {2 The writer}): its header fields, its vocabulary
+     ids, and where its args start in each stream. *)
+  mutable o_open : bool;
+  mutable o_kc : int;
+  mutable o_comp : int;
+  mutable o_name : int;
+  mutable o_span : int;
+  mutable o_n : int;  (* args written so far *)
+  mutable o_w0 : int;
+  mutable o_s0 : int;
 }
 
 type span = {
@@ -197,6 +218,14 @@ let create ?(cap = default_cap) () =
     names = [||];
     memo_key = Array.make memo_size filler;
     memo_id = Array.make memo_size 0;
+    o_open = false;
+    o_kc = 0;
+    o_comp = 0;
+    o_name = 0;
+    o_span = 0;
+    o_n = 0;
+    o_w0 = 0;
+    o_s0 = 0;
   }
 
 let set_clock t f = t.clock <- f
@@ -227,29 +256,6 @@ let memo_index s =
       + (Char.code (String.unsafe_get s (n - 1)) * 1031)
     in
     (h lxor (h lsr 8)) land (memo_size - 1)
-
-let intern t s =
-  let h = memo_index s in
-  if t.memo_key.(h) == s then t.memo_id.(h)
-  else begin
-    let id =
-      match Hashtbl.find t.vocab s with
-      | id -> id
-      | exception Not_found ->
-          let id = Hashtbl.length t.vocab in
-          if id = Array.length t.names then begin
-            let names = Array.make (max 64 (2 * id)) "" in
-            Array.blit t.names 0 names 0 id;
-            t.names <- names
-          end;
-          t.names.(id) <- s;
-          Hashtbl.add t.vocab s id;
-          id
-    in
-    t.memo_key.(h) <- s;
-    t.memo_id.(h) <- id;
-    id
-  end
 
 (* {2 Slots} *)
 
@@ -317,30 +323,6 @@ let put_str t s =
   t.s_cur.(i) <- s;
   t.s_head <- p + 1
 
-let rec put_args t = function
-  | [] -> ()
-  | (k, v) :: rest ->
-      let key = intern t k lsl 3 in
-      (match v with
-      | Int i when i >= inline_min && i <= inline_max ->
-          put_word t ((i lsl 23) lor key lor tag_int)
-      | Int i ->
-          put_word t (key lor tag_wide);
-          put_word t i
-      | Float f ->
-          put_word t (key lor tag_float);
-          let off = reserve t in
-          set64 t.w_cur off (Int64.bits_of_float f)
-      | Bool b -> put_word t ((Bool.to_int b lsl 23) lor key lor tag_bool)
-      | Str s ->
-          (* The word goes first: a chunk it starts must mark the string
-             stream before this string, not after it. *)
-          let off = reserve t in
-          let rel = t.s_head - geti t.w_cur mark_off in
-          seti t.w_cur off ((rel lsl 23) lor key lor tag_str);
-          put_str t s);
-      put_args t rest
-
 (* Release the word and string chunks the oldest retained event no longer
    reaches. *)
 let release_behind t =
@@ -378,102 +360,7 @@ let set_capacity t cap =
     Bytes.blit kept (k * slot_bytes) (slot_chunk_w t k) (slot_off k) slot_bytes
   done
 
-(* {2 Recording} *)
-
-let subscribe t f =
-  t.next_sub <- t.next_sub + 1;
-  t.subs <- t.subs @ [ (t.next_sub, f) ];
-  t.next_sub
-
-let unsubscribe t token = t.subs <- List.filter (fun (k, _) -> k <> token) t.subs
-
-let rec notify ev = function
-  | [] -> ()
-  | (_, f) :: rest ->
-      f ev;
-      notify ev rest
-
-let kind_of kc v =
-  match kc with
-  | 0 -> Instant
-  | 1 -> Span_begin
-  | 2 -> Span_end
-  | 3 -> Counter v
-  | 4 -> Log Error
-  | 5 -> Log Warn
-  | 6 -> Log Info
-  | _ -> Log Debug
-
-(* Append one event to the ring; [v] is a counter's value, [span] the span
-   id of a begin or end. *)
-let store t ~seq ~at ~comp ~name ~kc ~v ~span args =
-  let comp_id = intern t comp and name_id = intern t name in
-  (* In a full ring, the slot to write is the oldest event's. *)
-  let j = t.next_ring mod t.cap in
-  if t.next_ring - t.first = t.cap then begin
-    evict_oldest t j;
-    drop t 1
-  end;
-  let w0 = t.w_head in
-  put_args t args;
-  let c = slot_chunk_w t j and off = slot_off j in
-  seti c off seq;
-  seti c (off + 8) at;
-  seti c (off + 16)
-    (((t.w_head - w0) lsl 43) lor (name_id lsl 23) lor (comp_id lsl 3) lor kc);
-  if kc = kc_counter then set64 c (off + 24) (Int64.bits_of_float v)
-  else seti c (off + 24) span;
-  t.next_ring <- t.next_ring + 1
-
-(* Refuse an event the ring could not store, before anything counts it. *)
-let check_room t ~pin args =
-  if not pin then begin
-    let n = List.length args in
-    if n > max_args || Hashtbl.length t.vocab + n + 2 > field_max + 1 then
-      invalid_arg "Evlog: event has too many args, or the vocabulary is full"
-  end
-
-let record t ~pin ~comp ~name ~kc ~v ~span args =
-  check_room t ~pin args;
-  let seq = t.next_seq + 1 in
-  t.next_seq <- seq;
-  let at = t.clock () in
-  if pin || t.subs != [] then begin
-    let ev = { seq; at; comp; name; kind = kind_of kc v; span; args } in
-    notify ev t.subs;
-    if pin then t.pinned <- ev :: t.pinned
-    else store t ~seq ~at ~comp ~name ~kc ~v ~span args
-  end
-  else store t ~seq ~at ~comp ~name ~kc ~v ~span args
-
-let emit t ?(pin = false) ?(args = []) ~comp name =
-  record t ~pin ~comp ~name ~kc:kc_instant ~v:0. ~span:0 args
-
-let span_begin t ?(pin = false) ?(args = []) ~comp name =
-  (* The id is taken, and [span_end] closes the span, before [record],
-     whose subscribers may open and close spans themselves. *)
-  check_room t ~pin args;
-  t.next_span <- t.next_span + 1;
-  let id = t.next_span in
-  record t ~pin ~comp ~name ~kc:kc_begin ~v:0. ~span:id args;
-  { sp_id = id; sp_comp = comp; sp_name = name; sp_pin = pin; sp_open = true }
-
-let span_end t ?(args = []) sp =
-  if sp.sp_open then begin
-    check_room t ~pin:sp.sp_pin args;
-    sp.sp_open <- false;
-    record t ~pin:sp.sp_pin ~comp:sp.sp_comp ~name:sp.sp_name ~kc:kc_end ~v:0.
-      ~span:sp.sp_id args
-  end
-
-let counter t ?(args = []) ~comp name v =
-  record t ~pin:false ~comp ~name ~kc:kc_counter ~v ~span:0 args
-
-let log t ~comp lvl msg =
-  record t ~pin:false ~comp ~name:"log" ~kc:(kc_log lvl) ~v:0. ~span:0
-    [ ("msg", Str msg) ]
-
-(* {2 Reading} *)
+(* {2 Decoding} *)
 
 let word_at t p =
   geti (chunk t.words (p lsr word_bits)) ((p land (word_n - 1)) lsl 3)
@@ -501,6 +388,17 @@ let[@tail_mod_cons] rec decode_args t p stop =
         (key, Str (str_at t (geti c mark_off + (w asr 23))))
         :: decode_args t (p + 1) stop
 
+let kind_of kc v =
+  match kc with
+  | 0 -> Instant
+  | 1 -> Span_begin
+  | 2 -> Span_end
+  | 3 -> Counter v
+  | 4 -> Log Error
+  | 5 -> Log Warn
+  | 6 -> Log Info
+  | _ -> Log Debug
+
 (* Ring event [i], whose arg words start at [p]. *)
 let decode t i p =
   let j = i mod t.cap in
@@ -517,6 +415,237 @@ let decode t i p =
     span = (if kc = kc_begin || kc = kc_end then Int64.to_int x else 0);
     args = decode_args t p (p + nwords h);
   }
+
+(* {2 Subscribers} *)
+
+let subscribe t f =
+  t.next_sub <- t.next_sub + 1;
+  t.subs <- t.subs @ [ (t.next_sub, f) ];
+  t.next_sub
+
+let unsubscribe t token = t.subs <- List.filter (fun (k, _) -> k <> token) t.subs
+
+let rec notify ev = function
+  | [] -> ()
+  | (_, f) :: rest ->
+      f ev;
+      notify ev rest
+
+(* {2 The writer}
+
+   Every ring event is written here, in three steps: [open_event] takes the
+   comp and name ids, each arg goes straight into the word stream (and a
+   [Str] value into the string stream), and [commit] takes the seq and the
+   clock, evicts the oldest event if the ring is full and fills the slot.
+   Only then are subscribers told, with a record decoded from the ring: one
+   that emits finds no event open and appends after this one.
+
+   An arg that would overflow the vocabulary or the event's arg count takes
+   back the words and strings written since the event opened before it
+   raises, so a refused event records nothing.  The span id of a begin is
+   [next_span + 1] from the start, and taken at commit: no other event can
+   open in between. *)
+
+let no_event () = invalid_arg "Evlog: no event is open"
+
+let check_closed t =
+  if t.o_open then invalid_arg "Evlog: an event is already open"
+
+(* Take back what the open event wrote, and close it. *)
+let abandon t =
+  t.o_open <- false;
+  for p = t.o_s0 to t.s_head - 1 do
+    (chunk t.strs (p lsr str_bits)).(p land (str_n - 1)) <- ""
+  done;
+  t.w_head <- t.o_w0;
+  t.s_head <- t.o_s0;
+  unpush t.words ((t.w_head + word_n - 1) lsr word_bits) ignore;
+  unpush t.strs ((t.s_head + str_n - 1) lsr str_bits) clear_strs;
+  if t.w_head land (word_n - 1) <> 0 then
+    t.w_cur <- chunk t.words (t.w_head lsr word_bits);
+  if t.s_head land (str_n - 1) <> 0 then
+    t.s_cur <- chunk t.strs (t.s_head lsr str_bits)
+
+let refuse t =
+  if t.o_open then abandon t;
+  invalid_arg "Evlog: event has too many args, or the vocabulary is full"
+
+(* The id of [s], interned if it is new: a full vocabulary refuses the
+   event. *)
+let intern t s =
+  let h = memo_index s in
+  if t.memo_key.(h) == s then t.memo_id.(h)
+  else begin
+    let id =
+      match Hashtbl.find t.vocab s with
+      | id -> id
+      | exception Not_found ->
+          let id = Hashtbl.length t.vocab in
+          if id > field_max then refuse t;
+          if id = Array.length t.names then begin
+            let names = Array.make (max 64 (2 * id)) "" in
+            Array.blit t.names 0 names 0 id;
+            t.names <- names
+          end;
+          t.names.(id) <- s;
+          Hashtbl.add t.vocab s id;
+          id
+    in
+    t.memo_key.(h) <- s;
+    t.memo_id.(h) <- id;
+    id
+  end
+
+let open_event t ~comp ~name ~kc ~span =
+  check_closed t;
+  let comp_id = intern t comp in
+  let name_id = intern t name in
+  t.o_kc <- kc;
+  t.o_comp <- comp_id;
+  t.o_name <- name_id;
+  t.o_span <- span;
+  t.o_n <- 0;
+  t.o_w0 <- t.w_head;
+  t.o_s0 <- t.s_head;
+  t.o_open <- true
+
+(* The key field of the open event's next arg. *)
+let arg_key t k =
+  if not t.o_open then no_event ();
+  if t.o_n = max_args then refuse t;
+  t.o_n <- t.o_n + 1;
+  intern t k lsl 3
+
+let arg_int t k i =
+  let key = arg_key t k in
+  if i >= inline_min && i <= inline_max then put_word t ((i lsl 23) lor key lor tag_int)
+  else begin
+    put_word t (key lor tag_wide);
+    put_word t i
+  end
+
+let arg_str t k s =
+  let key = arg_key t k in
+  (* The word goes first: a chunk it starts must mark the string stream
+     before this string, not after it. *)
+  let off = reserve t in
+  let rel = t.s_head - geti t.w_cur mark_off in
+  seti t.w_cur off ((rel lsl 23) lor key lor tag_str);
+  put_str t s
+
+let arg_float t k f =
+  let key = arg_key t k in
+  put_word t (key lor tag_float);
+  let off = reserve t in
+  set64 t.w_cur off (Int64.bits_of_float f)
+
+let arg_bool t k b =
+  let key = arg_key t k in
+  put_word t ((Bool.to_int b lsl 23) lor key lor tag_bool)
+
+(* Close the open event into the ring; [v] is a counter's value. *)
+let commit t v =
+  if not t.o_open then no_event ();
+  t.o_open <- false;
+  let seq = t.next_seq + 1 in
+  t.next_seq <- seq;
+  if t.o_kc = kc_begin then t.next_span <- t.o_span;
+  let at = t.clock () in
+  (* In a full ring, the slot to write is the oldest event's. *)
+  let j = t.next_ring mod t.cap in
+  if t.next_ring - t.first = t.cap then begin
+    evict_oldest t j;
+    drop t 1
+  end;
+  let c = slot_chunk_w t j and off = slot_off j in
+  seti c off seq;
+  seti c (off + 8) at;
+  seti c (off + 16)
+    (((t.w_head - t.o_w0) lsl 43) lor (t.o_name lsl 23) lor (t.o_comp lsl 3) lor t.o_kc);
+  if t.o_kc = kc_counter then set64 c (off + 24) (Int64.bits_of_float v)
+  else seti c (off + 24) t.o_span;
+  t.next_ring <- t.next_ring + 1;
+  if t.subs != [] then notify (decode t (t.next_ring - 1) t.o_w0) t.subs
+
+let close t = commit t 0.
+
+let begin_instant t ~comp name = open_event t ~comp ~name ~kc:kc_instant ~span:0
+
+let begin_span t ~comp name =
+  open_event t ~comp ~name ~kc:kc_begin ~span:(t.next_span + 1);
+  { sp_id = t.o_span; sp_comp = comp; sp_name = name; sp_pin = false; sp_open = true }
+
+(* {2 Recording from arg lists} *)
+
+let rec put_args t = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      (match v with
+      | Int i -> arg_int t k i
+      | Str s -> arg_str t k s
+      | Float f -> arg_float t k f
+      | Bool b -> arg_bool t k b);
+      put_args t rest
+
+(* A pinned event is kept as its record, outside the ring, and never
+   refused. *)
+let pin_event t ~comp ~name ~kind ~span args =
+  check_closed t;
+  let seq = t.next_seq + 1 in
+  t.next_seq <- seq;
+  let ev = { seq; at = t.clock (); comp; name; kind; span; args } in
+  t.pinned <- ev :: t.pinned;
+  notify ev t.subs
+
+let emit t ?(pin = false) ?(args = []) ~comp name =
+  if pin then pin_event t ~comp ~name ~kind:Instant ~span:0 args
+  else begin
+    begin_instant t ~comp name;
+    put_args t args;
+    close t
+  end
+
+let span_begin t ?(pin = false) ?(args = []) ~comp name =
+  if pin then begin
+    check_closed t;
+    (* The id is taken before the subscribers run: they may open spans. *)
+    t.next_span <- t.next_span + 1;
+    let id = t.next_span in
+    pin_event t ~comp ~name ~kind:Span_begin ~span:id args;
+    { sp_id = id; sp_comp = comp; sp_name = name; sp_pin = true; sp_open = true }
+  end
+  else begin
+    let sp = begin_span t ~comp name in
+    put_args t args;
+    close t;
+    sp
+  end
+
+let span_end t ?(args = []) sp =
+  if sp.sp_open then
+    if sp.sp_pin then begin
+      sp.sp_open <- false;
+      pin_event t ~comp:sp.sp_comp ~name:sp.sp_name ~kind:Span_end ~span:sp.sp_id args
+    end
+    else begin
+      open_event t ~comp:sp.sp_comp ~name:sp.sp_name ~kc:kc_end ~span:sp.sp_id;
+      put_args t args;
+      (* Closed before the subscribers run, which may close it again. *)
+      sp.sp_open <- false;
+      close t
+    end
+
+let counter t ?(args = []) ~comp name v =
+  open_event t ~comp ~name ~kc:kc_counter ~span:0;
+  put_args t args;
+  commit t v
+
+let log t ~comp lvl msg =
+  open_event t ~comp ~name:"log" ~kc:(kc_log lvl) ~span:0;
+  arg_str t "msg" msg;
+  close t
+
+(* {2 Reading} *)
 
 (* Newest to oldest, consing: the list comes out in seq order. *)
 let events t =

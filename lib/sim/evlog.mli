@@ -57,9 +57,9 @@ val create : ?cap:int -> unit -> t
     A 3-arg event thus costs 56 bytes.  Comps, names and arg keys are
     interned in a vocabulary the log owns; [Str] values are not.  The
     vocabulary holds up to [2^20] strings and an event carries fewer than
-    [2^19] args: an emission that could exceed either raises
+    [2^19] args: an emission that would exceed either raises
     [Invalid_argument] and records nothing.  Pinned events are kept as
-    {!event} records.
+    {!event} records and never refused.
     The clock reads as 0 until {!set_clock}. *)
 
 val set_clock : t -> (unit -> Time.t) -> unit
@@ -115,11 +115,57 @@ val log : t -> comp:string -> level -> string -> unit
 (** Record a log line as an event; used by [Trace] so human logs and machine
     traces are one stream. *)
 
+(** {2 The writer}
+
+    Every ring event is written by one writer, which puts each arg straight
+    into the ring: open an event, add its args in order, close it.  What each
+    entry point allocates on the OCaml heap, with no subscriber attached:
+    - [begin_instant], [arg_int], [arg_str], [arg_bool] and [close]:
+      nothing; [arg_float]: nothing beyond its boxed argument;
+    - [begin_span]: the 6-word {!span};
+    - [emit], [span_begin], [span_end] and [counter] with [~args]: what the
+      call site builds, 8 words per arg (a list cell, a pair and the value's
+      box) and 2 for the [Some] of [?args]; the log then copies it into the
+      ring and keeps none of it.  [log]: nothing beyond its message.
+    Use the writer where an event fires once per record, message or
+    segment; the [~args] forms where it is rare.
+
+    Compute every arg before opening the event: nothing may record into the
+    same log while an event is open, and opening a second one raises
+    [Invalid_argument].  Subscribers run after {!close}, so one that emits
+    records after the event it was handed.  An arg that would overflow the
+    vocabulary or the event's arg count (see {!create}) raises
+    [Invalid_argument] and takes back the whole event: nothing is recorded
+    and the log is ready for the next one.  A writer event cannot be
+    pinned. *)
+
+val begin_instant : t -> comp:string -> string -> unit
+(** Open an instant event. *)
+
+val begin_span : t -> comp:string -> string -> span
+(** Open the begin event of a span; close the span later with {!span_end}.
+    If the event is refused, the span is never recorded: do not end it. *)
+
+val arg_int : t -> string -> int -> unit
+(** Add an int arg to the open event. *)
+
+val arg_str : t -> string -> string -> unit
+(** Add a string arg to the open event. *)
+
+val arg_float : t -> string -> float -> unit
+val arg_bool : t -> string -> bool -> unit
+
+val close : t -> unit
+(** Record the open event: it takes its seq and the clock now, and the
+    subscribers see it. *)
+
 (** {1 Subscribers} *)
 
 val subscribe : t -> (event -> unit) -> int
-(** Register a callback invoked synchronously on every recorded event
-    (before any eviction).  Returns a token for {!unsubscribe}. *)
+(** Register a callback invoked synchronously on every recorded event, once
+    it is recorded and before any later event can evict it.  A ring event's
+    record is decoded from the ring, so it equals what {!events} returns.
+    Returns a token for {!unsubscribe}. *)
 
 val unsubscribe : t -> int -> unit
 

@@ -40,80 +40,104 @@ let stream_hash h cs =
           String.fold_left (fun h ch -> (h * hash_r) + Char.code ch) h s)
     h cs
 
-module Buf = struct
-  type t = { q : chunk Queue.t; mutable len : int; mutable base : int }
+(* The [n] bytes of [c] from byte [off]: [c] itself when that is all of it. *)
+let sub c off n =
+  if off = 0 && n = chunk_len c then c
+  else match c with Zero _ -> Zero n | Str s -> Str (String.sub s off n)
 
-  let create ?(base = 0) () = { q = Queue.create (); len = 0; base }
+module Buf = struct
+  (* A ring of chunks, [count] of them from [ring.(head)], of which the
+     first [skip] bytes are already consumed.  Empty slots hold [none]. *)
+  type t = {
+    mutable ring : chunk array;  (* length 0 or a power of two *)
+    mutable head : int;
+    mutable count : int;
+    mutable skip : int;
+    mutable len : int;
+    mutable base : int;
+  }
+
+  let none = Zero 0
+
+  let create ?(base = 0) () =
+    { ring = [||]; head = 0; count = 0; skip = 0; len = 0; base }
 
   let length t = t.len
   let base t = t.base
   let limit t = t.base + t.len
+  let nth t k = t.ring.((t.head + k) land (Array.length t.ring - 1))
 
-  let append t c = if chunk_len c > 0 then begin
-      Queue.push c t.q;
-      t.len <- t.len + chunk_len c
+  let append t c =
+    let cl = chunk_len c in
+    if cl > 0 then begin
+      let n = Array.length t.ring in
+      if t.count = n then begin
+        let ring = Array.make (max 4 (2 * n)) none in
+        for k = 0 to t.count - 1 do
+          ring.(k) <- nth t k
+        done;
+        t.ring <- ring;
+        t.head <- 0
+      end;
+      t.ring.((t.head + t.count) land (Array.length t.ring - 1)) <- c;
+      t.count <- t.count + 1;
+      t.len <- t.len + cl
     end
 
-  let take t n =
-    let n = min n t.len in
-    let rec loop acc remaining =
-      if remaining = 0 then List.rev acc
-      else
-        match Queue.take_opt t.q with
-        | None -> List.rev acc
-        | Some c ->
-            let cl = chunk_len c in
-            if cl <= remaining then loop (c :: acc) (remaining - cl)
-            else begin
-              let hd, tl = split_chunk c remaining in
-              (* Preserve FIFO: the tail goes back to the front. *)
-              let rest = Queue.create () in
-              Queue.push tl rest;
-              Queue.transfer t.q rest;
-              Queue.transfer rest t.q;
-              loop (hd :: acc) 0
-            end
-    in
-    let out = loop [] n in
+  (* Consume [n] bytes of the first chunk, which has that many left. *)
+  let advance t n =
     t.len <- t.len - n;
     t.base <- t.base + n;
-    out
+    if t.skip + n = chunk_len t.ring.(t.head) then begin
+      t.ring.(t.head) <- none;
+      t.head <- (t.head + 1) land (Array.length t.ring - 1);
+      t.count <- t.count - 1;
+      t.skip <- 0
+    end
+    else t.skip <- t.skip + n
 
-  let drop_to t off =
-    let n = max 0 (min (off - t.base) t.len) in
-    ignore (take t n)
+  let[@tail_mod_cons] rec take_n t n =
+    if n = 0 then []
+    else
+      let c = t.ring.(t.head) in
+      let k = min n (chunk_len c - t.skip) in
+      let piece = sub c t.skip k in
+      advance t k;
+      piece :: take_n t (n - k)
+
+  let take t n = take_n t (min n t.len)
+
+  let rec drop t n =
+    if n > 0 then begin
+      let k = min n (chunk_len t.ring.(t.head) - t.skip) in
+      advance t k;
+      drop t (n - k)
+    end
+
+  let drop_to t off = drop t (max 0 (min (off - t.base) t.len))
+
+  (* [want] bytes from chunk [k], starting [off] bytes into it. *)
+  let[@tail_mod_cons] rec collect t k off want =
+    if want = 0 then []
+    else
+      let c = nth t k in
+      let cl = chunk_len c in
+      if off >= cl then collect t (k + 1) (off - cl) want
+      else
+        let n = min (cl - off) want in
+        sub c off n :: collect t (k + 1) 0 (want - n)
 
   let peek_range t ~off ~len =
     let start = max t.base off in
     let stop = min (limit t) (off + len) in
-    if stop <= start then []
-    else begin
-      (* Walk the queue copying the requested window. *)
-      let skip = ref (start - t.base) in
-      let want = ref (stop - start) in
-      let acc = ref [] in
-      Queue.iter
-        (fun c ->
-          if !want > 0 then begin
-            let cl = chunk_len c in
-            if !skip >= cl then skip := !skip - cl
-            else begin
-              let usable = cl - !skip in
-              let c = if !skip > 0 then snd (split_chunk c !skip) else c in
-              skip := 0;
-              let c =
-                if usable > !want then fst (split_chunk c !want) else c
-              in
-              want := !want - min usable !want;
-              acc := c :: !acc
-            end
-          end)
-        t.q;
-      List.rev !acc
-    end
+    if stop <= start then [] else collect t 0 (t.skip + start - t.base) (stop - start)
 
   let to_string t =
     let acc = Buffer.create (min t.len 4096) in
-    Queue.iter (fun c -> Buffer.add_string acc (chunk_to_string c)) t.q;
+    for k = 0 to t.count - 1 do
+      let c = nth t k in
+      let off = if k = 0 then t.skip else 0 in
+      Buffer.add_string acc (chunk_to_string (sub c off (chunk_len c - off)))
+    done;
     Buffer.contents acc
 end

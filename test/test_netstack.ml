@@ -79,6 +79,98 @@ let prop_payload_buf_append_take =
       drain ();
       Buffer.contents out = all)
 
+(* A chunk-list model of [Buf]: [take] splits the head chunk and keeps its
+   tail, [peek_range] splits at the window's edges.  The buffer must return
+   the same chunks, split at the same bytes, and agree on every offset. *)
+module Ref_buf = struct
+  type t = { mutable cs : Payload.chunk list; mutable base : int }
+
+  let length t = Payload.total_len t.cs
+
+  let append t c = if Payload.chunk_len c > 0 then t.cs <- t.cs @ [ c ]
+
+  let take t n =
+    let rec go n = function
+      | c :: rest when n > 0 ->
+          let cl = Payload.chunk_len c in
+          if cl <= n then
+            let taken, left = go (n - cl) rest in
+            (c :: taken, left)
+          else
+            let hd, tl = Payload.split_chunk c n in
+            ([ hd ], tl :: rest)
+      | cs -> ([], cs)
+    in
+    let n = min n (length t) in
+    let taken, left = go n t.cs in
+    t.cs <- left;
+    t.base <- t.base + n;
+    taken
+
+  let drop_to t off = ignore (take t (max 0 (min (off - t.base) (length t))))
+
+  let peek_range t ~off ~len =
+    let start = max t.base off and stop = min (t.base + length t) (off + len) in
+    let rec go skip want = function
+      | c :: rest when want > 0 ->
+          let cl = Payload.chunk_len c in
+          if skip >= cl then go (skip - cl) want rest
+          else
+            let c = if skip > 0 then snd (Payload.split_chunk c skip) else c in
+            let n = min (cl - skip) want in
+            let c = if n < cl - skip then fst (Payload.split_chunk c n) else c in
+            c :: go 0 (want - n) rest
+      | _ -> []
+    in
+    if stop <= start then [] else go (start - t.base) (stop - start) t.cs
+end
+
+type buf_op =
+  | B_append of bool * string  (* synthetic zeroes of that length, or the string *)
+  | B_take of int
+  | B_drop of int  (* to [base + n] *)
+  | B_peek of int * int  (* from [base + off] *)
+
+let buf_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map2 (fun z s -> B_append (z, s)) bool (string_size ~gen:printable (int_range 0 9)));
+        (2, map (fun n -> B_take n) (int_range 0 25));
+        (2, map (fun n -> B_drop n) (int_range (-3) 25));
+        (3, map2 (fun o l -> B_peek (o, l)) (int_range (-4) 30) (int_range 0 30));
+      ])
+
+let prop_payload_buf_matches_model =
+  QCheck.Test.make ~name:"Buf matches the chunk-list model" ~count:300
+    QCheck.(pair small_nat (make Gen.(list_size (int_range 0 60) buf_op_gen)))
+    (fun (base, ops) ->
+      let b = Payload.Buf.create ~base () and m = { Ref_buf.cs = []; base } in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | B_append (z, s) ->
+                let c = if z then Payload.zeroes (String.length s) else Payload.of_string s in
+                Payload.Buf.append b c;
+                Ref_buf.append m c;
+                true
+            | B_take n -> Payload.Buf.take b n = Ref_buf.take m n
+            | B_drop n ->
+                Payload.Buf.drop_to b (m.Ref_buf.base + n);
+                Ref_buf.drop_to m (m.Ref_buf.base + n);
+                true
+            | B_peek (o, len) ->
+                let off = m.Ref_buf.base + o in
+                Payload.Buf.peek_range b ~off ~len = Ref_buf.peek_range m ~off ~len
+          in
+          same
+          && Payload.Buf.base b = m.Ref_buf.base
+          && Payload.Buf.length b = Ref_buf.length m
+          && Payload.Buf.limit b = m.Ref_buf.base + Ref_buf.length m
+          && Payload.Buf.to_string b = Payload.concat_to_string m.Ref_buf.cs)
+        ops)
+
 (* {1 Link} *)
 
 let test_link_latency_and_serialization () =
@@ -813,6 +905,37 @@ let test_http_large_body_zero_copy () =
   in
   Alcotest.(check int) "full body streamed" 5_000_000 v
 
+(* A response that arrives one byte per read: the header is found, the body
+   comes back as the very chunks that arrived, and each chunk costs a
+   bounded number of words however many came before it. *)
+let test_http_one_byte_chunks () =
+  let n = 10_000 in
+  let head = Http.response_header ~content_length:n () in
+  let body = List.init n (fun i -> Payload.of_string (String.make 1 (Char.chr (i land 127)))) in
+  let bytes = List.init (String.length head) (fun i -> Payload.of_string (String.make 1 head.[i])) in
+  let reader () =
+    let feed = ref (bytes @ body) in
+    Http.reader_fn (fun _max ->
+        match !feed with
+        | c :: rest ->
+            feed := rest;
+            [ c ]
+        | [] -> [])
+  in
+  let r = reader () in
+  Alcotest.(check (option int)) "header found" (Some n)
+    (Option.bind (Http.read_headers r) Http.content_length);
+  let w0 = Gc.minor_words () in
+  let got = Http.read_body r n in
+  let per_chunk = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "the chunks that arrived, in order" true
+    (List.length got = n && List.for_all2 ( == ) got body);
+  if per_chunk > 32. then Alcotest.failf "%.1f words per chunk read" per_chunk;
+  let r = reader () in
+  ignore (Http.read_headers r);
+  Alcotest.(check int) "skip counts every byte" n (Http.skip_body r (n + 5));
+  Alcotest.(check (list int)) "nothing left" [] (List.map Payload.chunk_len (Http.read_body r 1))
+
 let () =
   Alcotest.run "netstack"
     [
@@ -823,6 +946,7 @@ let () =
           Alcotest.test_case "buf peek range" `Quick test_payload_buf_peek_range;
           Alcotest.test_case "buf drop_to" `Quick test_payload_buf_drop_to;
           QCheck_alcotest.to_alcotest prop_payload_buf_append_take;
+          QCheck_alcotest.to_alcotest prop_payload_buf_matches_model;
         ] );
       ( "link",
         [
@@ -873,5 +997,6 @@ let () =
         [
           Alcotest.test_case "request/response" `Quick test_http_request_response;
           Alcotest.test_case "large body" `Quick test_http_large_body_zero_copy;
+          Alcotest.test_case "one-byte chunks" `Quick test_http_one_byte_chunks;
         ] );
     ]

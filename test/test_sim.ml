@@ -1525,9 +1525,31 @@ let e_big_args n =
         | 3 -> Evlog.Str (string_of_int j)
         | _ -> Evlog.Bool (j land 8 = 0) ))
 
+(* The writer's form of [emit ~args] and [span_begin ~args]: one call per
+   arg. *)
+let e_put t (k, v) =
+  match v with
+  | Evlog.Int i -> Evlog.arg_int t k i
+  | Evlog.Str s -> Evlog.arg_str t k s
+  | Evlog.Float f -> Evlog.arg_float t k f
+  | Evlog.Bool b -> Evlog.arg_bool t k b
+
+let e_write t ~comp name args =
+  Evlog.begin_instant t ~comp name;
+  List.iter (e_put t) args;
+  Evlog.close t
+
+let e_write_span t ~comp name args =
+  let sp = Evlog.begin_span t ~comp name in
+  List.iter (e_put t) args;
+  Evlog.close t;
+  sp
+
 (* Run a script through the log and the model side by side; return the
-   log, the model and what the log's subscriber saw, by seq. *)
-let e_run (cap, ops) =
+   log, the model and what the log's subscriber saw, by seq.  With
+   [~writer:true], every ring instant and span begin goes through the
+   writer. *)
+let e_run ?(writer = false) (cap, ops) =
   let now = ref 0 in
   let t = Evlog.create ~cap () in
   Evlog.set_clock t (fun () -> !now);
@@ -1539,11 +1561,15 @@ let e_run (cap, ops) =
     (function
       | E_emit (pin, c, n, a) ->
           let c = e_string c and n = e_string n and a = e_args a in
-          Evlog.emit t ~pin ~args:a ~comp:c n;
+          if writer && not pin then e_write t ~comp:c n a
+          else Evlog.emit t ~pin ~args:a ~comp:c n;
           Ref_log.emit m ~pin ~comp:c n a
       | E_begin (pin, c, n, a) ->
           let c = e_string c and n = e_string n and a = e_args a in
-          let sp = Evlog.span_begin t ~pin ~args:a ~comp:c n in
+          let sp =
+            if writer && not pin then e_write_span t ~comp:c n a
+            else Evlog.span_begin t ~pin ~args:a ~comp:c n
+          in
           let msp = Ref_log.span_begin m ~pin ~comp:c n a in
           spans := Array.append !spans [| (sp, msp) |]
       | E_end (i, a) ->
@@ -1564,13 +1590,15 @@ let e_run (cap, ops) =
       | E_burst (k, a) ->
           for _ = 1 to k do
             let a = e_args a in
-            Evlog.emit t ~args:a ~comp:"burst" "b";
+            if writer then e_write t ~comp:"burst" "b" a
+            else Evlog.emit t ~args:a ~comp:"burst" "b";
             Ref_log.emit m ~pin:false ~comp:"burst" "b" a;
             incr now
           done
       | E_big n ->
           let a = e_big_args n in
-          Evlog.emit t ~args:a ~comp:"big" "event";
+          if writer then e_write t ~comp:"big" "event" a
+          else Evlog.emit t ~args:a ~comp:"big" "event";
           Ref_log.emit m ~pin:false ~comp:"big" "event" a
       | E_cap c ->
           Evlog.set_capacity t c;
@@ -1580,8 +1608,8 @@ let e_run (cap, ops) =
   (t, m, seen)
 
 (* Where the log and the model disagree on a script, or [None]. *)
-let e_disagreement script =
-  let t, m, seen = e_run script in
+let e_disagreement ?writer script =
+  let t, m, seen = e_run ?writer script in
   let evs = Evlog.events t in
   let checks =
     [
@@ -1749,6 +1777,128 @@ let test_evlog_refuses_oversized_event () =
   Alcotest.(check (list (pair int int))) "seqs and span ids stay dense"
     [ (1, 0); (2, 1); (3, 1) ]
     (List.map (fun e -> (e.Evlog.seq, e.Evlog.span)) (Evlog.events t))
+
+(* {2 The writer} *)
+
+let prop_evlog_writer_matches_model =
+  QCheck.Test.make ~name:"the writer matches the record model" ~count:200
+    (QCheck.make e_script_gen)
+    (fun script -> e_disagreement ~writer:true script = None)
+
+(* An instant with four int args, written arg by arg into a ring that has
+   wrapped, allocates nothing: the [~args] list it replaces costs 34 words. *)
+let test_evlog_writer_allocates_nothing () =
+  let t, now = mk_evlog ~cap:4096 () in
+  let instant i =
+    Evlog.begin_instant t ~comp:"ft.det" "tuple.emit";
+    Evlog.arg_int t "ft_pid" i;
+    Evlog.arg_int t "thread_seq" (i * 3);
+    Evlog.arg_int t "channel" (-i);
+    Evlog.arg_int t "chan_seq" (i lsl 41);
+    Evlog.close t
+  in
+  for i = 1 to 20_000 do
+    now := i;
+    instant i
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    instant i
+  done;
+  let per_event = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check bool) "wrapped" true (Evlog.truncated t);
+  if per_event > 1.0 then
+    Alcotest.failf "%.2f words per 4-arg instant (at most 1)" per_event
+
+(* A subscriber that emits records after the event it was handed; a second
+   event opened while one is half-built is refused and the first survives. *)
+let test_evlog_writer_nesting () =
+  let t, _ = mk_evlog ~cap:64 () in
+  ignore
+    (Evlog.subscribe t (fun e ->
+         if e.Evlog.name = "outer" then begin
+           Evlog.begin_instant t ~comp:"sub" "inner";
+           Evlog.arg_int t "of" e.Evlog.seq;
+           Evlog.close t
+         end));
+  Evlog.begin_instant t ~comp:"x" "outer";
+  Evlog.arg_int t "a" 1;
+  Evlog.arg_str t "s" "v";
+  Evlog.close t;
+  Evlog.emit t ~comp:"x" "outer" ~args:[ ("a", Evlog.Int 2) ];
+  Evlog.begin_instant t ~comp:"x" "half";
+  Evlog.arg_int t "a" 3;
+  Alcotest.check_raises "nested open refused"
+    (Invalid_argument "Evlog: an event is already open") (fun () ->
+      Evlog.emit t ~comp:"x" "nested");
+  Alcotest.check_raises "nested pin refused"
+    (Invalid_argument "Evlog: an event is already open") (fun () ->
+      Evlog.emit t ~pin:true ~comp:"x" "nested");
+  Evlog.arg_str t "b" "w";
+  Evlog.close t;
+  Alcotest.check_raises "close with nothing open"
+    (Invalid_argument "Evlog: no event is open") (fun () -> Evlog.close t);
+  Alcotest.(check bool) "seq order, args intact" true
+    (List.map (fun e -> Evlog.(e.seq, e.name, e.args)) (Evlog.events t)
+    = Evlog.
+        [
+          (1, "outer", [ ("a", Int 1); ("s", Str "v") ]);
+          (2, "inner", [ ("of", Int 1) ]);
+          (3, "outer", [ ("a", Int 2) ]);
+          (4, "inner", [ ("of", Int 3) ]);
+          (5, "half", [ ("a", Int 3); ("b", Str "w") ]);
+        ])
+
+(* Fill the vocabulary to its 2^20 strings, then emit an event that needs
+   one more and one whose strings are all known, on both paths: each
+   refuses the first whole, records the second, and they agree byte for
+   byte. *)
+let test_evlog_full_vocabulary () =
+  let per_event = (1 lsl 19) - 1 in
+  (* "c", "n" and the keys make 2^20. *)
+  let keys = Array.init (2 * per_event) (fun i -> "k" ^ string_of_int i) in
+  let run emit =
+    let t, now = mk_evlog ~cap:4 () in
+    let heard = ref 0 in
+    let fill lo =
+      Evlog.begin_instant t ~comp:"c" "n";
+      for i = 0 to per_event - 1 do
+        Evlog.arg_int t keys.(lo + i) i
+      done;
+      Evlog.close t
+    in
+    fill 0;
+    fill per_event;
+    ignore (Evlog.subscribe t (fun _ -> incr heard));
+    for i = 1 to 4 do
+      now := i;
+      emit t ~comp:"c" "n" [ (keys.(i), Evlog.Int i) ]
+    done;
+    let before = Evlog.to_jsonl t in
+    let refused what f =
+      match f () with
+      | () -> Alcotest.failf "%s: recorded past a full vocabulary" what
+      | exception Invalid_argument _ -> ()
+    in
+    refused "new key" (fun () ->
+        emit t ~comp:"c" "n"
+          [ (keys.(0), Evlog.Str "kept?"); ("fresh", Evlog.Int 1) ]);
+    refused "new comp" (fun () -> emit t ~comp:"fresh" "n" []);
+    refused "new name" (fun () -> emit t ~comp:"c" "fresh" []);
+    Alcotest.(check string) "refusals recorded nothing" before (Evlog.to_jsonl t);
+    Alcotest.(check int) "subscriber heard only recorded events" 4 !heard;
+    now := 9;
+    emit t ~comp:"c" "n"
+      [ (keys.(0), Evlog.Str "a new value"); (keys.(1), Evlog.Float 0.5) ];
+    (Evlog.emitted t, Evlog.to_jsonl t, Evlog.to_chrome t)
+  in
+  let list_path = run (fun t ~comp name args -> Evlog.emit t ~args ~comp name) in
+  Gc.compact ();
+  let writer_path = run e_write in
+  let emitted, _, _ = list_path in
+  Alcotest.(check int) "known strings recorded" 7 emitted;
+  Alcotest.(check bool) "both paths agree" true (list_path = writer_path)
 
 (* {1 Trace: per-component level filtering into the event log} *)
 
@@ -2660,6 +2810,12 @@ let () =
             test_evlog_write_file_streams;
           Alcotest.test_case "refuses an oversized event" `Quick
             test_evlog_refuses_oversized_event;
+          QCheck_alcotest.to_alcotest prop_evlog_writer_matches_model;
+          Alcotest.test_case "writer allocates nothing" `Quick
+            test_evlog_writer_allocates_nothing;
+          Alcotest.test_case "writer nesting" `Quick test_evlog_writer_nesting;
+          Alcotest.test_case "full vocabulary on both paths" `Slow
+            test_evlog_full_vocabulary;
         ] );
       ( "trace",
         [
