@@ -595,7 +595,7 @@ let ablation_output_commit () =
     (fun (label, oc) ->
       let eng = Engine.create () in
       let link = gbit_link eng in
-      let config = { (ft_config ()) with Cluster.output_commit = oc; ack_commit = oc } in
+      let config = { (ft_config ()) with Cluster.output_commit = oc } in
       let app api =
         Fileserver.run
           ~params:
@@ -1415,12 +1415,8 @@ let reprotect quick =
   Memlayout.alloc_user layout (user_mb * mib 1);
   let config =
     {
-      Cluster.default_config with
-      Cluster.topology = Topology.small;
-      hb_period = Time.ms 5;
-      hb_timeout = Time.ms 25;
-      driver_load_time = Time.ms 200;
-      lagmon = Some { Lagmon.default_config with Lagmon.quiet = true };
+      Slo.default_config with
+      Cluster.lagmon = Some { Lagmon.default_config with Lagmon.quiet = true };
       reprotect = true;
       regen_delay = Time.ms 50;
       regen_layout = Some layout;

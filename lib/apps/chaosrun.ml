@@ -14,24 +14,6 @@ let workload_to_string = function
   | Fileserver -> "fileserver"
   | Mongoose -> "mongoose"
 
-(* Small machine, tight failure detection, fast driver reload: one chaos run
-   settles in a couple of simulated seconds instead of the paper's ~5 s
-   recovery, so a 50-schedule campaign stays cheap. *)
-let fast_config topology =
-  {
-    Cluster.default_config with
-    topology;
-    hb_period = Time.ms 5;
-    hb_timeout = Time.ms 25;
-    driver_load_time = Time.ms 200;
-    (* Replication health is monitored on every chaos run, quietly: gauges
-       and verdicts update but nothing reaches the Evlog, so repro traces
-       stay byte-identical to monitor-off runs.  [stall_after] (150 ms)
-       sits far above the 25 ms heartbeat timeout: a dead peer is detected
-       and the monitor frozen long before a stall could be declared. *)
-    lagmon = Some { Lagmon.default_config with Lagmon.quiet = true };
-  }
-
 let small4 =
   {
     Topology.sockets = 4;
@@ -222,11 +204,20 @@ let arm_stats eng sched = function
 
 let config ?(det_shard = true) ?(replay_workers = 1) ?(reprotect = false)
     ?(regen_delay = Time.ms 50) ~replicas () =
-  (* Two backups need NUMA nodes that divide four ways. *)
-  let topology = if replicas = 2 then Topology.small else small4 in
   {
-    (fast_config topology) with
-    Cluster.replicas;
+    (* Slo's small machine, tight failure detection and fast driver
+       reload: one chaos run settles in a couple of simulated seconds
+       instead of the paper's ~5 s recovery, so a 50-schedule campaign
+       stays cheap.  Two backups need NUMA nodes that divide four ways. *)
+    Slo.default_config with
+    Cluster.topology = (if replicas = 2 then Topology.small else small4);
+    (* Replication health is monitored on every chaos run, quietly: gauges
+       and verdicts update but nothing reaches the Evlog, so repro traces
+       stay byte-identical to monitor-off runs.  [stall_after] (150 ms)
+       sits far above the 25 ms heartbeat timeout: a dead peer is detected
+       and the monitor frozen long before a stall could be declared. *)
+    lagmon = Some { Lagmon.default_config with Lagmon.quiet = true };
+    replicas;
     det_shard;
     replay_workers;
     reprotect;

@@ -14,27 +14,22 @@ type config = {
   split : [ `Symmetric | `Asymmetric of int ];
   replicas : int;  (* the primary plus [replicas - 1] backups *)
   kernel_config : Kernel.config;
-  tcp_config : Tcp.config;
   mailbox_config : Mailbox.config;
   hb_period : Time.t;
   hb_timeout : Time.t;
   output_commit : bool;
-  ack_commit : bool;
   det_shard : bool;
   replay_workers : int;
       (* secondary replay-executor pool; 1 = the original serial drain *)
   driver_load_time : Time.t;
-  delta_replay_cost : Time.t;
   batch : Msglayer.batch_config;
   lagmon : Lagmon.config option;
       (* replication-health monitor; None (the default) runs without one *)
-  server_ip : string;
   app_env : (string * string) list;
   reprotect : bool;
       (* live re-protection: journal the record stream and regenerate a
          fresh backup online after a replica death *)
   regen_delay : Time.t;  (* Degraded dwell before regeneration starts *)
-  regen_bw : int;  (* modelled snapshot-copy bandwidth, bytes/s *)
   regen_layout : Memlayout.t option;
       (* memory classification driving the snapshot-copy budget; None
          models a freshly booted layout (kernel reservations only) *)
@@ -46,25 +41,31 @@ let default_config =
     split = `Symmetric;
     replicas = 2;
     kernel_config = Kernel.default_config;
-    tcp_config = Tcp.default_config;
     mailbox_config = Mailbox.default_config;
     hb_period = Time.ms 10;
     hb_timeout = Time.ms 60;
     output_commit = true;
-    ack_commit = true;
     det_shard = true;
     replay_workers = 1;
     driver_load_time = Time.ms 4950;
-    delta_replay_cost = Time.us 10;
     batch = Msglayer.default_batch;
     lagmon = None;
-    server_ip = "10.0.0.1";
     app_env = [];
     reprotect = false;
     regen_delay = Time.ms 100;
-    regen_bw = 2_000_000_000;
     regen_layout = None;
   }
+
+let server_ip = "10.0.0.1"
+
+(* The secondary-side cost of absorbing one TCP delta (the wake_up_process
+   latency applies only to thread-waking records). *)
+let delta_replay_cost = Time.us 10
+
+(* Modelled snapshot-copy bandwidth, bytes/s: the epoch switch cannot
+   complete before the classified User bytes have been copied at this
+   rate. *)
+let regen_bw = 2_000_000_000
 
 (* The journal: the survivor-readable copy of the replication stream.  A
    regenerated backup replays it from LSN 0, so the global LSN space and
@@ -626,7 +627,6 @@ and take_over t i =
           Namespace.pr_sink = sink_of_live_sink sink;
           pr_restored = restored;
           pr_output_commit = t.cfg.output_commit;
-          pr_ack_commit = t.cfg.ack_commit;
         }
     end
     else None
@@ -636,8 +636,7 @@ and take_over t i =
   (match t.nic with
   | Some nic ->
       let stack =
-        Tcp.create (Netenv.of_kernel b.kernel) ~config:t.cfg.tcp_config
-          ~ip:t.cfg.server_ip ()
+        Tcp.create (Netenv.of_kernel b.kernel) ~ip:server_ip ()
       in
       Nic.transfer nic ~owner:b.part ~rx:(Tcp.rx_callback stack);
       next_phase t "failover.golive";
@@ -825,7 +824,7 @@ and do_reprotect t =
     in
     let { Memlayout.ignored; delayed; user } = Memlayout.classify layout in
     let copy_ns =
-      int_of_float (float_of_int user *. 1e9 /. float_of_int t.cfg.regen_bw)
+      int_of_float (float_of_int user *. 1e9 /. float_of_int regen_bw)
     in
     let copy_deadline = regen_start + copy_ns in
     Evlog.emit ev ~comp:"ft.cluster" "reprotect.snapshot"
@@ -946,7 +945,7 @@ and do_reprotect t =
           ~base_lsn:cutoff ~workers:t.cfg.replay_workers t.eng
           ~inb:duplex.Mailbox.a_to_b ~out:duplex.Mailbox.b_to_a
           ~replay_cost:t.cfg.kernel_config.Kernel.wake_latency
-          ~delta_cost:t.cfg.delta_replay_cost
+          ~delta_cost:delta_replay_cost
           ~handler:(fun record -> Namespace.record_handler ns_b record)
       in
       (* Bank the dead pair's traffic before dropping the handles. *)
@@ -1116,8 +1115,7 @@ let create eng ?(config = default_config) ?link ~app () =
     | Some ep ->
         let nic = Nic.create eng ~driver_load_time:config.driver_load_time ep in
         let stack =
-          Tcp.create (Netenv.of_kernel kernel_p) ~config:config.tcp_config
-            ~ip:config.server_ip ()
+          Tcp.create (Netenv.of_kernel kernel_p) ~ip:server_ip ()
         in
         Tcp.bind_nic stack nic;
         Nic.attach nic ~owner:part_p ~rx:(Tcp.rx_callback stack) ();
@@ -1130,7 +1128,7 @@ let create eng ?(config = default_config) ?link ~app () =
         | Some ls -> sink_of_live_sink ls
         | None -> Msglayer.sink_of_group group)
       ?stack:stack_p ~env:config.app_env ~det_shard:config.det_shard
-      ~output_commit:config.output_commit ~ack_commit:config.ack_commit ()
+      ~output_commit:config.output_commit ()
   in
   (* The launch procedure replicates the environment to the backups so
      every replica starts the application identically (3). *)
@@ -1151,7 +1149,7 @@ let create eng ?(config = default_config) ?link ~app () =
           ?journal:(spool jbs.(i)) ~workers:config.replay_workers eng
           ~inb:d.Mailbox.a_to_b ~out:d.Mailbox.b_to_a
           ~replay_cost:config.kernel_config.Kernel.wake_latency
-          ~delta_cost:config.delta_replay_cost
+          ~delta_cost:delta_replay_cost
           ~handler:(fun record -> Namespace.record_handler ns record))
       duplexes
   in
@@ -1270,9 +1268,8 @@ type standalone = {
   sa_ns : Namespace.t;
 }
 
-let create_standalone eng ?(topology = Topology.opteron_testbed) ?cores
-    ?(kernel_config = Kernel.default_config) ?(tcp_config = Tcp.default_config)
-    ?(server_ip = "10.0.0.1") ?link ~app () =
+let create_standalone eng ?(topology = Topology.opteron_testbed) ?cores ?link
+    ~app () =
   let machine = Machine.create eng topology in
   let cores =
     match cores with Some c -> c | None -> Topology.total_cores topology / 2
@@ -1283,16 +1280,13 @@ let create_standalone eng ?(topology = Topology.opteron_testbed) ?cores
       ~ram_bytes:(topology.Topology.ram_bytes / 2)
       ~numa_nodes:nodes
   in
-  let kernel = Kernel.boot part ~config:kernel_config () in
+  let kernel = Kernel.boot part () in
   let stack =
     match link with
     | None -> None
     | Some ep ->
         let nic = Nic.create eng ~driver_load_time:0 ep in
-        let stack =
-          Tcp.create (Netenv.of_kernel kernel) ~config:tcp_config ~ip:server_ip
-            ()
-        in
+        let stack = Tcp.create (Netenv.of_kernel kernel) ~ip:server_ip () in
         Tcp.bind_nic stack nic;
         Nic.attach nic ~owner:part ~rx:(Tcp.rx_callback stack) ();
         Some stack

@@ -67,12 +67,12 @@ type config = {
       (** the primary plus [replicas - 1] backups (default 2, the paper's
           pair) *)
   kernel_config : Kernel.config;
-  tcp_config : Tcp.config;
   mailbox_config : Mailbox.config;
   hb_period : Time.t;
   hb_timeout : Time.t;
   output_commit : bool;
-  ack_commit : bool;
+      (** §3.5: outbound data segments, and the ACKs of client input, wait
+          until what precedes them is stable on a backup *)
   det_shard : bool;
       (** per-object channels for deterministic sections (default true);
           [false] restores the namespace-global total order *)
@@ -82,9 +82,6 @@ type config = {
           per-channel × per-thread partial order serializes replay; most
           effective with [det_shard = true] *)
   driver_load_time : Time.t;
-  delta_replay_cost : Time.t;
-      (** secondary-side cost of absorbing one TCP delta (the
-          [wake_up_process] latency applies only to thread-waking records) *)
   batch : Msglayer.batch_config;
       (** sync-tuple streaming batch/ack-coalescing knobs; defaults to
           {!Msglayer.default_batch} (batching on).  Use
@@ -97,7 +94,6 @@ type config = {
           re-protection, each epoch gets its own monitor ("lag" at epoch 0,
           "lag.e<n>" after); a monitor replaced by a planned epoch switch
           reports {!Lagmon.verdict} [Retired]. *)
-  server_ip : string;
   app_env : (string * string) list;
       (** environment variables replicated into the FT-Namespace at launch *)
   reprotect : bool;
@@ -108,16 +104,12 @@ type config = {
   regen_delay : Time.t;
       (** dwell in [Degraded] before regeneration starts (and between
           retries after an aborted regeneration); default 100 ms *)
-  regen_bw : int;
-      (** modelled snapshot-copy bandwidth in bytes/s (default 2 GB/s):
-          the epoch switch cannot complete before the classified User
-          bytes have been copied at this rate *)
   regen_layout : Memlayout.t option;
       (** memory classification driving the snapshot budget: User bytes
-          are copied (gating the switch deadline), Delayed bytes transfer
-          lazily, Ignored kernel state is reconstructed by the fresh boot
-          plus journal replay.  [None] (default) models a freshly booted
-          layout. *)
+          are copied at a modelled 2 GB/s (gating the switch deadline),
+          Delayed bytes transfer lazily, Ignored kernel state is
+          reconstructed by the fresh boot plus journal replay.  [None]
+          (default) models a freshly booted layout. *)
 }
 
 val default_config : config
@@ -136,8 +128,9 @@ type t
 val create :
   Engine.t -> ?config:config -> ?link:Link.endpoint -> app:Api.app -> unit -> t
 (** Build the machine and start the replicated application.  [link] attaches
-    the (single, shared) NIC to the given link endpoint; omit it for
-    compute-only workloads.  Raises [Invalid_argument] for a shape
+    the (single, shared) NIC to the given link endpoint, the server at
+    10.0.0.1 with the default TCP configuration; omit it for compute-only
+    workloads.  Raises [Invalid_argument] for a shape
     {!check_config} rejects. *)
 
 (** {1 Lifecycle}
@@ -276,15 +269,14 @@ val create_standalone :
   Engine.t ->
   ?topology:Topology.spec ->
   ?cores:int ->
-  ?kernel_config:Kernel.config ->
-  ?tcp_config:Tcp.config ->
-  ?server_ip:string ->
   ?link:Link.endpoint ->
   app:Api.app ->
   unit ->
   standalone
 (** One partition with [cores] cores (default: half the machine, matching
-    one FT-Linux partition) running the application directly. *)
+    one FT-Linux partition) running the application directly, on the
+    default kernel configuration and, given [link], as 10.0.0.1 like
+    {!create}. *)
 
 val standalone_kernel : standalone -> Kernel.t
 val standalone_namespace : standalone -> Namespace.t

@@ -2,27 +2,23 @@ open Ftsim_sim
 open Ftsim_netstack
 open Ftsim_kernel
 
-type mode = M_standalone | M_primary | M_secondary
-
 type t = {
-  mutable mode : mode;  (* M_secondary -> M_primary at promotion *)
   kernel : Kernel.t;
   pt : Pthread.t;
-  det : Det.t option;
-  shadow : Shadow.t option;
-  mutable ml : Msglayer.sink option;
+  det : Det.t option;  (* None: standalone *)
+  shadow : Shadow.t option;  (* secondary: the replayed TCP state *)
   mutable stack : Tcp.stack option;
-  (* primary: Tcp conn id -> replication cid *)
+  (* recording primary: Tcp conn id -> replication cid *)
   cid_of_conn : (int, int) Hashtbl.t;
   mutable next_cid : int;
-  (* primary: last D_ack_progress value emitted per cid (coalescing) *)
+  (* recording primary: last D_ack_progress value emitted per cid (coalescing) *)
   acked_emitted : (int, int) Hashtbl.t;
-  (* secondary, after failover: (port, shard) -> re-created real listener *)
+  (* after failover: (port, shard) -> the open real listener standing in for
+     a shadow listener group *)
   restored_listeners : (int * int, Tcp.listener) Hashtbl.t;
+  (* sockets are real; false only while a secondary replays *)
   mutable live : bool;
-  mutable the_api : Api.t option;
   mutable output_commit : bool;
-  mutable ack_commit : bool;
   vfs : Vfs.t;
   env : (string * string) list;
   mutable diverged : string option;  (* first replay divergence observed *)
@@ -42,12 +38,16 @@ let diverge t what =
 let det_exn t =
   match t.det with Some d -> d | None -> failwith "namespace: no det engine"
 
-let shadow_exn t =
+let shadow_of t =
   match t.shadow with Some s -> s | None -> failwith "namespace: no shadow"
 
-let shadow_of = shadow_exn
-
-let api t = match t.the_api with Some a -> a | None -> assert false
+(* The det engine of a recording primary, original or promoted at
+   failover; [None] where real operations run unlogged (standalone, and a
+   live survivor that was not promoted). *)
+let recorder t =
+  match t.det with
+  | Some det when Det.role det = Det.Primary_role -> t.det
+  | _ -> None
 
 (* {1 Digest fold tags}
 
@@ -66,149 +66,28 @@ let h_fs_read cs = Digest.mix (Digest.mix 11 (Payload.total_len cs)) (Payload.st
 let h_fs_append chunk = Digest.mix (Digest.mix 12 (Payload.chunk_len chunk)) (Payload.stream_hash 0x11 [ chunk ])
 let h_fs_close = 13
 
-(* {1 Standalone} *)
+(* {1 Creation} *)
 
-let real_listener l = { Api.li = Api.L_real l }
-let real_sock c = { Api.si = Api.S_real c }
-
-let stack_exn t =
-  match t.stack with
-  | Some s -> s
-  | None -> failwith "namespace: no network stack configured"
-
-(* Direct (unreplicated) socket operations, shared by the standalone
-   backend and every post-go-live real-connection path. *)
-let direct_recv c ~max =
-  match Tcp.recv c ~max with
-  | [] -> Error `Eof
-  | data -> Ok data
-  | exception Tcp.Connection_closed -> Error `Reset
-
-let direct_send c chunk =
-  match Tcp.send c chunk with
-  | () -> Ok ()
-  | exception Tcp.Connection_closed -> Error `Reset
-
-let direct_accept rl =
-  match Tcp.accept rl with
-  | Some c -> Ok (real_sock c)
-  | None -> Error `Reset
-
-let real_listen_group s ~port ~shards ~backlog ~overflow =
-  Tcp.listen_group s ~port ~shards ?backlog ~overflow ()
-  |> Array.to_list
-  |> List.map real_listener
-
-let direct_close_listener l =
-  match l.Api.li with
-  | Api.L_real rl -> Tcp.close_listener rl
-  | Api.L_shadow _ -> assert false
-
-let direct_fs_read vfs fd ~max =
-  match Vfs.read vfs fd ~max with
-  | [] -> Error `Eof
-  | cs -> Ok cs
-  | exception Vfs.Bad_fd -> Error `Badfd
-
-let threads_of t =
+let make kernel ?det ?shadow ?stack ~env ~output_commit () =
+  let pt = Pthread.create kernel in
+  Option.iter (fun det -> Pthread.set_hooks pt (Some (Det.pthread_hooks det))) det;
   {
-    Api.spawn = (fun name f -> Kernel.spawn_thread t.kernel ~name f);
-    join = (fun th -> ignore (Engine.join th));
-    compute = (fun d -> Kernel.compute t.kernel d);
-    gettimeofday = (fun () -> Kernel.gettimeofday t.kernel);
+    kernel;
+    pt;
+    det;
+    shadow;
+    stack;
+    cid_of_conn = Hashtbl.create 16;
+    next_cid = 0;
+    acked_emitted = Hashtbl.create 16;
+    restored_listeners = Hashtbl.create 4;
+    (* Only a replaying secondary starts with shadow sockets. *)
+    live = Option.is_none shadow;
+    output_commit;
+    vfs = Vfs.create ();
+    env;
+    diverged = None;
   }
-
-let env_of t = { Api.getenv = (fun k -> List.assoc_opt k t.env) }
-
-let standalone_api t =
-  {
-    Api.kernel = t.kernel;
-    pt = t.pt;
-    thread = threads_of t;
-    env = env_of t;
-    net =
-      {
-        Api.listen = (fun ~port -> real_listener (Tcp.listen (stack_exn t) ~port));
-        listen_group =
-          (fun ~port ~shards ~backlog ~overflow ->
-            real_listen_group (stack_exn t) ~port ~shards ~backlog ~overflow);
-        accept =
-          (fun l ->
-            match l.Api.li with
-            | Api.L_real rl -> direct_accept rl
-            | Api.L_shadow _ -> assert false);
-        close_listener = direct_close_listener;
-        recv =
-          (fun s ~max ->
-            match s.Api.si with
-            | Api.S_real c -> direct_recv c ~max
-            | Api.S_shadow _ -> assert false);
-        send =
-          (fun s chunk ->
-            match s.Api.si with
-            | Api.S_real c -> direct_send c chunk
-            | Api.S_shadow _ -> assert false);
-        close =
-          (fun s ->
-            match s.Api.si with
-            | Api.S_real c -> Tcp.close c
-            | Api.S_shadow _ -> assert false);
-        poll =
-          (fun socks ~timeout ->
-            let conns =
-              List.map
-                (fun s ->
-                  match s.Api.si with
-                  | Api.S_real c -> c
-                  | Api.S_shadow _ -> assert false)
-                socks
-            in
-            let eng = Kernel.engine t.kernel in
-            let ready = Tcp.poll ~deadline:(Engine.now eng + timeout) conns in
-            List.filter
-              (fun s ->
-                match s.Api.si with
-                | Api.S_real c -> List.memq c ready
-                | Api.S_shadow _ -> false)
-              socks);
-      };
-    fs =
-      {
-        Api.open_ = (fun ~path ~create -> Vfs.open_file t.vfs ~path ~create);
-        read = (fun fd ~max -> direct_fs_read t.vfs fd ~max);
-        append = (fun fd chunk -> Vfs.append t.vfs fd chunk);
-        close = (fun fd -> Vfs.close t.vfs fd);
-        size = (fun ~path -> Vfs.size t.vfs ~path);
-      };
-  }
-
-let standalone kernel ?stack ?(env = []) () =
-  let t =
-    {
-      mode = M_standalone;
-      kernel;
-      pt = Pthread.create kernel;
-      det = None;
-      shadow = None;
-      ml = None;
-      stack;
-      cid_of_conn = Hashtbl.create 16;
-      next_cid = 0;
-      acked_emitted = Hashtbl.create 16;
-      restored_listeners = Hashtbl.create 4;
-      live = true;
-      the_api = None;
-      output_commit = false;
-      ack_commit = false;
-      vfs = Vfs.create ();
-      env;
-      diverged = None;
-    }
-  in
-  t.the_api <- Some (standalone_api t);
-  t
-
-(* {1 Primary} *)
 
 let cid_exn t c =
   match Hashtbl.find_opt t.cid_of_conn (Tcp.conn_id c) with
@@ -217,15 +96,10 @@ let cid_exn t c =
 
 let cid_opt t c = Hashtbl.find_opt t.cid_of_conn (Tcp.conn_id c)
 
-(* Connections accepted after [go_solo] (TCP hooks removed) have no
-   replication id; their syscalls are simply not logged. *)
-let log_conn_syscall t det c mk =
-  match cid_opt t c with
-  | Some cid -> ignore (Det.log_syscall det (mk cid))
-  | None -> ()
-
-let install_primary_tcp_hooks t stack =
-  let sink = Option.get t.ml in
+(* A recording primary's TCP hooks: the stack's logical state goes into
+   [sink] as deltas, and output commit (§3.5) gates both egress data and
+   the ACKs of client input. *)
+let install_primary_tcp_hooks t sink stack =
   let append r = ignore (sink.Msglayer.sink_append r) in
   let wait_tail gate () =
     let lsn = sink.Msglayer.sink_last_lsn () in
@@ -266,7 +140,7 @@ let install_primary_tcp_hooks t stack =
              (* The client's data may be acknowledged only once its logging
                 is stable: otherwise a primary crash could lose input the
                 client will never retransmit. *)
-             if t.ack_commit then wait_tail "ack" ());
+             if t.output_commit then wait_tail "ack" ());
          egress_gate =
            (fun c ~len ->
              (* The size of every output segment is forwarded before it is
@@ -299,8 +173,217 @@ let install_primary_tcp_hooks t stack =
              append (Wire.Tcp_delta (Wire.D_peer_fin { cid = cid_exn t c })));
        })
 
-let spawn_replicated t name f =
-  let det = det_exn t in
+let standalone kernel ?stack ?(env = []) () =
+  make kernel ?stack ~env ~output_commit:false ()
+
+let primary kernel ~sink ?stack ?(env = []) ?(det_shard = true) ~output_commit
+    () =
+  let det = Det.create_primary ~shard:det_shard (Kernel.engine kernel) sink in
+  let t = make kernel ~det ?stack ~env ~output_commit () in
+  Option.iter (install_primary_tcp_hooks t sink) stack;
+  t
+
+let secondary kernel ?(env = []) ?(det_shard = true) () =
+  let det = Det.create_secondary ~shard:det_shard (Kernel.engine kernel) in
+  make kernel ~det ~shadow:(Shadow.create ()) ~env ~output_commit:false ()
+
+(* {1 Real operations}
+
+   An operation on the real clock, stack or file system.  A recording
+   primary performs it, logs its result into the replication stream and
+   folds the per-thread digest; everywhere else it runs directly.  An
+   original and a promoted primary share these paths, so a promoted
+   namespace records exactly what an original primary would and a
+   regenerated backup can replay the whole journal as one stream. *)
+
+let real_listener l = { Api.li = Api.L_real l }
+let real_sock c = { Api.si = Api.S_real c }
+
+let stack_exn t =
+  match t.stack with
+  | Some s -> s
+  | None -> failwith "namespace: no network stack configured"
+
+(* Connections accepted after [go_solo] (TCP hooks removed) have no
+   replication id; their syscalls are simply not logged. *)
+let log_conn_syscall t det c mk =
+  match cid_opt t c with
+  | Some cid -> ignore (Det.log_syscall det (mk cid))
+  | None -> ()
+
+let real_gettimeofday t =
+  let v = Kernel.gettimeofday t.kernel in
+  (match recorder t with
+  | Some det ->
+      ignore (Det.log_syscall det (Wire.R_gettimeofday v));
+      Det.fold_syscall det (h_time v)
+  | None -> ());
+  v
+
+let logged_accept t det rl =
+  match Tcp.accept rl with
+  | Some c ->
+      log_conn_syscall t det c (fun cid -> Wire.R_accept cid);
+      (match cid_opt t c with
+      | Some cid -> Det.fold_syscall det (h_accept cid)
+      | None -> ());
+      Ok (real_sock c)
+  | None ->
+      (* Closed listener: the typed refusal is itself a logged syscall
+         result (cid -1), so the replica's acceptor observes the same close
+         at the same point in its per-thread stream. *)
+      ignore (Det.log_syscall det (Wire.R_accept (-1)));
+      Det.fold_syscall det (h_accept (-1));
+      Error `Reset
+
+let real_accept t rl =
+  match recorder t with
+  | Some det -> logged_accept t det rl
+  | None -> (
+      match Tcp.accept rl with
+      | Some c -> Ok (real_sock c)
+      | None -> Error `Reset)
+
+let logged_recv t det c ~max =
+  match Tcp.recv c ~max with
+  | [] ->
+      log_conn_syscall t det c (fun cid -> Wire.R_read { cid; len = 0 });
+      Det.fold_syscall det (h_recv 0 []);
+      Error `Eof
+  | data ->
+      let len = Payload.total_len data in
+      log_conn_syscall t det c (fun cid -> Wire.R_read { cid; len });
+      Det.fold_syscall det (h_recv len data);
+      Ok data
+  | exception Tcp.Connection_closed ->
+      (* The reset outcome is logged (len = -1) so the replica replays the
+         same error at the same point in this thread's stream. *)
+      log_conn_syscall t det c (fun cid -> Wire.R_read { cid; len = -1 });
+      Error `Reset
+
+let real_recv t c ~max =
+  match recorder t with
+  | Some det -> logged_recv t det c ~max
+  | None -> (
+      match Tcp.recv c ~max with
+      | [] -> Error `Eof
+      | data -> Ok data
+      | exception Tcp.Connection_closed -> Error `Reset)
+
+let logged_send t det c chunk =
+  match Tcp.send c chunk with
+  | () ->
+      let len = Payload.chunk_len chunk in
+      log_conn_syscall t det c (fun cid -> Wire.R_write { cid; len });
+      Det.fold_syscall det (h_send len chunk);
+      Ok ()
+  | exception Tcp.Connection_closed ->
+      log_conn_syscall t det c (fun cid -> Wire.R_write { cid; len = -1 });
+      Error `Reset
+
+let real_send t c chunk =
+  match recorder t with
+  | Some det -> logged_send t det c chunk
+  | None -> (
+      match Tcp.send c chunk with
+      | () -> Ok ()
+      | exception Tcp.Connection_closed -> Error `Reset)
+
+let real_close t c =
+  Tcp.close c;
+  match recorder t with
+  | Some det -> (
+      log_conn_syscall t det c (fun cid -> Wire.R_close { cid });
+      match cid_opt t c with
+      | Some cid -> Det.fold_syscall det (h_close cid)
+      | None -> ())
+  | None -> ()
+
+(* The socks at the [ready] indices, logged on a recording primary. *)
+let poll_result t socks ready =
+  (match recorder t with
+  | Some det ->
+      ignore (Det.log_syscall det (Wire.R_poll { ready }));
+      Det.fold_syscall det (h_poll ready)
+  | None -> ());
+  List.filteri (fun i _ -> List.mem i ready) socks
+
+(* [socks] and [conns] are index-aligned. *)
+let real_poll t socks conns ~timeout =
+  let eng = Kernel.engine t.kernel in
+  let ready = Tcp.poll ~deadline:(Engine.now eng + timeout) conns in
+  poll_result t socks
+    (List.mapi (fun i c -> (i, c)) conns
+    |> List.filter_map (fun (i, c) -> if List.memq c ready then Some i else None))
+
+(* An operation on a shadow connection the failover never restored (the
+   peer closed before it).  A recording primary still logs the outcome
+   under the shadow's cid, keeping the per-thread result stream gapless
+   for the regenerated backup's replay. *)
+let dead_recv t ~cid =
+  (match recorder t with
+  | Some det ->
+      ignore (Det.log_syscall det (Wire.R_read { cid; len = 0 }));
+      Det.fold_syscall det (h_recv 0 [])
+  | None -> ());
+  Error `Eof
+
+let dead_send t ~cid =
+  (match recorder t with
+  | Some det -> ignore (Det.log_syscall det (Wire.R_write { cid; len = -1 }))
+  | None -> ());
+  Error `Reset
+
+let dead_close t ~cid =
+  match recorder t with
+  | Some det ->
+      ignore (Det.log_syscall det (Wire.R_close { cid }));
+      Det.fold_syscall det (h_close cid)
+  | None -> ()
+
+(* After go-live a shadow connection resolves to its restored real one,
+   if the failover restored it. *)
+let restored_conn s sc =
+  match Shadow.restored sc with
+  | Some rc ->
+      s.Api.si <- Api.S_real rc;
+      Some rc
+  | None -> None
+
+(* After go-live: resolve a shadow listener shard to a real one.  The
+   failover orchestrator normally restored the whole group (keyed
+   (port, shard) in [restored_listeners]); if the app listened at a point
+   replay never reached, create a fresh group matching the shadow's
+   registered shape and remember every shard, so sibling acceptor threads
+   resolve to the same group instead of racing to re-listen the port. *)
+let live_listener t ~port ~shard =
+  match Hashtbl.find_opt t.restored_listeners (port, shard) with
+  | Some rl -> rl
+  | None ->
+      let shards, backlog, overflow =
+        match Shadow.listener_config (shadow_of t) ~port with
+        | Some lc -> (lc.Shadow.lc_shards, lc.Shadow.lc_backlog, lc.Shadow.lc_overflow)
+        | None -> (max 1 (shard + 1), None, `Drop)
+      in
+      let ls = Tcp.listen_group (stack_exn t) ~port ~shards ?backlog ~overflow () in
+      Array.iteri
+        (fun i l -> Hashtbl.replace t.restored_listeners (port, i) l)
+        ls;
+      ls.(shard)
+
+(* Closing tears down the whole group; forget it, so that listening on the
+   port again opens a fresh group instead of finding the closed one. *)
+let close_real_listener t rl =
+  Tcp.close_listener rl;
+  let port = Tcp.listener_port rl in
+  match Hashtbl.find_opt t.restored_listeners (port, Tcp.listener_shard rl) with
+  | Some l when l == rl ->
+      Hashtbl.filter_map_inplace
+        (fun (p, _) l -> if p = port then None else Some l)
+        t.restored_listeners
+  | _ -> ()
+
+let spawn_replicated t det name f =
   (* Thread creation is itself a deterministic event: the child's ft_pid is
      assigned inside a section, so the replica creates the same thread at
      the same point in the replayed order. *)
@@ -321,369 +404,140 @@ let spawn_replicated t name f =
       Det.register_thread det ~ft_pid;
       Fun.protect ~finally:(fun () -> Det.unregister_thread det) f)
 
+let direct_fs_read vfs fd ~max =
+  match Vfs.read vfs fd ~max with
+  | [] -> Error `Eof
+  | cs -> Ok cs
+  | exception Vfs.Bad_fd -> Error `Badfd
+
 (* Replicated file operations are ordered by deterministic sections; the
-   content folds inside the section cross-check VFS convergence. *)
-let replicated_fs t det =
-  {
-    Api.open_ =
-      (fun ~path ~create ->
-        Det.det_start det ~chans:[ Det.chan_fs ];
-        let fd = Vfs.open_file t.vfs ~path ~create in
-        Det.fold_section det (h_fs_open path);
-        Det.det_end det;
-        fd);
-    read =
-      (fun fd ~max ->
-        Det.det_start det ~chans:[ Det.chan_fs ];
-        let r =
-          if Det.role det = Det.Primary_role then begin
-            match Vfs.read t.vfs fd ~max with
-            | [] ->
-                Det.set_payload det (Wire.P_fs_read_len 0);
-                Error `Eof
-            | cs ->
-                Det.set_payload det (Wire.P_fs_read_len (Payload.total_len cs));
-                Det.fold_section det (h_fs_read cs);
-                Ok cs
-            | exception Vfs.Bad_fd ->
-                Det.set_payload det (Wire.P_fs_read_len (-1));
-                Error `Badfd
-          end
-          else if Det.is_live det then direct_fs_read t.vfs fd ~max
-          else
-            match Det.payload_at_turn det with
-            | Wire.P_fs_read_len (-1) -> Error `Badfd
-            | Wire.P_fs_read_len 0 -> Error `Eof
-            | Wire.P_fs_read_len n ->
-                let cs = Vfs.read_exact t.vfs fd n in
-                Det.fold_section det (h_fs_read cs);
-                Ok cs
-            | _ -> diverge t "expected fs read length"
-        in
-        Det.det_end det;
-        r);
-    append =
-      (fun fd chunk ->
-        Det.det_start det ~chans:[ Det.chan_fs ];
-        Vfs.append t.vfs fd chunk;
-        Det.fold_section det (h_fs_append chunk);
-        Det.det_end det);
-    close =
-      (fun fd ->
-        Det.det_start det ~chans:[ Det.chan_fs ];
-        Vfs.close t.vfs fd;
-        Det.fold_section det h_fs_close;
-        Det.det_end det);
-    size = (fun ~path -> Vfs.size t.vfs ~path);
-  }
-
-(* {2 Recording operations}
-
-   The syscall paths of a recording primary: perform the real operation,
-   log its result into the replication stream, fold the per-thread digest.
-   Shared by the primary API and by a promoted survivor's live paths (the
-   application keeps the [Api.t] closure it was started with, so a
-   promoted namespace cannot swap APIs — its secondary-API live branches
-   dispatch here instead), so a post-promotion namespace records exactly
-   what an original primary would and a regenerated backup can replay the
-   whole journal as one stream. *)
-
-let logged_gettimeofday t det =
-  let v = Kernel.gettimeofday t.kernel in
-  ignore (Det.log_syscall det (Wire.R_gettimeofday v));
-  Det.fold_syscall det (h_time v);
-  v
-
-let logged_accept t det rl =
-  match Tcp.accept rl with
-  | Some c ->
-      log_conn_syscall t det c (fun cid -> Wire.R_accept cid);
-      (match cid_opt t c with
-      | Some cid -> Det.fold_syscall det (h_accept cid)
-      | None -> ());
-      Ok (real_sock c)
-  | None ->
-      (* Closed listener: the typed refusal is itself a logged syscall
-         result (cid -1), so the replica's acceptor observes the same close
-         at the same point in its per-thread stream. *)
-      ignore (Det.log_syscall det (Wire.R_accept (-1)));
-      Det.fold_syscall det (h_accept (-1));
-      Error `Reset
-
-let logged_recv t det c ~max =
-  match Tcp.recv c ~max with
-  | [] ->
-      log_conn_syscall t det c (fun cid -> Wire.R_read { cid; len = 0 });
-      Det.fold_syscall det (h_recv 0 []);
-      Error `Eof
-  | data ->
-      let len = Payload.total_len data in
-      log_conn_syscall t det c (fun cid -> Wire.R_read { cid; len });
-      Det.fold_syscall det (h_recv len data);
-      Ok data
-  | exception Tcp.Connection_closed ->
-      (* The reset outcome is logged (len = -1) so the replica replays the
-         same error at the same point in this thread's stream. *)
-      log_conn_syscall t det c (fun cid -> Wire.R_read { cid; len = -1 });
-      Error `Reset
-
-let logged_send t det c chunk =
-  match Tcp.send c chunk with
-  | () ->
-      let len = Payload.chunk_len chunk in
-      log_conn_syscall t det c (fun cid -> Wire.R_write { cid; len });
-      Det.fold_syscall det (h_send len chunk);
-      Ok ()
-  | exception Tcp.Connection_closed ->
-      log_conn_syscall t det c (fun cid -> Wire.R_write { cid; len = -1 });
-      Error `Reset
-
-let logged_close t det c =
-  Tcp.close c;
-  log_conn_syscall t det c (fun cid -> Wire.R_close { cid });
-  match cid_opt t c with
-  | Some cid -> Det.fold_syscall det (h_close cid)
-  | None -> ()
-
-(* [socks] and [conns] are index-aligned. *)
-let logged_poll t det socks conns ~timeout =
-  let eng = Kernel.engine t.kernel in
-  let ready = Tcp.poll ~deadline:(Engine.now eng + timeout) conns in
-  let ready_idx =
-    List.mapi (fun i c -> (i, c)) conns
-    |> List.filter_map (fun (i, c) -> if List.memq c ready then Some i else None)
+   content folds inside the section cross-check VFS convergence.  A read's
+   length is logged: the replica reads exactly what the primary read. *)
+let replicated_fs_read t det fd ~max =
+  Det.det_start det ~chans:[ Det.chan_fs ];
+  let r =
+    if Det.role det = Det.Primary_role then begin
+      match Vfs.read t.vfs fd ~max with
+      | [] ->
+          Det.set_payload det (Wire.P_fs_read_len 0);
+          Error `Eof
+      | cs ->
+          Det.set_payload det (Wire.P_fs_read_len (Payload.total_len cs));
+          Det.fold_section det (h_fs_read cs);
+          Ok cs
+      | exception Vfs.Bad_fd ->
+          Det.set_payload det (Wire.P_fs_read_len (-1));
+          Error `Badfd
+    end
+    else if Det.is_live det then direct_fs_read t.vfs fd ~max
+    else
+      match Det.payload_at_turn det with
+      | Wire.P_fs_read_len (-1) -> Error `Badfd
+      | Wire.P_fs_read_len 0 -> Error `Eof
+      | Wire.P_fs_read_len n ->
+          let cs = Vfs.read_exact t.vfs fd n in
+          Det.fold_section det (h_fs_read cs);
+          Ok cs
+      | _ -> diverge t "expected fs read length"
   in
-  ignore (Det.log_syscall det (Wire.R_poll { ready = ready_idx }));
-  Det.fold_syscall det (h_poll ready_idx);
-  List.filteri (fun i _ -> List.mem i ready_idx) socks
+  Det.det_end det;
+  r
 
-(* A promoted primary's operation on a shadow connection that was never
-   restored (the peer closed before the failover): the outcome is still
-   logged under the shadow's cid, keeping the per-thread result stream
-   gapless for the regenerated backup's replay. *)
-let logged_dead_recv det ~cid =
-  ignore (Det.log_syscall det (Wire.R_read { cid; len = 0 }));
-  Det.fold_syscall det (h_recv 0 []);
-  Error `Eof
+(* {1 The syscall table}
 
-let logged_dead_send det ~cid =
-  ignore (Det.log_syscall det (Wire.R_write { cid; len = -1 }));
-  Error `Reset
+   One table serves every role, and each operation reads the role when it
+   runs: a replaying secondary ([live] false) replays the primary's logged
+   results, and every other namespace runs the real operation — logged on
+   a recording primary, direct when standalone or on a live survivor.
+   Shadow sockets and listeners exist only on a secondary; after go-live
+   each resolves to its restored real counterpart on first use. *)
 
-let logged_dead_close det ~cid =
-  ignore (Det.log_syscall det (Wire.R_close { cid }));
-  Det.fold_syscall det (h_close cid)
-
-let primary_api t =
-  let det = det_exn t in
+let syscall_table t =
+  let listen_group ~port ~shards ~backlog ~overflow =
+    if t.live then begin
+      match Hashtbl.find_opt t.restored_listeners (port, 0) with
+      | Some _ ->
+          List.init shards (fun i ->
+              real_listener (live_listener t ~port ~shard:i))
+      | None ->
+          Tcp.listen_group (stack_exn t) ~port ~shards ?backlog ~overflow ()
+          |> Array.to_list
+          |> List.map real_listener
+    end
+    else begin
+      Shadow.register_listener (shadow_of t) ~port ~shards ~backlog ~overflow;
+      List.init shards (fun i ->
+          { Api.li = Api.L_shadow { sh_port = port; sh_shard = i } })
+    end
+  in
   {
     Api.kernel = t.kernel;
     pt = t.pt;
     thread =
       {
-        Api.spawn = (fun name f -> spawn_replicated t name f);
-        join = (fun th -> ignore (Engine.join th));
-        compute = (fun d -> Kernel.compute t.kernel d);
-        gettimeofday = (fun () -> logged_gettimeofday t det);
-      };
-    (* The environment was replicated at launch (§3, FT-Namespace), so the
-       lookup itself is deterministic and needs no logging. *)
-    env = env_of t;
-    net =
-      {
-        Api.listen = (fun ~port -> real_listener (Tcp.listen (stack_exn t) ~port));
-        listen_group =
-          (fun ~port ~shards ~backlog ~overflow ->
-            real_listen_group (stack_exn t) ~port ~shards ~backlog ~overflow);
-        accept =
-          (fun l ->
-            match l.Api.li with
-            | Api.L_real rl -> logged_accept t det rl
-            | Api.L_shadow _ -> assert false);
-        close_listener = direct_close_listener;
-        recv =
-          (fun s ~max ->
-            match s.Api.si with
-            | Api.S_real c -> logged_recv t det c ~max
-            | Api.S_shadow _ -> assert false);
-        send =
-          (fun s chunk ->
-            match s.Api.si with
-            | Api.S_real c -> logged_send t det c chunk
-            | Api.S_shadow _ -> assert false);
-        close =
-          (fun s ->
-            match s.Api.si with
-            | Api.S_real c -> logged_close t det c
-            | Api.S_shadow _ -> assert false);
-        poll =
-          (fun socks ~timeout ->
-            let conns =
-              List.map
-                (fun s ->
-                  match s.Api.si with
-                  | Api.S_real c -> c
-                  | Api.S_shadow _ -> assert false)
-                socks
-            in
-            logged_poll t det socks conns ~timeout);
-      };
-    fs = replicated_fs t det;
-  }
-
-let primary kernel ~sink ?stack ?(env = []) ?(det_shard = true) ~output_commit
-    ~ack_commit () =
-  let det = Det.create_primary ~shard:det_shard (Kernel.engine kernel) sink in
-  let pt = Pthread.create kernel in
-  Pthread.set_hooks pt (Some (Det.pthread_hooks det));
-  let t =
-    {
-      mode = M_primary;
-      kernel;
-      pt;
-      det = Some det;
-      shadow = None;
-      ml = Some sink;
-      stack;
-      cid_of_conn = Hashtbl.create 64;
-      next_cid = 0;
-      acked_emitted = Hashtbl.create 64;
-      restored_listeners = Hashtbl.create 4;
-      live = false;
-      the_api = None;
-      output_commit;
-      ack_commit;
-      vfs = Vfs.create ();
-      env;
-      diverged = None;
-    }
-  in
-  (match stack with Some s -> install_primary_tcp_hooks t s | None -> ());
-  t.the_api <- Some (primary_api t);
-  t
-
-(* {1 Secondary} *)
-
-let live_conn_of_shadow t s sc =
-  match Shadow.restored sc with
-  | Some rc ->
-      s.Api.si <- Api.S_real rc;
-      Some rc
-  | None ->
-      ignore t;
-      None
-
-(* After go-live: resolve a shadow listener shard to a real one.  The
-   failover orchestrator normally restored the whole group (keyed
-   (port, shard) in [restored_listeners]); if the app listened at a point
-   replay never reached, create a fresh group matching the shadow's
-   registered shape and remember every shard, so sibling acceptor threads
-   resolve to the same group instead of racing to re-listen the port. *)
-let live_listener t sh ~port ~shard =
-  match Hashtbl.find_opt t.restored_listeners (port, shard) with
-  | Some rl -> rl
-  | None ->
-      let shards, backlog, overflow =
-        match Shadow.listener_config sh ~port with
-        | Some lc -> (lc.Shadow.lc_shards, lc.Shadow.lc_backlog, lc.Shadow.lc_overflow)
-        | None -> (max 1 (shard + 1), None, `Drop)
-      in
-      let ls = Tcp.listen_group (stack_exn t) ~port ~shards ?backlog ~overflow () in
-      Array.iteri
-        (fun i l -> Hashtbl.replace t.restored_listeners (port, i) l)
-        ls;
-      ls.(shard)
-
-let secondary_api t =
-  let det = det_exn t in
-  let sh = shadow_exn t in
-  (* Live-path dispatch: a plain go-live survivor runs direct (unlogged)
-     operations, a *promoted* survivor records like a primary — the app
-     holds the Api.t closure it was started with, so the promotion must be
-     visible through these branches rather than an API swap. *)
-  let recording () = t.mode = M_primary in
-  {
-    Api.kernel = t.kernel;
-    pt = t.pt;
-    thread =
-      {
-        Api.spawn = (fun name f -> spawn_replicated t name f);
+        Api.spawn =
+          (fun name f ->
+            match t.det with
+            | Some det -> spawn_replicated t det name f
+            | None -> Kernel.spawn_thread t.kernel ~name f);
         join = (fun th -> ignore (Engine.join th));
         compute = (fun d -> Kernel.compute t.kernel d);
         gettimeofday =
           (fun () ->
-            match Det.next_syscall det with
-            | Det.Replayed (Wire.R_gettimeofday v) ->
-                Det.fold_syscall det (h_time v);
-                v
-            | Det.Replayed _ -> diverge t "expected gettimeofday result"
-            | Det.Went_live ->
-                if recording () then logged_gettimeofday t det
-                else Kernel.gettimeofday t.kernel);
+            if t.live then real_gettimeofday t
+            else
+              let det = det_exn t in
+              match Det.next_syscall det with
+              | Det.Replayed (Wire.R_gettimeofday v) ->
+                  Det.fold_syscall det (h_time v);
+                  v
+              | Det.Replayed _ -> diverge t "expected gettimeofday result"
+              | Det.Went_live -> real_gettimeofday t);
       };
-    env = env_of t;
+    (* The environment was replicated at launch (§3, FT-Namespace), so the
+       lookup itself is deterministic and needs no logging. *)
+    env = { Api.getenv = (fun k -> List.assoc_opt k t.env) };
     net =
       {
         Api.listen =
           (fun ~port ->
-            if t.live then real_listener (live_listener t sh ~port ~shard:0)
-            else begin
-              Shadow.register_listener sh ~port ~shards:1 ~backlog:None
-                ~overflow:`Drop;
-              { Api.li = Api.L_shadow { sh_port = port; sh_shard = 0 } }
-            end);
-        listen_group =
-          (fun ~port ~shards ~backlog ~overflow ->
-            if t.live then begin
-              match Hashtbl.find_opt t.restored_listeners (port, 0) with
-              | Some _ ->
-                  List.init shards (fun i ->
-                      real_listener (live_listener t sh ~port ~shard:i))
-              | None ->
-                  real_listen_group (stack_exn t) ~port ~shards ~backlog
-                    ~overflow
-            end
-            else begin
-              Shadow.register_listener sh ~port ~shards ~backlog ~overflow;
-              List.init shards (fun i ->
-                  { Api.li = Api.L_shadow { sh_port = port; sh_shard = i } })
-            end);
+            List.hd (listen_group ~port ~shards:1 ~backlog:None ~overflow:`Drop));
+        listen_group;
         accept =
           (fun l ->
             match l.Api.li with
-            | Api.L_real rl ->
-                if recording () then logged_accept t det rl
-                else direct_accept rl
+            | Api.L_real rl -> real_accept t rl
             | Api.L_shadow { sh_port; sh_shard } -> (
+                let det = det_exn t in
                 match Det.next_syscall det with
                 | Det.Replayed (Wire.R_accept cid) ->
                     Det.fold_syscall det (h_accept cid);
                     if cid < 0 then Error `Reset
-                    else Ok { Api.si = Api.S_shadow (Shadow.claim_accept sh ~cid) }
+                    else
+                      Ok
+                        {
+                          Api.si =
+                            Api.S_shadow (Shadow.claim_accept (shadow_of t) ~cid);
+                        }
                 | Det.Replayed _ -> diverge t "expected accept result"
                 | Det.Went_live ->
-                    let rl = live_listener t sh ~port:sh_port ~shard:sh_shard in
+                    let rl = live_listener t ~port:sh_port ~shard:sh_shard in
                     l.Api.li <- Api.L_real rl;
-                    if recording () then logged_accept t det rl
-                    else direct_accept rl));
+                    real_accept t rl));
         close_listener =
           (fun l ->
             match l.Api.li with
-            | Api.L_real rl -> Tcp.close_listener rl
-            | Api.L_shadow { sh_port; _ } ->
-                if t.live then begin
-                  match Hashtbl.find_opt t.restored_listeners (sh_port, 0) with
-                  | Some rl -> Tcp.close_listener rl
-                  | None -> Shadow.close_listener sh ~port:sh_port
-                end
-                else Shadow.close_listener sh ~port:sh_port);
+            | Api.L_real rl -> close_real_listener t rl
+            | Api.L_shadow { sh_port; _ } -> (
+                match Hashtbl.find_opt t.restored_listeners (sh_port, 0) with
+                | Some rl when t.live -> close_real_listener t rl
+                | _ -> Shadow.close_listener (shadow_of t) ~port:sh_port));
         recv =
           (fun s ~max ->
             match s.Api.si with
-            | Api.S_real c ->
-                if recording () then logged_recv t det c ~max
-                else direct_recv c ~max
+            | Api.S_real c -> real_recv t c ~max
             | Api.S_shadow sc -> (
+                let det = det_exn t in
                 match Det.next_syscall det with
                 | Det.Replayed (Wire.R_read { cid; len }) ->
                     if cid <> Shadow.cid sc then diverge t "read on wrong connection"
@@ -702,21 +556,15 @@ let secondary_api t =
                     end
                 | Det.Replayed _ -> diverge t "expected read result"
                 | Det.Went_live -> (
-                    match live_conn_of_shadow t s sc with
-                    | Some rc ->
-                        if recording () then logged_recv t det rc ~max
-                        else direct_recv rc ~max
-                    | None ->
-                        if recording () then
-                          logged_dead_recv det ~cid:(Shadow.cid sc)
-                        else Error `Eof)));
+                    match restored_conn s sc with
+                    | Some rc -> real_recv t rc ~max
+                    | None -> dead_recv t ~cid:(Shadow.cid sc))));
         send =
           (fun s chunk ->
             match s.Api.si with
-            | Api.S_real c ->
-                if recording () then logged_send t det c chunk
-                else direct_send c chunk
+            | Api.S_real c -> real_send t c chunk
             | Api.S_shadow sc -> (
+                let det = det_exn t in
                 match Det.next_syscall det with
                 | Det.Replayed (Wire.R_write { cid; len }) ->
                     if cid <> Shadow.cid sc then diverge t "write on wrong connection"
@@ -730,20 +578,15 @@ let secondary_api t =
                     end
                 | Det.Replayed _ -> diverge t "expected write result"
                 | Det.Went_live -> (
-                    match live_conn_of_shadow t s sc with
-                    | Some rc ->
-                        if recording () then logged_send t det rc chunk
-                        else direct_send rc chunk
-                    | None ->
-                        if recording () then
-                          logged_dead_send det ~cid:(Shadow.cid sc)
-                        else Error `Reset)));
+                    match restored_conn s sc with
+                    | Some rc -> real_send t rc chunk
+                    | None -> dead_send t ~cid:(Shadow.cid sc))));
         close =
           (fun s ->
             match s.Api.si with
-            | Api.S_real c ->
-                if recording () then logged_close t det c else Tcp.close c
+            | Api.S_real c -> real_close t c
             | Api.S_shadow sc -> (
+                let det = det_exn t in
                 match Det.next_syscall det with
                 | Det.Replayed (Wire.R_close { cid }) ->
                     if cid <> Shadow.cid sc then diverge t "close on wrong connection";
@@ -751,13 +594,9 @@ let secondary_api t =
                     Shadow.mark_app_closed sc
                 | Det.Replayed _ -> diverge t "expected close result"
                 | Det.Went_live -> (
-                    match live_conn_of_shadow t s sc with
-                    | Some rc ->
-                        if recording () then logged_close t det rc
-                        else Tcp.close rc
-                    | None ->
-                        if recording () then
-                          logged_dead_close det ~cid:(Shadow.cid sc))));
+                    match restored_conn s sc with
+                    | Some rc -> real_close t rc
+                    | None -> dead_close t ~cid:(Shadow.cid sc))));
         poll =
           (fun socks ~timeout ->
             (* Shadow sockets replay the primary's poll results; after
@@ -768,32 +607,18 @@ let secondary_api t =
                 (fun s ->
                   match s.Api.si with
                   | Api.S_real _ -> true
-                  | Api.S_shadow sc -> (
-                      match live_conn_of_shadow t s sc with
-                      | Some _ -> true
-                      | None -> false))
+                  | Api.S_shadow sc -> Option.is_some (restored_conn s sc))
                 socks
             in
-            if t.live && all_real () then begin
-              let conns =
-                List.filter_map
-                  (fun s ->
-                    match s.Api.si with Api.S_real c -> Some c | _ -> None)
-                  socks
-              in
-              if recording () then logged_poll t det socks conns ~timeout
-              else begin
-                let eng = Kernel.engine t.kernel in
-                let ready = Tcp.poll ~deadline:(Engine.now eng + timeout) conns in
-                List.filter
-                  (fun s ->
-                    match s.Api.si with
-                    | Api.S_real c -> List.memq c ready
-                    | _ -> false)
-                  socks
-              end
-            end
+            if t.live && all_real () then
+              real_poll t socks
+                (List.filter_map
+                   (fun s ->
+                     match s.Api.si with Api.S_real c -> Some c | _ -> None)
+                   socks)
+                ~timeout
             else
+              let det = det_exn t in
               match Det.next_syscall det with
               | Det.Replayed (Wire.R_poll { ready }) ->
                   Det.fold_syscall det (h_poll ready);
@@ -803,53 +628,53 @@ let secondary_api t =
                   (* Transitioning: report the restorable sockets.  A
                      promoted primary logs this result too — the per-thread
                      stream must stay gapless for the regenerated backup. *)
-                  let ready_idx =
-                    List.mapi (fun i s -> (i, s)) socks
+                  poll_result t socks
+                    (List.mapi (fun i s -> (i, s)) socks
                     |> List.filter_map (fun (i, s) ->
                            match s.Api.si with
                            | Api.S_real _ -> Some i
                            | Api.S_shadow sc ->
                                if Shadow.restored sc <> None then Some i
-                               else None)
-                  in
-                  if recording () then begin
-                    ignore
-                      (Det.log_syscall det (Wire.R_poll { ready = ready_idx }));
-                    Det.fold_syscall det (h_poll ready_idx)
-                  end;
-                  List.filteri (fun i _ -> List.mem i ready_idx) socks);
+                               else None)));
       };
-    fs = replicated_fs t det;
+    fs =
+      {
+        Api.open_ =
+          (fun ~path ~create ->
+            match t.det with
+            | None -> Vfs.open_file t.vfs ~path ~create
+            | Some det ->
+                Det.det_start det ~chans:[ Det.chan_fs ];
+                let fd = Vfs.open_file t.vfs ~path ~create in
+                Det.fold_section det (h_fs_open path);
+                Det.det_end det;
+                fd);
+        read =
+          (fun fd ~max ->
+            match t.det with
+            | None -> direct_fs_read t.vfs fd ~max
+            | Some det -> replicated_fs_read t det fd ~max);
+        append =
+          (fun fd chunk ->
+            match t.det with
+            | None -> Vfs.append t.vfs fd chunk
+            | Some det ->
+                Det.det_start det ~chans:[ Det.chan_fs ];
+                Vfs.append t.vfs fd chunk;
+                Det.fold_section det (h_fs_append chunk);
+                Det.det_end det);
+        close =
+          (fun fd ->
+            match t.det with
+            | None -> Vfs.close t.vfs fd
+            | Some det ->
+                Det.det_start det ~chans:[ Det.chan_fs ];
+                Vfs.close t.vfs fd;
+                Det.fold_section det h_fs_close;
+                Det.det_end det);
+        size = (fun ~path -> Vfs.size t.vfs ~path);
+      };
   }
-
-let secondary kernel ?(env = []) ?(det_shard = true) () =
-  let det = Det.create_secondary ~shard:det_shard (Kernel.engine kernel) in
-  let pt = Pthread.create kernel in
-  Pthread.set_hooks pt (Some (Det.pthread_hooks det));
-  let t =
-    {
-      mode = M_secondary;
-      kernel;
-      pt;
-      det = Some det;
-      shadow = Some (Shadow.create ());
-      ml = None;
-      stack = None;
-      cid_of_conn = Hashtbl.create 16;
-      next_cid = 0;
-      acked_emitted = Hashtbl.create 16;
-      restored_listeners = Hashtbl.create 4;
-      live = false;
-      the_api = None;
-      output_commit = false;
-      ack_commit = false;
-      vfs = Vfs.create ();
-      env;
-      diverged = None;
-    }
-  in
-  t.the_api <- Some (secondary_api t);
-  t
 
 let record_handler t record =
   let det = det_exn t in
@@ -858,7 +683,7 @@ let record_handler t record =
       Det.deliver_tuple det ~ft_pid ~thread_seq ~chans ~payload
   | Wire.Syscall_result { ft_pid; result; _ } ->
       Det.deliver_syscall det ~ft_pid ~result
-  | Wire.Tcp_delta d -> Shadow.apply_delta (shadow_exn t) d
+  | Wire.Tcp_delta d -> Shadow.apply_delta (shadow_of t) d
 
 (* {1 Divergence digests} *)
 
@@ -879,21 +704,21 @@ let divergence t = t.diverged
 
 (* {1 Launch} *)
 
+(* The application gets its syscall table when its main thread starts. *)
 let start_app t app =
-  match t.mode with
-  | M_standalone ->
-      Kernel.spawn_thread t.kernel ~name:"app-main" (fun () -> app (api t))
-  | M_primary ->
-      let det = det_exn t in
+  match t.det with
+  | None ->
+      Kernel.spawn_thread t.kernel ~name:"app-main" (fun () ->
+          app (syscall_table t))
+  | Some det when Det.role det = Det.Primary_role ->
       let ft_pid = Det.alloc_ftpid det in
       Kernel.spawn_thread t.kernel ~name:"app-main" (fun () ->
           Det.register_thread det ~ft_pid;
-          app (api t))
-  | M_secondary ->
-      let det = det_exn t in
+          app (syscall_table t))
+  | Some det ->
       Kernel.spawn_thread t.kernel ~name:"app-main-replica" (fun () ->
           Det.register_thread det ~ft_pid:0;
-          app (api t))
+          app (syscall_table t))
 
 (* {1 Role changes} *)
 
@@ -904,7 +729,6 @@ type promotion = {
          promoted primary keeps each connection's replication cid, so its
          deltas continue the same per-connection streams *)
   pr_output_commit : bool;
-  pr_ack_commit : bool;
 }
 
 let go_live t ?stack ?(listeners = []) ?promote () =
@@ -928,18 +752,13 @@ let go_live t ?stack ?(listeners = []) ?promote () =
          epoch's deltas on the regenerated backup and must not be logged
          again.  No suspension points below, so the role flip is atomic
          with respect to application threads. *)
-      t.ml <- Some pr.pr_sink;
-      t.mode <- M_primary;
       t.output_commit <- pr.pr_output_commit;
-      t.ack_commit <- pr.pr_ack_commit;
       List.iter
         (fun (cid, c) ->
           Hashtbl.replace t.cid_of_conn (Tcp.conn_id c) cid;
           if cid >= t.next_cid then t.next_cid <- cid + 1)
         pr.pr_restored;
-      (match t.stack with
-      | Some s -> install_primary_tcp_hooks t s
-      | None -> ());
+      Option.iter (install_primary_tcp_hooks t pr.pr_sink) t.stack;
       Det.promote (det_exn t) pr.pr_sink;
       (* The pthread hooks record snapshots its role flags at creation:
          re-install so is_replica/defer_wakes reflect the promoted role. *)

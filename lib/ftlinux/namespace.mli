@@ -2,8 +2,9 @@
 
     Applications launched inside an FT-Namespace are replicated on the
     secondary kernel (§3, "FT-Namespace"); applications outside it run
-    normally.  A namespace instance wires an {!Api.t} to one of three
-    backends:
+    normally.  Every namespace hands its application one syscall table
+    ({!Api.t}), and each operation in it reads the namespace's role when
+    it runs:
 
     - {!standalone} — direct execution (the "Ubuntu" baseline, and also how
       non-replicated applications run alongside a namespace);
@@ -11,14 +12,13 @@
       syscall results into the per-thread log, TCP logical-state deltas,
       output commit on egress;
     - {!secondary} — replays all of the above, and can {!go_live} at
-      failover. *)
+      failover: a live survivor runs directly, a promoted one records like
+      an original primary. *)
 
 open Ftsim_netstack
 open Ftsim_kernel
 
 type t
-
-val api : t -> Api.t
 
 val standalone :
   Kernel.t -> ?stack:Tcp.stack -> ?env:(string * string) list -> unit -> t
@@ -30,13 +30,11 @@ val primary :
   ?env:(string * string) list ->
   ?det_shard:bool ->
   output_commit:bool ->
-  ack_commit:bool ->
   unit ->
   t
 (** Installs pthread hooks and (when [stack] is given) TCP hooks.
-    [output_commit] gates outbound data segments on log stability;
-    [ack_commit] gates ACKs of client input on the input having been logged
-    stably (both default design choices of the paper, §3.5).  [det_shard]
+    [output_commit] is §3.5's rule: outbound data segments, and the ACKs of
+    client input, wait until what precedes them is logged stably.  [det_shard]
     (default true) runs deterministic sections on per-object channels;
     [false] restores the namespace-global total order. *)
 
@@ -65,7 +63,6 @@ type promotion = {
           connections keep their replication cids so the promoted
           primary's deltas continue the same per-connection streams *)
   pr_output_commit : bool;
-  pr_ack_commit : bool;
 }
 
 val go_live :

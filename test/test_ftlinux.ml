@@ -633,13 +633,9 @@ let poll_echo_app (api : Api.t) =
       ready
   done
 
-let test_replicated_poll_server () =
-  let eng = Engine.create () in
-  let link = gbit_link eng in
-  let cluster =
-    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
-      ~app:poll_echo_app ()
-  in
+(* Two clients of [poll_echo_app], connecting at 1 and 2 ms; each slot
+   holds the bytes its client got back. *)
+let poll_clients eng link =
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let results = [| None; None |] in
   List.iteri
@@ -665,10 +661,168 @@ let test_replicated_poll_server () =
              Tcp.close c;
              results.(i) <- Some (Buffer.contents out))))
     [ [ "a1 "; "a2 "; "a3" ]; [ "b1 "; "b2" ] ];
+  results
+
+let test_replicated_poll_server () =
+  let eng = Engine.create () in
+  let link = gbit_link eng in
+  let cluster =
+    Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+      ~app:poll_echo_app ()
+  in
+  let results = poll_clients eng link in
   Engine.run ~until:(Time.sec 10) eng;
   Cluster.shutdown cluster;
   Alcotest.(check (option string)) "client 0 echoed" (Some "a1 a2 a3") results.(0);
   Alcotest.(check (option string)) "client 1 echoed" (Some "b1 b2") results.(1)
+
+(* {1 One syscall table for every role} *)
+
+(* Threads, the file system, the clock and a poll echo server, run the same
+   way standalone, as primary and as replaying secondary.  Each writer
+   thread fills its own file, so the contents do not depend on scheduling;
+   [out] collects, per kernel, every file's size and read chunks. *)
+let parity_app out (api : Api.t) =
+  let path w = Printf.sprintf "/log-%d" w in
+  let writers =
+    List.init 2 (fun w ->
+        api.Api.thread.spawn (Printf.sprintf "writer-%d" w) (fun () ->
+            let fd = api.Api.fs.open_ ~path:(path w) ~create:true in
+            for i = 1 to 10 do
+              api.Api.fs.append fd
+                (Payload.of_string (Printf.sprintf "[w%d:%02d]" w i))
+            done;
+            api.Api.fs.close fd))
+  in
+  List.iter api.Api.thread.join writers;
+  let t0 = api.Api.thread.gettimeofday () in
+  let files =
+    List.init 2 (fun w ->
+        let fd = api.Api.fs.open_ ~path:(path w) ~create:false in
+        let rec read acc =
+          match api.Api.fs.read fd ~max:32 with
+          | Error _ -> List.rev acc
+          | Ok cs -> read (Payload.concat_to_string cs :: acc)
+        in
+        let chunks = read [] in
+        api.Api.fs.close fd;
+        (api.Api.fs.size ~path:(path w), chunks))
+  in
+  let t1 = api.Api.thread.gettimeofday () in
+  out := (Kernel.name api.Api.kernel, (files, t1 >= t0)) :: !out;
+  poll_echo_app api
+
+let test_standalone_matches_replicated () =
+  let run replicated =
+    let eng = Engine.create () in
+    let link = gbit_link eng in
+    let out = ref [] in
+    let app = parity_app out in
+    let det_ops, shutdown =
+      if replicated then
+        let c =
+          Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+            ~app ()
+        in
+        ((fun () -> Cluster.det_ops c), fun () -> Cluster.shutdown c)
+      else
+        let sa =
+          Cluster.create_standalone eng ~topology:Topology.small
+            ~link:(Link.endpoint_a link) ~app ()
+        in
+        ((fun () -> Namespace.det_ops (Cluster.standalone_namespace sa)), ignore)
+    in
+    let echoed = poll_clients eng link in
+    Engine.run ~until:(Time.sec 10) eng;
+    shutdown ();
+    (!out, Array.to_list echoed, det_ops ())
+  in
+  let sa_out, sa_echoed, sa_ops = run false in
+  let ft_out, ft_echoed, ft_ops = run true in
+  let files = function
+    | [ (_, (files, clock_ok)) ] ->
+        Alcotest.(check bool) "clock monotonic" true clock_ok;
+        files
+    | _ -> Alcotest.fail "app did not finish once per kernel"
+  in
+  let sa_files = files sa_out in
+  let expected =
+    List.init 2 (fun w ->
+        String.concat ""
+          (List.init 10 (fun i -> Printf.sprintf "[w%d:%02d]" w (i + 1))))
+  in
+  Alcotest.(check (list string)) "standalone file contents" expected
+    (List.map (fun (_, chunks) -> String.concat "" chunks) sa_files);
+  Alcotest.(check (list (list int))) "standalone read lengths"
+    [ [ 32; 32; 6 ]; [ 32; 32; 6 ] ]
+    (List.map (fun (_, chunks) -> List.map String.length chunks) sa_files);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " reads what standalone reads") true
+        (files (List.filter (fun (k, _) -> k = name) ft_out) = sa_files))
+    [ "primary"; "secondary" ];
+  Alcotest.(check (list (option string))) "standalone echoes"
+    [ Some "a1 a2 a3"; Some "b1 b2" ] sa_echoed;
+  Alcotest.(check (list (option string))) "replicated echoes the same bytes"
+    sa_echoed ft_echoed;
+  Alcotest.(check int) "standalone runs no det sections" 0 sa_ops;
+  Alcotest.(check bool) "replicated runs det sections" true (ft_ops > 0)
+
+(* An app that closes its listener at 600 ms and listens on the same port
+   again; a client connecting at 700 ms must be accepted and echoed.
+   [accepted] collects each kernel's accept outcome. *)
+let relisten_app accepted (api : Api.t) =
+  let l = api.Api.net.listen ~port:80 in
+  api.Api.thread.compute (Time.ms 600);
+  api.Api.net.close_listener l;
+  let l = api.Api.net.listen ~port:80 in
+  let name = Kernel.name api.Api.kernel in
+  match api.Api.net.accept l with
+  | Error e -> accepted := (name, Api.err_to_string e) :: !accepted
+  | Ok s ->
+      accepted := (name, "ok") :: !accepted;
+      (match api.Api.net.recv s ~max:4096 with
+      | Ok cs -> List.iter (fun c -> ignore (api.Api.net.send s c)) cs
+      | Error _ -> ());
+      api.Api.net.close s
+
+let test_relisten_after_close role () =
+  let eng = Engine.create () in
+  let link = gbit_link eng in
+  let accepted = ref [] in
+  let app = relisten_app accepted in
+  let server, shutdown =
+    match role with
+    | `Standalone ->
+        ignore
+          (Cluster.create_standalone eng ~topology:Topology.small
+             ~link:(Link.endpoint_a link) ~app ());
+        ("ubuntu", ignore)
+    | `Primary | `Live_secondary ->
+        let c =
+          Cluster.create eng ~config:test_config ~link:(Link.endpoint_a link)
+            ~app ()
+        in
+        if role = `Live_secondary then
+          (* The failover completes long before the re-listen. *)
+          Cluster.kill c ~role:Replica_set.Primary ~at:(Time.ms 50);
+        ((if role = `Primary then "primary" else "secondary"), fun () ->
+          Cluster.shutdown c)
+  in
+  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
+  let echoed = ref None in
+  ignore
+    (Host.spawn client "client" (fun () ->
+         Engine.sleep (Time.ms 700);
+         let c = Tcp.connect (Host.stack client) ~host:"10.0.0.1" ~port:80 in
+         Tcp.send c (Payload.of_string "again");
+         echoed := Some (Payload.concat_to_string (Tcp.recv c ~max:4096));
+         Tcp.close c));
+  Engine.run ~until:(Time.sec 2) eng;
+  shutdown ();
+  Alcotest.(check (option string)) "accept after re-listen" (Some "ok")
+    (List.assoc_opt server !accepted);
+  Alcotest.(check (option string)) "client echoed" (Some "again") !echoed
 
 (* {1 Voter (3-replica extension, paper 6)} *)
 
@@ -1639,6 +1793,17 @@ let () =
         [
           Alcotest.test_case "replicated poll server" `Quick
             test_replicated_poll_server;
+        ] );
+      ( "roles",
+        [
+          Alcotest.test_case "standalone matches replicated" `Quick
+            test_standalone_matches_replicated;
+          Alcotest.test_case "re-listen after close: standalone" `Quick
+            (test_relisten_after_close `Standalone);
+          Alcotest.test_case "re-listen after close: primary" `Quick
+            (test_relisten_after_close `Primary);
+          Alcotest.test_case "re-listen after close: live secondary" `Quick
+            (test_relisten_after_close `Live_secondary);
         ] );
       ( "voter",
         [
