@@ -1093,9 +1093,9 @@ let det_overhead eng =
    backpressure and appends block {e inside} det sections.  That is the
    regime where the namespace-global mutex couples every sync object —
    one thread stalled flushing stalls all of them — and where per-channel
-   streams let independent objects keep moving.  With the default batched
-   sink appends only stage and never block in-section, so neither variant
-   would ever observe contention. *)
+   streams let independent objects keep moving.  With default batching,
+   appends only stage and never block in-section, so neither variant would
+   ever observe contention. *)
 let scaling_config ?replay_workers ~det_shard () =
   let replay_workers =
     match replay_workers with

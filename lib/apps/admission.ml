@@ -52,8 +52,6 @@ let release t =
   if t.in_flight > 0 then t.in_flight <- t.in_flight - 1;
   Pthread.mutex_unlock t.pt t.mu
 
-let with_admission t ~shed f = if try_admit t then Fun.protect ~finally:(fun () -> release t) f else shed ()
-
 let limit t = t.limit
 let admitted t = Metrics.Counter.value t.m_admitted
 let shed t = Metrics.Counter.value t.m_shed

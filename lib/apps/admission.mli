@@ -25,10 +25,6 @@ val try_admit : t -> bool
 
 val release : t -> unit
 
-val with_admission : t -> shed:(unit -> 'a) -> (unit -> 'a) -> 'a
-(** [with_admission t ~shed f] runs [f] inside an admitted slot, or [shed]
-    when saturated.  The slot is released even if [f] raises. *)
-
 val limit : t -> int
 val admitted : t -> int
 val shed : t -> int

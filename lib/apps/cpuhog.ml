@@ -1,10 +1,10 @@
 open Ftsim_sim
 open Ftsim_kernel
 
-type t = { mutable stopped : bool; burned : Metrics.Counter.t }
+type t = { mutable stopped : bool }
 
 let start kernel ~threads =
-  let t = { stopped = false; burned = Metrics.Counter.create () } in
+  let t = { stopped = false } in
   for i = 1 to threads do
     ignore
       (Kernel.spawn_thread kernel
@@ -12,12 +12,9 @@ let start kernel ~threads =
          (fun () ->
            let slice = Time.ms 1 in
            while not t.stopped do
-             Kernel.compute kernel slice;
-             Metrics.Counter.add t.burned slice
+             Kernel.compute kernel slice
            done))
   done;
   t
 
 let stop t = t.stopped <- true
-
-let work_done t = Metrics.Counter.value t.burned

@@ -11,6 +11,3 @@ val start : Kernel.t -> threads:int -> t
     (until {!stop} or partition halt). *)
 
 val stop : t -> unit
-
-val work_done : t -> Ftsim_sim.Time.t
-(** Total CPU time consumed so far. *)

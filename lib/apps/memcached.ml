@@ -1,3 +1,4 @@
+open Ftsim_sim
 open Ftsim_netstack
 open Ftsim_ftlinux
 

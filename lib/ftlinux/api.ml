@@ -19,8 +19,6 @@ let err_to_string = function
   | `Reset -> "ECONNRESET"
   | `Badfd -> "EBADF"
 
-let pp_err ppf e = Format.pp_print_string ppf (err_to_string e)
-
 type net = {
   listen : port:int -> listener;
   listen_group :

@@ -36,7 +36,6 @@ type err = [ `Eof | `Reset | `Badfd ]
     [`Badfd] = operation on an invalid descriptor ([EBADF]). *)
 
 val err_to_string : err -> string
-val pp_err : Format.formatter -> err -> unit
 
 (** Network operations.  [recv] never returns [Ok []]: it blocks until data
     is available and reports end-of-stream as [Error `Eof].  Replicated:

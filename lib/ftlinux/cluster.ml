@@ -69,10 +69,10 @@ let regen_bw = 2_000_000_000
 
 (* The journal: the survivor-readable copy of the replication stream.  A
    regenerated backup replays it from LSN 0, so the global LSN space and
-   the journal's index space must coincide — [create_primary ?journal] is
-   invoked at LSN assignment and [create_secondary ?journal] in receive
-   order, and every epoch switch chains [base_lsn] to the journal length,
-   keeping the invariant across epochs. *)
+   the journal's index space must coincide — the recording group journals
+   at LSN assignment and [create_secondary ?journal] in receive order, and
+   every epoch switch chains [base_lsn] to the journal length, keeping the
+   invariant across epochs. *)
 type journal = {
   mutable j_buf : Wire.record option array;
   mutable j_len : int;
@@ -97,41 +97,6 @@ let journal_clone_prefix j n =
   Array.blit j.j_buf 0 buf 0 n;
   { j_buf = buf; j_len = n }
 
-(* What the recording side writes to when re-protection is on.  While a
-   backup is attached, appends go through the group's sink (whose message
-   layer also journals them); while the set is degraded there is no backup
-   — appends journal directly and stability is granted immediately
-   (outputs release unprotected, which is exactly what Degraded means). *)
-type live_sink = {
-  mutable ls_ml : Msglayer.sink option;
-  mutable ls_journal : journal;
-}
-
-let sink_of_live_sink ls =
-  {
-    Msglayer.sink_append =
-      (fun r ->
-        match ls.ls_ml with
-        | Some s -> s.Msglayer.sink_append r
-        | None ->
-            let lsn = ls.ls_journal.j_len in
-            journal_append ls.ls_journal r;
-            lsn);
-    sink_last_lsn =
-      (fun () ->
-        match ls.ls_ml with
-        | Some s -> s.Msglayer.sink_last_lsn ()
-        | None -> ls.ls_journal.j_len - 1);
-    sink_wait_stable =
-      (fun ~lsn ->
-        match ls.ls_ml with
-        | Some s -> s.Msglayer.sink_wait_stable ~lsn
-        | None -> ());
-    sink_flush =
-      (fun () ->
-        match ls.ls_ml with Some s -> s.Msglayer.sink_flush () | None -> ());
-  }
-
 type transition = {
   tr_at : Time.t;
   tr_from : lifecycle;
@@ -139,12 +104,18 @@ type transition = {
   tr_epoch : int;  (* epoch in force once the transition lands *)
 }
 
-(* One backup slot: the replica in it, plus the primary's end of its log. *)
+(* A replica: the partition it runs on, its kernel and FT-Namespace, and
+   the epoch it joined at. *)
+type replica = {
+  part : Partition.t;
+  kernel : Kernel.t;
+  ns : Namespace.t;
+  joined : int;
+}
+
+(* One backup slot: the replica in it, plus both ends of its log. *)
 type backup = {
-  mutable part : Partition.t;
-  mutable kernel : Kernel.t;
-  mutable ns : Namespace.t;
-  mutable joined : int;  (* epoch the slot's replica joined at *)
+  mutable r : replica;
   mutable ml_p : Msglayer.primary;
   mutable ml_s : Msglayer.secondary;
   mutable hb_p : Heartbeat.t option;  (* the primary watching this backup *)
@@ -160,15 +131,15 @@ type t = {
   machine : Machine.t;
   app : Api.app;
   nic : Nic.t option;
-  sink : live_sink option;  (* Some iff [cfg.reprotect] *)
   failover_done : unit Ivar.t;
-  mutable part_p : Partition.t;
-  mutable kernel_p : Kernel.t;
-  mutable ns_p : Namespace.t;
-  mutable joined_p : int;
+  mutable primary : replica;
   backups : backup array;
   mutable group : Msglayer.group;
-      (* the recording sink: every backup's log, stable at one ack *)
+      (* what the primary records into: every backup's log, stable at one
+         ack *)
+  mutable journal : journal;
+      (* what the group journals (re-protection only): the regeneration
+         source *)
   arb : int Mailbox.chan option array array;
       (* [arb.(i).(j)] carries backup i's received LSN to backup j when
          they arbitrate a takeover; [None] on the diagonal *)
@@ -206,11 +177,11 @@ type t = {
 let log = Trace.make "ft.cluster"
 
 let machine t = t.machine
-let primary_partition t = t.part_p
-let primary_kernel t = t.kernel_p
-let primary_namespace t = t.ns_p
-let backup_partition t i = t.backups.(i).part
-let backup_namespace t i = t.backups.(i).ns
+let primary_partition t = t.primary.part
+let primary_kernel t = t.primary.kernel
+let primary_namespace t = t.primary.ns
+let backup_partition t i = t.backups.(i).r.part
+let backup_namespace t i = t.backups.(i).r.ns
 let backup_received_lsn t i = Msglayer.received_lsn t.backups.(i).ml_s
 let winner t = t.winner
 let failover_done t = t.failover_done
@@ -227,25 +198,16 @@ let on_transition t f = t.subs <- t.subs @ [ f ]
 let switch_cutoff t = t.switch_cutoff
 let backup_first_lsn t = Msglayer.first_lsn t.backups.(0).ml_s
 
+let member m_role r =
+  { Replica_set.m_role; m_epoch = r.joined; m_partition = r.part }
+
 let members t =
-  {
-    Replica_set.m_role = Replica_set.Primary;
-    m_epoch = t.joined_p;
-    m_partition = t.part_p;
-  }
-  :: Array.to_list
-       (Array.map
-          (fun b ->
-            {
-              Replica_set.m_role = Replica_set.Backup;
-              m_epoch = b.joined;
-              m_partition = b.part;
-            })
-          t.backups)
+  member Replica_set.Primary t.primary
+  :: Array.to_list (Array.map (fun b -> member Replica_set.Backup b.r) t.backups)
 
 let all_halted t =
-  Partition.is_halted t.part_p
-  && Array.for_all (fun b -> Partition.is_halted b.part) t.backups
+  Partition.is_halted t.primary.part
+  && Array.for_all (fun b -> Partition.is_halted b.r.part) t.backups
 
 let sum_backups f t = Array.fold_left (fun acc b -> acc + f b) 0 t.backups
 
@@ -260,7 +222,7 @@ let reset_traffic t =
   t.acc_bytes <- 0;
   Array.iter (fun b -> Msglayer.reset_traffic b.ml_p b.ml_s) t.backups
 
-let det_ops t = Namespace.det_ops t.ns_p
+let det_ops t = Namespace.det_ops t.primary.ns
 
 (* Every live log carries every record, so the busiest one counts them. *)
 let records_sent t =
@@ -289,6 +251,7 @@ let replay_divergence t =
     None t.all_ns
 
 let stop_hb = Option.iter Heartbeat.stop
+let spawner kernel name f = Kernel.spawn_thread kernel ~name f
 
 let stop_heartbeats t =
   Array.iter
@@ -343,36 +306,36 @@ let next_phase t name =
   t.phase <-
     Some (Evlog.span_begin (Engine.evlog t.eng) ~pin:true ~comp:"ft.cluster" name)
 
-(* Per-backup replication-health monitors at epoch 0 (see the determinism
-   contract in {!Lagmon}: sources are pure reads). *)
+(* Backup [b]'s log pair as a replication-health source, read against the
+   current primary (see the determinism contract in {!Lagmon}: every read
+   is pure). *)
+let pair_source t b =
+  let ml_p = b.ml_p and ml_s = b.ml_s and p = t.primary and part_b = b.r.part in
+  {
+    Lagmon.appended = (fun () -> Msglayer.last_lsn ml_p);
+    acked = (fun () -> Msglayer.acked ml_p);
+    replayed = (fun () -> Msglayer.received_lsn ml_s);
+    queue_depth = (fun () -> Msglayer.queue_depth ml_s);
+    rtt = (fun () -> Msglayer.last_rtt ml_p);
+    channels =
+      (fun () ->
+        List.map
+          (fun (c, emitted, _) -> (c, emitted, Msglayer.chan_acked ml_p ~chan:c))
+          (Namespace.chan_cursors p.ns));
+    alive =
+      (fun () ->
+        t.failover_started = None
+        && (not (Msglayer.is_disabled ml_p))
+        && (not (Partition.is_halted p.part))
+        && not (Partition.is_halted part_b));
+  }
+
+(* Per-backup replication-health monitors at epoch 0. *)
 let start_lagmons t lm_config =
   Array.iteri
     (fun i b ->
-      let ml_p = b.ml_p and ml_s = b.ml_s and ns_p = t.ns_p in
-      let part_p = t.part_p and part_b = b.part in
       let name = "lag" ^ member_suffix t i in
-      let mon =
-        Lagmon.start ~config:lm_config t.eng ~name
-          {
-            Lagmon.appended = (fun () -> Msglayer.last_lsn ml_p);
-            acked = (fun () -> Msglayer.acked ml_p);
-            replayed = (fun () -> Msglayer.received_lsn ml_s);
-            queue_depth = (fun () -> Msglayer.queue_depth ml_s);
-            rtt = (fun () -> Msglayer.last_rtt ml_p);
-            channels =
-              (fun () ->
-                List.map
-                  (fun (c, emitted, _) ->
-                    (c, emitted, Msglayer.chan_acked ml_p ~chan:c))
-                  (Namespace.chan_cursors ns_p));
-            alive =
-              (fun () ->
-                t.failover_started = None
-                && (not (Msglayer.is_disabled ml_p))
-                && (not (Partition.is_halted part_p))
-                && not (Partition.is_halted part_b));
-          }
-      in
+      let mon = Lagmon.start ~config:lm_config t.eng ~name (pair_source t b) in
       t.lagmons <- (name, mon) :: t.lagmons;
       if i = 0 then t.cur_mon <- Some mon)
     t.backups
@@ -394,11 +357,55 @@ let drain b =
   let rec wait_idle consecutive =
     if consecutive < 2 then begin
       Engine.sleep (Time.ms 1);
-      if Namespace.replay_idle b.ns then wait_idle (consecutive + 1)
+      if Namespace.replay_idle b.r.ns then wait_idle (consecutive + 1)
       else wait_idle 0
     end
   in
   wait_idle 0
+
+(* Boot a backup on [part]: a fresh kernel and a replaying FT-Namespace
+   that carries a digest recorder, returned with it. *)
+let boot_backup cfg ~joined part =
+  let kernel = Kernel.boot part ~config:cfg.kernel_config () in
+  let ns =
+    Namespace.secondary kernel ~env:cfg.app_env ~det_shard:cfg.det_shard ()
+  in
+  let d = Digest.create () in
+  Namespace.attach_digest ns d;
+  ({ part; kernel; ns; joined }, d)
+
+(* The log between [primary] and backup [r]: a mailbox duplex, whose rings
+   lose what was in flight when either end suffers a coherency-disrupting
+   fault (§3.5's rare worst case), the primary's end attached to [group] at
+   its next LSN, and the backup's end replaying into [r]'s namespace and,
+   with re-protection, spooling what it receives into [journal]. *)
+let log_pair machine cfg group ~primary r ~journal =
+  let eng = Machine.engine machine in
+  let d =
+    Mailbox.duplex eng ~config:cfg.mailbox_config ~a:primary.part ~b:r.part ()
+  in
+  Machine.on_coherency_loss machine ~partition_id:(Partition.id primary.part)
+    (fun () -> Mailbox.drop_in_flight d.Mailbox.a_to_b);
+  Machine.on_coherency_loss machine ~partition_id:(Partition.id r.part)
+    (fun () -> Mailbox.drop_in_flight d.Mailbox.b_to_a);
+  let base_lsn = Msglayer.group_last_lsn group + 1 in
+  let ml_p =
+    Msglayer.create_primary ~batch:cfg.batch ~base_lsn eng
+      ~out:d.Mailbox.a_to_b ~inb:d.Mailbox.b_to_a
+  in
+  Msglayer.group_attach group ml_p;
+  let ns = r.ns in
+  let ml_s =
+    Msglayer.create_secondary ~batch:cfg.batch
+      ~chan_progress:(fun () -> Namespace.chan_progress ns)
+      ~chan_restore:(fun chans -> Namespace.chan_restore ns chans)
+      ?journal:(if cfg.reprotect then Some (journal_append journal) else None)
+      ~base_lsn ~workers:cfg.replay_workers eng ~inb:d.Mailbox.a_to_b
+      ~out:d.Mailbox.b_to_a ~replay_cost:cfg.kernel_config.Kernel.wake_latency
+      ~delta_cost:delta_replay_cost
+      ~handler:(fun record -> Namespace.record_handler ns record)
+  in
+  (ml_p, ml_s)
 
 let declare_outage t why =
   Trace.warnf log ~eng:t.eng "%s: service outage" why;
@@ -410,9 +417,9 @@ let declare_outage t why =
    failover in flight and is neither. *)
 let rec watch_primary t part =
   Partition.on_halt part (fun () ->
-      if part == t.part_p then begin
+      if part == t.primary.part then begin
         if t.failover_started = None && t.lifecycle = Protected then begin
-          if Array.exists (fun b -> not (Partition.is_halted b.part)) t.backups
+          if Array.exists (fun b -> not (Partition.is_halted b.r.part)) t.backups
           then begin
             t.primary_halted <- Some (Engine.now t.eng);
             next_phase t "failover.detect"
@@ -429,8 +436,8 @@ let rec watch_primary t part =
              the outage. *)
           t.regen_gen <- t.regen_gen + 1;
           let b = t.backups.(0) in
-          if t.lifecycle = Regenerating && not (Partition.is_halted b.part)
-          then Ipi.send_halt t.eng b.part;
+          if t.lifecycle = Regenerating && not (Partition.is_halted b.r.part)
+          then Ipi.send_halt t.eng b.r.part;
           declare_outage t
             (Printf.sprintf "primary died while %s"
                (Replica_set.lifecycle_label t.lifecycle))
@@ -444,7 +451,7 @@ and watch_backup t part =
   Partition.on_halt part (fun () ->
       if
         t.lifecycle <> Outage
-        && Array.exists (fun b -> b.part == part) t.backups
+        && Array.exists (fun b -> b.r.part == part) t.backups
         && all_halted t
       then declare_outage t "last live member died")
 
@@ -463,14 +470,11 @@ and start_heartbeats t ~epoch =
   Array.iteri
     (fun i b ->
       let name role = role ^ suffix ^ member_suffix t i in
-      let ml_p = b.ml_p
-      and ml_s = b.ml_s
-      and kernel_p = t.kernel_p
-      and kernel_s = b.kernel in
+      let ml_p = b.ml_p and ml_s = b.ml_s in
       b.hb_p <-
         Some
           (Heartbeat.start ~name:(name "primary")
-             ~spawn:(fun name f -> Kernel.spawn_thread kernel_p ~name f)
+             ~spawn:(spawner t.primary.kernel)
              ~eng:t.eng ~period:t.cfg.hb_period ~timeout:t.cfg.hb_timeout
              ~send:(fun ~seq -> Msglayer.send_heartbeat_p ml_p ~seq)
              ~last_peer:(fun () -> Msglayer.last_peer_activity_p ml_p)
@@ -479,7 +483,7 @@ and start_heartbeats t ~epoch =
       b.hb_s <-
         Some
           (Heartbeat.start ~name:(name "secondary")
-             ~spawn:(fun name f -> Kernel.spawn_thread kernel_s ~name f)
+             ~spawn:(spawner b.r.kernel)
              ~eng:t.eng ~period:t.cfg.hb_period ~timeout:t.cfg.hb_timeout
              ~send:(fun ~seq -> Msglayer.send_heartbeat_s ml_s ~seq)
              ~last_peer:(fun () -> Msglayer.last_peer_activity_s ml_s)
@@ -507,7 +511,7 @@ and on_primary_death t i =
     end_phase t;
     (* The IPI lands with the failover in flight, which [watch_primary]
        reads as neither a new failure nor an outage. *)
-    Ipi.send_halt t.eng t.part_p;
+    Ipi.send_halt t.eng t.primary.part;
     set_lifecycle t Degraded;
     t.degraded_at <- Some (Engine.now t.eng);
     Array.iter
@@ -520,7 +524,7 @@ and on_primary_death t i =
   b.hb_s <- None;
   if first then next_phase t "failover.drain_replay";
   ignore
-    (Kernel.spawn_thread b.kernel ~name:("ft-failover" ^ member_suffix t i)
+    (Kernel.spawn_thread b.r.kernel ~name:("ft-failover" ^ member_suffix t i)
        (fun () ->
          drain b;
          arbitrate t i))
@@ -552,7 +556,7 @@ and arbitrate t i =
         Option.map
           (fun c ->
             ( j,
-              if Partition.is_halted t.backups.(j).part then None
+              if Partition.is_halted t.backups.(j).r.part then None
               else Mailbox.recv_timeout c ~deadline ))
           t.arb.(j).(i))
       (List.init (Array.length t.backups) Fun.id)
@@ -581,7 +585,7 @@ and arbitrate t i =
       if
         not
           (List.for_all
-             (fun (j, _) -> Partition.is_halted t.backups.(j).part)
+             (fun (j, _) -> Partition.is_halted t.backups.(j).r.part)
              rivals)
       then begin
         Engine.sleep (Time.ms 1);
@@ -591,7 +595,7 @@ and arbitrate t i =
       else begin
         Trace.warnf log ~eng:t.eng
           "backup %d: every longer log died with its holder; halting" i;
-        Ipi.send_halt t.eng b.part
+        Ipi.send_halt t.eng b.r.part
       end
     in
     stand_by ()
@@ -599,9 +603,9 @@ and arbitrate t i =
 
 (* The takeover, run by the arbitration winner.  Wall-clock is dominated by
    the NIC driver reload (99 % of the ~5 s reported in §4.4).  With
-   re-protection on, the survivor is additionally *promoted*: it keeps
-   recording into the live sink (journal) so a regenerated backup can be
-   spliced in later. *)
+   re-protection on, the survivor is additionally *promoted*: it records
+   into a fresh group that journals alone until a regenerated backup is
+   spliced in. *)
 and take_over t i =
   let b = t.backups.(i) in
   let reg = Engine.metrics t.eng in
@@ -614,17 +618,18 @@ and take_over t i =
      The survivor's digest keeps growing as the next epoch's recording
      primary. *)
   if t.cfg.reprotect then
-    close_pairs t (Option.map Digest.capture (Namespace.digest b.ns));
+    close_pairs t (Option.map Digest.capture (Namespace.digest b.r.ns));
   let promote_of restored =
     if t.cfg.reprotect then begin
-      let sink = Option.get t.sink in
       (* The survivor's receive journal is the authoritative timeline now;
-         the promoted primary appends to it. *)
-      sink.ls_ml <- None;
-      sink.ls_journal <- b.journal;
+         the promoted primary's group continues it. *)
+      t.journal <- b.journal;
+      t.group <-
+        Msglayer.create_group ~journal:(journal_append b.journal)
+          ~base_lsn:b.journal.j_len ();
       Some
         {
-          Namespace.pr_sink = sink_of_live_sink sink;
+          Namespace.pr_group = t.group;
           pr_restored = restored;
           pr_output_commit = t.cfg.output_commit;
         }
@@ -636,12 +641,12 @@ and take_over t i =
   (match t.nic with
   | Some nic ->
       let stack =
-        Tcp.create (Netenv.of_kernel b.kernel) ~ip:server_ip ()
+        Tcp.create (Netenv.of_kernel b.r.kernel) ~ip:server_ip ()
       in
-      Nic.transfer nic ~owner:b.part ~rx:(Tcp.rx_callback stack);
+      Nic.transfer nic ~owner:b.r.part ~rx:(Tcp.rx_callback stack);
       next_phase t "failover.golive";
       Tcp.bind_nic stack nic;
-      let shadow = Namespace.shadow_of b.ns in
+      let shadow = Namespace.shadow_of b.r.ns in
       let listeners =
         (* Re-create each listener group with the shard/backlog/overflow
            shape the replayed app registered, so accept routing and shed
@@ -671,10 +676,10 @@ and take_over t i =
           if not (Shadow.was_accepted shadow ~cid) then
             Tcp.requeue_restored stack rc)
         (List.sort (fun (a, _) (b, _) -> compare a b) restored);
-      Namespace.go_live b.ns ~stack ~listeners ?promote:(promote_of restored) ()
+      Namespace.go_live b.r.ns ~stack ~listeners ?promote:(promote_of restored) ()
   | None ->
       next_phase t "failover.golive";
-      Namespace.go_live b.ns ?promote:(promote_of []) ());
+      Namespace.go_live b.r.ns ?promote:(promote_of []) ());
   end_phase t;
   (* The other backups hold none of the log the winner writes from here. *)
   Array.iteri
@@ -682,7 +687,7 @@ and take_over t i =
       if j <> i then begin
         stop_hb o.hb_s;
         o.hb_s <- None;
-        if not (Partition.is_halted o.part) then Ipi.send_halt t.eng o.part
+        if not (Partition.is_halted o.r.part) then Ipi.send_halt t.eng o.r.part
       end)
     t.backups;
   if t.cfg.reprotect then begin
@@ -690,17 +695,10 @@ and take_over t i =
        unit stays listed as the backup slot until regeneration replaces it.
        The dead message-layer pair stays in the slot (frozen metrics) until
        the splice. *)
-    let op = t.part_p and ok = t.kernel_p and on = t.ns_p in
-    let oe = t.joined_p in
-    t.part_p <- b.part;
-    t.kernel_p <- b.kernel;
-    t.ns_p <- b.ns;
-    t.joined_p <- b.joined;
-    b.part <- op;
-    b.kernel <- ok;
-    b.ns <- on;
-    b.joined <- oe;
-    watch_primary t t.part_p;
+    let dead = t.primary in
+    t.primary <- b.r;
+    b.r <- dead;
+    watch_primary t t.primary.part;
     schedule_reprotect t
   end;
   t.failover_completed <- Some (Engine.now t.eng);
@@ -716,9 +714,8 @@ and take_over t i =
 (* Backup [i] died.  Without re-protection the primary keeps replicating to
    the other backups and, once the last is gone, runs solo, unreplicated,
    to the end of the run (the original behaviour).  With re-protection
-   (one backup), the primary keeps *recording* — appends flow into the
-   journal — so a fresh backup can replay the full timeline and
-   re-attach. *)
+   (one backup), the primary keeps *recording* — the group journals alone
+   — so a fresh backup can replay the full timeline and re-attach. *)
 and on_backup_death t i =
   let b = t.backups.(i) in
   if not t.cfg.reprotect then begin
@@ -728,28 +725,26 @@ and on_backup_death t i =
     if solo then
       Trace.warnf log ~eng:t.eng "secondary declared failed; primary runs solo"
     else Trace.warnf log ~eng:t.eng "backup %d declared failed" i;
-    Ipi.send_halt t.eng b.part;
-    Msglayer.group_disable t.group i;
+    Ipi.send_halt t.eng b.r.part;
+    Msglayer.disable b.ml_p;
     if solo then begin
-      Namespace.go_solo t.ns_p;
+      Namespace.go_solo t.primary.ns;
       set_lifecycle t Degraded
     end
   end
   else begin
     Trace.warnf log ~eng:t.eng
       "backup declared failed; primary degrades (journal keeps recording)";
-    Ipi.send_halt t.eng b.part;
+    Ipi.send_halt t.eng b.r.part;
     stop_heartbeats t;
     (* The dead backup's digest froze at its replay point — a valid prefix
        of the primary's, so the pair closes uncapped. *)
     close_pairs t None;
-    let sink = Option.get t.sink in
-    (* Journal-direct appends from here; *then* release the dead message
-       layer's stability waiters (they gate outputs now released
-       unprotected — Degraded's defining property).  TCP hooks stay
-       installed: the primary records, it does not go solo. *)
-    sink.ls_ml <- None;
-    Msglayer.group_disable t.group i;
+    (* The group journals alone from here, and disabling the log releases
+       its stability waiters (they gate outputs now released unprotected —
+       Degraded's defining property).  TCP hooks stay installed: the
+       primary records, it does not go solo. *)
+    Msglayer.disable b.ml_p;
     set_lifecycle t Degraded;
     t.degraded_at <- Some (Engine.now t.eng);
     schedule_reprotect t
@@ -764,7 +759,7 @@ and schedule_reprotect t =
 and reprotect t =
   if t.cfg.reprotect && t.lifecycle = Degraded then
     ignore
-      (Kernel.spawn_thread t.kernel_p ~name:"ft-reprotect" (fun () ->
+      (Kernel.spawn_thread t.primary.kernel ~name:"ft-reprotect" (fun () ->
            do_reprotect t))
 
 (* Online backup regeneration: boot a fresh kernel on the recommissioned
@@ -776,23 +771,22 @@ and reprotect t =
    length at the splice — no gap, no overlap.  Re-protection runs with one
    backup, so the slot is always backup 0. *)
 and do_reprotect t =
-  if not (t.cfg.reprotect && t.lifecycle = Degraded) then ()
-  else begin
+  if t.cfg.reprotect && t.lifecycle = Degraded then begin
     let b = t.backups.(0) in
     let gen = t.regen_gen + 1 in
     t.regen_gen <- gen;
-    let sink = Option.get t.sink in
+    let regenerating () = t.regen_gen = gen && t.lifecycle = Regenerating in
     let ev = Engine.evlog t.eng in
     let reg = Engine.metrics t.eng in
     let new_epoch = t.epoch + 1 in
     Metrics.Counter.incr (Metrics.Registry.counter reg "cluster.reprotects");
     (* Power-cycle the failed unit's hardware and boot the replacement. *)
     let part_b =
-      Machine.recommission t.machine b.part
+      Machine.recommission t.machine b.r.part
         ~name:(Printf.sprintf "backup.e%d" new_epoch)
     in
-    b.part <- part_b;
-    b.joined <- new_epoch;
+    let r, d_fresh = boot_backup t.cfg ~joined:new_epoch part_b in
+    b.r <- r;
     watch_backup t part_b;
     set_lifecycle t Regenerating;
     let span =
@@ -801,18 +795,9 @@ and do_reprotect t =
     let regen_start = Engine.now t.eng in
     Trace.warnf log ~eng:t.eng
       "re-protection: regenerating backup for epoch %d (journal=%d records)"
-      new_epoch sink.ls_journal.j_len;
-    let kernel_b = Kernel.boot part_b ~config:t.cfg.kernel_config () in
-    b.kernel <- kernel_b;
-    let ns_b =
-      Namespace.secondary kernel_b ~env:t.cfg.app_env
-        ~det_shard:t.cfg.det_shard ()
-    in
-    b.ns <- ns_b;
-    t.all_ns <- ns_b :: t.all_ns;
-    let d_fresh = Digest.create () in
-    Namespace.attach_digest ns_b d_fresh;
-    ignore (Namespace.start_app ns_b t.app);
+      new_epoch t.journal.j_len;
+    t.all_ns <- r.ns :: t.all_ns;
+    ignore (Namespace.start_app r.ns t.app);
     (* Memlayout-guided snapshot budget: User pages must be copied before
        the switch (they gate the deadline), Delayed pages transfer lazily
        after it, Ignored kernel state is reconstructed by the fresh boot
@@ -838,7 +823,7 @@ and do_reprotect t =
        the primary is unperturbed, the half-built replica is discarded,
        and a retry is scheduled. *)
     Partition.on_halt part_b (fun () ->
-        if t.regen_gen = gen && t.lifecycle = Regenerating then begin
+        if regenerating () then begin
           t.regen_gen <- t.regen_gen + 1;
           Evlog.span_end ev span;
           Trace.warnf log ~eng:t.eng
@@ -851,115 +836,54 @@ and do_reprotect t =
     (* The epoch switch is agreed through consensus between the two
        partitions (paper §6's path to coordinated membership change). *)
     let paxos =
-      Paxos.create t.eng ~partitions:[ t.part_p; part_b ]
+      Paxos.create t.eng ~partitions:[ t.primary.part; part_b ]
         ~mailbox_config:t.cfg.mailbox_config ()
     in
     Paxos.propose paxos ~node:0 ~instance:0 new_epoch;
     let fed = ref 0 in
-    (* Next epoch's health monitor: sources start on the journal-feed
-       cursors and switch to the spliced message layers at the switch. *)
-    let live = ref None in
+    (* Next epoch's health monitor: it reads the journal-feed cursors until
+       the splice, then the spliced pair. *)
     let mon =
-      match t.cfg.lagmon with
-      | None -> None
-      | Some lm_config ->
+      Option.map
+        (fun lm_config ->
           let name = Printf.sprintf "lag.e%d" new_epoch in
           let m =
-            Lagmon.start ~config:lm_config
-              ~regenerating:(fun () ->
-                t.regen_gen = gen && t.lifecycle = Regenerating)
-              t.eng ~name
+            Lagmon.start ~config:lm_config ~regenerating t.eng ~name
               {
-                Lagmon.appended =
-                  (fun () ->
-                    match !live with
-                    | Some (mlp, _) -> Msglayer.last_lsn mlp
-                    | None -> sink.ls_journal.j_len - 1);
-                acked =
-                  (fun () ->
-                    match !live with
-                    | Some (mlp, _) -> Msglayer.acked mlp
-                    | None -> !fed - 1);
-                replayed =
-                  (fun () ->
-                    match !live with
-                    | Some (_, mls) -> Msglayer.received_lsn mls
-                    | None -> !fed - 1);
-                queue_depth =
-                  (fun () ->
-                    match !live with
-                    | Some (_, mls) -> Msglayer.queue_depth mls
-                    | None -> sink.ls_journal.j_len - !fed);
-                rtt =
-                  (fun () ->
-                    match !live with
-                    | Some (mlp, _) -> Msglayer.last_rtt mlp
-                    | None -> None);
-                channels =
-                  (fun () ->
-                    match !live with
-                    | Some (mlp, _) ->
-                        List.map
-                          (fun (c, emitted, _) ->
-                            (c, emitted, Msglayer.chan_acked mlp ~chan:c))
-                          (Namespace.chan_cursors t.ns_p)
-                    | None -> []);
-                alive =
-                  (fun () ->
-                    (t.regen_gen = gen && t.lifecycle = Regenerating)
-                    || (t.epoch = new_epoch && t.lifecycle = Protected));
+                Lagmon.appended = (fun () -> t.journal.j_len - 1);
+                acked = (fun () -> !fed - 1);
+                replayed = (fun () -> !fed - 1);
+                queue_depth = (fun () -> t.journal.j_len - !fed);
+                rtt = (fun () -> None);
+                channels = (fun () -> []);
+                alive = regenerating;
               }
           in
           t.lagmons <- (name, m) :: t.lagmons;
-          Some m
+          m)
+        t.cfg.lagmon
     in
     (* The splice: one non-yielding turn from the final catch-up check to
        the new replica being live on the wire.  The simulation is
        cooperative, so no append can interleave — the cutoff read here is
        the cutoff the backup acks from. *)
     let splice () =
-      let cutoff = sink.ls_journal.j_len in
+      let cutoff = Msglayer.group_last_lsn t.group + 1 in
       t.switch_cutoff <- Some cutoff;
-      let duplex =
-        Mailbox.duplex t.eng ~config:t.cfg.mailbox_config ~a:t.part_p
-          ~b:part_b ()
-      in
-      Machine.on_coherency_loss t.machine
-        ~partition_id:(Partition.id t.part_p) (fun () ->
-          Mailbox.drop_in_flight duplex.Mailbox.a_to_b);
-      Machine.on_coherency_loss t.machine ~partition_id:(Partition.id part_b)
-        (fun () -> Mailbox.drop_in_flight duplex.Mailbox.b_to_a);
-      let jb = journal_clone_prefix sink.ls_journal cutoff in
-      let jp = sink.ls_journal in
-      let ml_p' =
-        Msglayer.create_primary ~batch:t.cfg.batch
-          ~journal:(fun _ r -> journal_append jp r)
-          ~base_lsn:cutoff t.eng ~out:duplex.Mailbox.a_to_b
-          ~inb:duplex.Mailbox.b_to_a
-      in
-      let ml_s' =
-        Msglayer.create_secondary ~batch:t.cfg.batch
-          ~chan_progress:(fun () -> Namespace.chan_progress ns_b)
-          ~chan_restore:(fun chans -> Namespace.chan_restore ns_b chans)
-          ~journal:(fun _ r -> journal_append jb r)
-          ~base_lsn:cutoff ~workers:t.cfg.replay_workers t.eng
-          ~inb:duplex.Mailbox.a_to_b ~out:duplex.Mailbox.b_to_a
-          ~replay_cost:t.cfg.kernel_config.Kernel.wake_latency
-          ~delta_cost:delta_replay_cost
-          ~handler:(fun record -> Namespace.record_handler ns_b record)
+      let journal = journal_clone_prefix t.journal cutoff in
+      let ml_p, ml_s =
+        log_pair t.machine t.cfg t.group ~primary:t.primary r ~journal
       in
       (* Bank the dead pair's traffic before dropping the handles. *)
       t.acc_msgs <- t.acc_msgs + Msglayer.traffic_msgs b.ml_p b.ml_s;
       t.acc_bytes <- t.acc_bytes + Msglayer.traffic_bytes b.ml_p b.ml_s;
       t.acc_records <- t.acc_records + Msglayer.p_records b.ml_p;
-      b.ml_p <- ml_p';
-      b.ml_s <- ml_s';
-      b.journal <- jb;
-      t.group <- Msglayer.create_group [ ml_p' ] ~quorum:1;
-      sink.ls_ml <- Some (Msglayer.sink_of_group t.group);
+      b.ml_p <- ml_p;
+      b.ml_s <- ml_s;
+      b.journal <- journal;
       (* Both digests cover the stream from LSN 0: the fresh backup
          replayed the whole journal. *)
-      t.cur_pairs <- [ (Option.get (Namespace.digest t.ns_p), d_fresh) ];
+      t.cur_pairs <- [ (Option.get (Namespace.digest t.primary.ns), d_fresh) ];
       t.epoch <- new_epoch;
       t.failover_started <- None;
       t.failover_completed <- None;
@@ -977,12 +901,10 @@ and do_reprotect t =
             (float_of_int (Engine.now t.eng - d));
           t.degraded_at <- None
       | None -> ());
-      Msglayer.spawn_primary_rx ml_p' (fun name f ->
-          Kernel.spawn_thread t.kernel_p ~name f);
-      Msglayer.spawn_secondary_rx ml_s' (fun name f ->
-          Kernel.spawn_thread kernel_b ~name f);
+      Msglayer.spawn_primary_rx ml_p (spawner t.primary.kernel);
+      Msglayer.spawn_secondary_rx ml_s (spawner r.kernel);
       start_heartbeats t ~epoch:new_epoch;
-      live := Some (ml_p', ml_s');
+      Option.iter (fun m -> Lagmon.set_source m (pair_source t b)) mon;
       (* The replaced epoch's monitor was retired by a *planned* switch —
          report that, not a frozen last verdict. *)
       Option.iter Lagmon.retire t.cur_mon;
@@ -996,21 +918,20 @@ and do_reprotect t =
        Runs on the target kernel so a target fault kills it with the
        partition. *)
     ignore
-      (Kernel.spawn_thread kernel_b ~name:"ft-regen-feed" (fun () ->
+      (Kernel.spawn_thread r.kernel ~name:"ft-regen-feed" (fun () ->
            let rec loop () =
-             if t.regen_gen = gen && t.lifecycle = Regenerating then
-               if !fed < sink.ls_journal.j_len then begin
-                 let burst = min 64 (sink.ls_journal.j_len - !fed) in
+             if regenerating () then
+               if !fed < t.journal.j_len then begin
+                 let burst = min 64 (t.journal.j_len - !fed) in
                  for _ = 1 to burst do
-                   Namespace.record_handler ns_b
-                     (journal_get sink.ls_journal !fed);
+                   Namespace.record_handler r.ns (journal_get t.journal !fed);
                    incr fed
                  done;
                  Engine.sleep (Time.us 5);
                  loop ()
                end
                else if
-                 (not (Namespace.replay_idle ns_b))
+                 (not (Namespace.replay_idle r.ns))
                  || Engine.now t.eng < copy_deadline
                  || Paxos.chosen paxos ~node:0 ~instance:0 = None
                then begin
@@ -1068,45 +989,14 @@ let create eng ?(config = default_config) ?link ~app () =
   let machine = Machine.create eng config.topology in
   let part_p, parts_b = carve machine config in
   let kernel_p = Kernel.boot part_p ~config:config.kernel_config () in
-  let kernels_b =
-    Array.map (fun p -> Kernel.boot p ~config:config.kernel_config ()) parts_b
-  in
-  let duplexes =
-    Array.map
-      (fun pb ->
-        Mailbox.duplex eng ~config:config.mailbox_config ~a:part_p ~b:pb ())
-      parts_b
-  in
-  (* A coherency-disrupting fault loses whatever the victim had in flight
-     in its outbound rings (§3.5's rare worst case). *)
-  Array.iteri
-    (fun i d ->
-      Machine.on_coherency_loss machine ~partition_id:(Partition.id part_p)
-        (fun () -> Mailbox.drop_in_flight d.Mailbox.a_to_b);
-      Machine.on_coherency_loss machine
-        ~partition_id:(Partition.id parts_b.(i))
-        (fun () -> Mailbox.drop_in_flight d.Mailbox.b_to_a))
-    duplexes;
-  (* Dual journals (re-protection only): the primary spools appends at LSN
-     assignment, the backup spools receives in LSN order — whichever side
+  (* Dual journals (re-protection only): the group spools records at LSN
+     assignment, each backup spools receives in LSN order — whichever side
      survives a fault holds the full authoritative timeline. *)
-  let spool j =
-    if config.reprotect then Some (fun _ r -> journal_append j r) else None
-  in
-  let jp = journal_create () in
-  let jbs = Array.map (fun _ -> journal_create ()) parts_b in
-  let ml_ps =
-    Array.map
-      (fun d ->
-        Msglayer.create_primary ~batch:config.batch ?journal:(spool jp) eng
-          ~out:d.Mailbox.a_to_b ~inb:d.Mailbox.b_to_a)
-      duplexes
-  in
-  let group = Msglayer.create_group (Array.to_list ml_ps) ~quorum:1 in
-  let sink_opt =
-    if config.reprotect then
-      Some { ls_ml = Some (Msglayer.sink_of_group group); ls_journal = jp }
-    else None
+  let journal = journal_create () in
+  let group =
+    Msglayer.create_group
+      ?journal:(if config.reprotect then Some (journal_append journal) else None)
+      ()
   in
   (* Primary-side network stack (the paper's primary owns all devices). *)
   let nic, stack_p =
@@ -1122,47 +1012,27 @@ let create eng ?(config = default_config) ?link ~app () =
         (Some nic, Some stack)
   in
   let ns_p =
-    Namespace.primary kernel_p
-      ~sink:
-        (match sink_opt with
-        | Some ls -> sink_of_live_sink ls
-        | None -> Msglayer.sink_of_group group)
-      ?stack:stack_p ~env:config.app_env ~det_shard:config.det_shard
-      ~output_commit:config.output_commit ()
+    Namespace.primary kernel_p ~group ?stack:stack_p ~env:config.app_env
+      ~det_shard:config.det_shard ~output_commit:config.output_commit ()
   in
+  let primary = { part = part_p; kernel = kernel_p; ns = ns_p; joined = 0 } in
   (* The launch procedure replicates the environment to the backups so
-     every replica starts the application identically (3). *)
-  let ns_bs =
+     every replica starts the application identically (§3). *)
+  let booted = Array.map (boot_backup config ~joined:0) parts_b in
+  let backups =
     Array.map
-      (fun k ->
-        Namespace.secondary k ~env:config.app_env ~det_shard:config.det_shard
-          ())
-      kernels_b
-  in
-  let ml_ss =
-    Array.mapi
-      (fun i d ->
-        let ns = ns_bs.(i) in
-        Msglayer.create_secondary ~batch:config.batch
-          ~chan_progress:(fun () -> Namespace.chan_progress ns)
-          ~chan_restore:(fun chans -> Namespace.chan_restore ns chans)
-          ?journal:(spool jbs.(i)) ~workers:config.replay_workers eng
-          ~inb:d.Mailbox.a_to_b ~out:d.Mailbox.b_to_a
-          ~replay_cost:config.kernel_config.Kernel.wake_latency
-          ~delta_cost:delta_replay_cost
-          ~handler:(fun record -> Namespace.record_handler ns record))
-      duplexes
+      (fun (r, _) ->
+        let journal = journal_create () in
+        let ml_p, ml_s = log_pair machine config group ~primary r ~journal in
+        { r; ml_p; ml_s; hb_p = None; hb_s = None; journal })
+      booted
   in
   Array.iter
-    (fun ml ->
-      Msglayer.spawn_primary_rx ml (fun name f ->
-          Kernel.spawn_thread kernel_p ~name f))
-    ml_ps;
-  Array.iteri
-    (fun i ml ->
-      Msglayer.spawn_secondary_rx ml (fun name f ->
-          Kernel.spawn_thread kernels_b.(i) ~name f))
-    ml_ss;
+    (fun b -> Msglayer.spawn_primary_rx b.ml_p (spawner kernel_p))
+    backups;
+  Array.iter
+    (fun b -> Msglayer.spawn_secondary_rx b.ml_s (spawner b.r.kernel))
+    backups;
   (* Backup-to-backup channels for takeover arbitration. *)
   let nb = Array.length parts_b in
   let arb = Array.make_matrix nb nb None in
@@ -1174,7 +1044,6 @@ let create eng ?(config = default_config) ?link ~app () =
     done
   done;
   let d_p = Digest.create () in
-  let d_bs = Array.map (fun _ -> Digest.create ()) parts_b in
   let t =
     {
       eng;
@@ -1182,26 +1051,11 @@ let create eng ?(config = default_config) ?link ~app () =
       machine;
       app;
       nic;
-      sink = sink_opt;
       failover_done = Ivar.create ();
-      part_p;
-      kernel_p;
-      ns_p;
-      joined_p = 0;
-      backups =
-        Array.init nb (fun i ->
-            {
-              part = parts_b.(i);
-              kernel = kernels_b.(i);
-              ns = ns_bs.(i);
-              joined = 0;
-              ml_p = ml_ps.(i);
-              ml_s = ml_ss.(i);
-              hb_p = None;
-              hb_s = None;
-              journal = jbs.(i);
-            });
+      primary;
+      backups;
       group;
+      journal;
       arb;
       winner = None;
       lifecycle = Protected;
@@ -1213,8 +1067,8 @@ let create eng ?(config = default_config) ?link ~app () =
       switch_cutoff = None;
       degraded_at = None;
       digest_pairs = [];
-      cur_pairs = Array.to_list (Array.map (fun d -> (d_p, d)) d_bs);
-      all_ns = Array.to_list ns_bs @ [ ns_p ];
+      cur_pairs = Array.to_list (Array.map (fun (_, d) -> (d_p, d)) booted);
+      all_ns = Array.to_list (Array.map (fun b -> b.r.ns) backups) @ [ ns_p ];
       lagmons = [];
       cur_mon = None;
       acc_msgs = 0;
@@ -1234,11 +1088,11 @@ let create eng ?(config = default_config) ?link ~app () =
   watch_primary t part_p;
   Array.iter (watch_backup t) parts_b;
   (* Divergence checking: every replica folds incremental state digests,
-     compared snapshot-by-snapshot after the run (chaos campaigns). *)
+     compared snapshot-by-snapshot after the run (chaos campaigns); each
+     backup's recorder was attached at boot. *)
   Namespace.attach_digest ns_p d_p;
-  Array.iteri (fun i ns -> Namespace.attach_digest ns d_bs.(i)) ns_bs;
   ignore (Namespace.start_app ns_p app);
-  Array.iter (fun ns -> ignore (Namespace.start_app ns app)) ns_bs;
+  Array.iter (fun b -> ignore (Namespace.start_app b.r.ns app)) backups;
   t
 
 let kill t ~role ~at =
@@ -1246,15 +1100,15 @@ let kill t ~role ~at =
     (Engine.timer t.eng ~at (fun () ->
          let part =
            match role with
-           | Replica_set.Primary -> t.part_p
+           | Replica_set.Primary -> t.primary.part
            | Replica_set.Backup -> (
                match
                  Array.find_opt
-                   (fun b -> not (Partition.is_halted b.part))
+                   (fun b -> not (Partition.is_halted b.r.part))
                    t.backups
                with
-               | Some b -> b.part
-               | None -> t.backups.(0).part)
+               | Some b -> b.r.part
+               | None -> t.backups.(0).r.part)
          in
          Machine.apply t.machine
            (Fault.at (Engine.now t.eng)

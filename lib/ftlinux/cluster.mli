@@ -2,11 +2,13 @@
     [config.replicas - 1] backups — behind an explicit replica-lifecycle
     state machine.
 
-    [create] partitions a machine, boots one kernel per partition, wires one
-    shared-memory message layer per backup into a quorum-1
-    {!Msglayer.group} (a record is stable once any backup acknowledged it),
-    launches the application replicated in an FT-Namespace on every kernel,
-    and starts heart-beat failure detection.  When the primary partition
+    [create] partitions a machine, boots one kernel per partition, attaches
+    one shared-memory message layer per backup to the primary's recording
+    {!Msglayer.group} (a record is stable once any live backup acknowledged
+    it), launches the application replicated in an FT-Namespace on every
+    kernel, and starts heart-beat failure detection.  Every backup, original
+    or regenerated, is built the same way: a fresh kernel and replaying
+    namespace, then its log pair.  When the primary partition
     fails (inject via {!Ftsim_hw.Machine.inject} or {!kill}), the backups
     run the failover sequence: IPI-halt, log drain, replay completion,
     log-length arbitration (with more than one backup), NIC driver reload,
@@ -32,15 +34,17 @@
     [Degraded] from there and reads [Outage] exactly when no member can
     serve — every member is halted.
 
-    With [config.reprotect] on (two replicas only), a replica death leaves
-    the survivor as a {e recording} primary journaling every append; after
-    [regen_delay] the failed unit's hardware is recommissioned, a fresh
-    kernel boots on it, replays the journal from LSN 0 (accelerated replay
-    models the {!Ftsim_kernel.Memlayout}-guided snapshot transfer) while
-    the primary keeps serving, and a consensus-coordinated epoch switch
-    splices the new backup into the live stream — its first wire LSN is
-    exactly the journal cutoff, and {!compare_digests} plus §3.5 output
-    commit hold exactly as for an original backup.
+    With [config.reprotect] on (two replicas only), the group journals every
+    record and a replica death leaves the survivor as a {e recording}
+    primary whose group journals alone (after a primary death, a fresh
+    group continuing the survivor's receive journal).  After [regen_delay]
+    the failed unit's hardware is recommissioned, a fresh kernel boots on
+    it, replays the journal from LSN 0 (accelerated replay models the
+    {!Ftsim_kernel.Memlayout}-guided snapshot transfer) while the primary
+    keeps serving, and a consensus-coordinated epoch switch attaches the new
+    backup's log to the group — its first wire LSN is exactly the journal
+    cutoff, and {!compare_digests} plus §3.5 output commit hold exactly as
+    for an original backup.
 
     [standalone] builds the baseline: the same application on an unmodified
     kernel given the same resources as a single FT-Linux partition. *)

@@ -49,7 +49,7 @@ type t = {
   mutable next_chan : int;
   by_proc : (int, thread_ctx) Hashtbl.t;  (* engine pid -> ctx *)
   by_ftpid : (int, thread_ctx) Hashtbl.t;
-  mutable ml : Msglayer.sink option;
+  mutable ml : Msglayer.group option;
   mutable next_ftpid : int;
   turn_changed : Engine.Gate.t;  (* secondary: any delivery or cursor advance *)
   mutable live : bool;
@@ -219,7 +219,6 @@ let register_thread t ~ft_pid =
   Hashtbl.replace t.by_ftpid ft_pid ctx
 
 let unregister_thread t = Hashtbl.remove t.by_proc (Engine.pid (Engine.self ()))
-let current_ftpid t = (ctx_exn t).ft_pid
 
 (* {1 Deterministic sections} *)
 
@@ -336,7 +335,7 @@ let det_end_primary t =
      emission order still equals chan_seq order because LSNs are assigned
      at stage time under these locks. *)
   (match t.ml with
-  | Some sink -> ignore (sink.Msglayer.sink_append record)
+  | Some g -> ignore (Msglayer.group_append g record)
   | None -> ());
   section_end t ctx;
   unlock_chans ctx
@@ -523,15 +522,13 @@ let chan_cursors t =
 
 let log_syscall t result =
   let ctx = ctx_exn t in
-  let lsn =
-    match t.ml with
-    | Some sink ->
-        sink.Msglayer.sink_append
-          (Wire.Syscall_result { ft_pid = ctx.ft_pid; sseq = ctx.sseq; result })
-    | None -> 0
-  in
-  ctx.sseq <- ctx.sseq + 1;
-  lsn
+  (match t.ml with
+  | Some g ->
+      ignore
+        (Msglayer.group_append g
+           (Wire.Syscall_result { ft_pid = ctx.ft_pid; sseq = ctx.sseq; result }))
+  | None -> ());
+  ctx.sseq <- ctx.sseq + 1
 
 type replayed = Replayed of Wire.syscall_result | Went_live
 
@@ -571,10 +568,10 @@ let is_live t = t.live
    so the journal the new backup replays is one gapless per-channel
    stream.  Callers must re-install [pthread_hooks] afterwards: the hook
    record snapshots [is_replica]/[defer_wakes] at creation time. *)
-let promote t sink =
+let promote t group =
   if t.rl = Primary_role then invalid_arg "Det.promote: already primary";
   t.rl <- Primary_role;
-  t.ml <- Some sink;
+  t.ml <- Some group;
   Hashtbl.iter
     (fun _ st ->
       if st.ch_emitted < st.ch_consumed then st.ch_emitted <- st.ch_consumed)

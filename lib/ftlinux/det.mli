@@ -30,7 +30,7 @@ type role = Primary_role | Secondary_role
 
 type t
 
-val create_primary : ?shard:bool -> Engine.t -> Msglayer.sink -> t
+val create_primary : ?shard:bool -> Engine.t -> Msglayer.group -> t
 (** [shard] defaults to [true]; [false] restores the namespace-global total
     order (every section claims channel 0). *)
 
@@ -57,9 +57,6 @@ val register_thread : t -> ft_pid:int -> unit
     Must be the first thing a replicated thread does. *)
 
 val unregister_thread : t -> unit
-
-val current_ftpid : t -> int
-(** ft_pid of the calling thread; raises if unregistered. *)
 
 (** {1 Deterministic sections} *)
 
@@ -143,9 +140,8 @@ val chan_cursors : t -> (int * int * int) list
 
 (** {1 Per-thread syscall streams} *)
 
-val log_syscall : t -> Wire.syscall_result -> int
-(** Primary: append the calling thread's next syscall result; returns the
-    LSN. *)
+val log_syscall : t -> Wire.syscall_result -> unit
+(** Primary: append the calling thread's next syscall result. *)
 
 type replayed = Replayed of Wire.syscall_result | Went_live
 
@@ -161,7 +157,7 @@ val go_live : t -> unit
 
 val is_live : t -> bool
 
-val promote : t -> Msglayer.sink -> unit
+val promote : t -> Msglayer.group -> unit
 (** Promote a surviving secondary into the next epoch's recording primary:
     open the replay gates (like {!go_live}), flip the role, and continue
     every per-channel emission cursor and the thread-id allocator exactly

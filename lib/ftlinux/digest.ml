@@ -335,7 +335,6 @@ let compare_replicas ~primary ~secondary =
   compare_replicas_capped ~secondary_cap:None ~primary ~secondary
 
 let thread_folds t ~ft_pid = (thread_state t ft_pid).tcount
-let chan_folds t ~chan = (chan_state t chan).ccount
 
 let comparison_points t =
   Hashtbl.fold (fun _ cs acc -> acc + cs.ccount) t.chans 0

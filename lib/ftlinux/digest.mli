@@ -161,9 +161,6 @@ val compare_replicas_capped :
 val thread_folds : t -> ft_pid:int -> int
 (** Syscall results folded into [ft_pid]'s digest so far. *)
 
-val chan_folds : t -> chan:int -> int
-(** Sections folded into [chan]'s digest so far. *)
-
 val comparison_points : t -> int
 (** All per-channel section folds plus all per-thread folds: the total
     number of points at which a divergence could be detected. *)

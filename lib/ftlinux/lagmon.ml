@@ -57,7 +57,7 @@ type t = {
   eng : Engine.t;
   cfg : config;
   name : string;
-  src : source;
+  mutable src : source;
   regenerating : unit -> bool;
       (* while true, the stall timer is held back: a regeneration
          catch-up gap is expected to be large but is making progress by
@@ -211,6 +211,7 @@ let retire t =
     stop t
   end
 
+let set_source t src = t.src <- src
 let verdict t = t.cur
 let worst t = t.worst
 let samples t = t.samples

@@ -78,6 +78,10 @@ val start :
     true, the stall timer is held back: a regeneration catch-up gap may be
     [Lagging] but is never called [Stalled]. *)
 
+val set_source : t -> source -> unit
+(** Sample [source] from the next tick on: a regeneration's monitor follows
+    the journal feed until the epoch switch, then the spliced pair. *)
+
 val stop : t -> unit
 (** Cancel the sampling timer.  Idempotent. *)
 

@@ -34,19 +34,13 @@ type primary = {
   p_out : Wire.message Mailbox.chan;
   p_in : Wire.message Mailbox.chan;
   batch : batch_config;
-  p_journal : (int -> Wire.record -> unit) option;
-      (* Append-side record journal, invoked at LSN assignment — before the
-         record can block on the wire.  Live re-protection spools the
-         primary's authoritative timeline here: if the *backup* dies, every
-         appended record was executed by the survivor, so the journal is
-         exactly what a regenerated backup must replay. *)
   mutable next_lsn : int;
   mutable p_acked : int;
   (* Cumulative per-channel replay cursors reported by the secondary's
      acks: channel id -> sections consumed.  Observability only (the
      output-commit rule needs just [p_acked]). *)
   p_chan_acks : (int, int) Hashtbl.t;
-  mutable stable_waiters : Waitq.t;  (* shared by a group's members *)
+  mutable stable_waiters : Waitq.t;  (* the group's, once attached *)
   mutable disabled : bool;
   mutable p_last_peer : Time.t;
   (* Staged records not yet on the wire, oldest last ([buf] is reversed).
@@ -82,7 +76,7 @@ type secondary = {
   handler : Wire.record -> unit;
   chan_progress : unit -> (int * int) list;
   chan_restore : (int * int) list -> unit;
-  journal : (int -> Wire.record -> unit) option;
+  journal : (Wire.record -> unit) option;
       (* Receive-side record journal, invoked in LSN order as records come
          off the mailbox — before replay cost is charged.  Regeneration
          records the survivor's authoritative timeline here: only records
@@ -118,15 +112,13 @@ let log = Trace.make "ft.msglayer"
 
 (* {1 Primary} *)
 
-let create_primary ?(batch = unbatched) ?journal ?(base_lsn = 0) eng ~out ~inb
-    =
+let create_primary ?(batch = unbatched) ?(base_lsn = 0) eng ~out ~inb =
   if base_lsn < 0 then invalid_arg "Msglayer.create_primary: base_lsn < 0";
   {
     p_eng = eng;
     p_out = out;
     p_in = inb;
     batch;
-    p_journal = journal;
     next_lsn = base_lsn;
     p_acked = base_lsn - 1;
     p_chan_acks = Hashtbl.create 8;
@@ -210,9 +202,6 @@ let append p record =
   else begin
     let lsn = p.next_lsn in
     p.next_lsn <- lsn + 1;
-    (* Journal at LSN assignment, before the send can park on a full ring:
-       the spool's index order is exactly LSN order. *)
-    (match p.p_journal with Some j -> j lsn record | None -> ());
     Metrics.Counter.incr p.p_recs;
     Metrics.Counter.incr p.r_recs;
     let ev = Engine.evlog p.p_eng and kind = record_kind record in
@@ -486,7 +475,7 @@ let () = arm_delayed_ack_ref := arm_delayed_ack
    replay cost is charged. *)
 let note_received s ~lsn record =
   if s.s_first < 0 then s.s_first <- lsn;
-  match s.journal with Some j -> j lsn record | None -> ()
+  match s.journal with Some j -> j record | None -> ()
 
 (* Open a record's replay span, with its LSN; the caller adds any further
    args and closes it. *)
@@ -780,7 +769,6 @@ let drained s =
 (* {1 Metrics} *)
 
 let p_records p = Metrics.Counter.value p.p_recs
-let p_frames p = Metrics.Counter.value p.r_frames
 
 let traffic_msgs p s = Mailbox.msgs_sent p.p_out + Mailbox.msgs_sent s.s_out
 
@@ -790,98 +778,72 @@ let reset_traffic p s =
   Mailbox.reset_metrics p.p_out;
   Mailbox.reset_metrics s.s_out
 
-(* {1 Sinks} *)
+(* {1 The recording group} *)
 
-type sink = {
-  sink_append : Wire.record -> int;
-  sink_last_lsn : unit -> int;
-  sink_wait_stable : lsn:int -> unit;
-  sink_flush : unit -> unit;
+type group = {
+  mutable members : primary list;  (* in attach order *)
+  g_journal : (Wire.record -> unit) option;
+  mutable g_next : int;  (* the next LSN the group assigns *)
+  g_stable : Waitq.t;  (* every member's stability queue *)
 }
 
-type group = { members : primary array; quorum : int }
+let create_group ?journal ?(base_lsn = 0) () =
+  if base_lsn < 0 then invalid_arg "Msglayer.create_group: base_lsn < 0";
+  {
+    members = [];
+    g_journal = journal;
+    g_next = base_lsn;
+    g_stable = Waitq.create ();
+  }
 
-let create_group members ~quorum =
-  let n = List.length members in
-  if n = 0 then invalid_arg "Msglayer.create_group: no members";
-  if quorum < 1 || quorum > n then invalid_arg "Msglayer.create_group: quorum";
-  let first = List.hd members in
-  List.iter
-    (fun p ->
-      if p.next_lsn <> first.next_lsn then
-        invalid_arg "Msglayer.create_group: logs out of step";
-      (* One stability queue for the group: an ack from any member (or a
-         member's death) wakes every waiter to re-check the quorum. *)
-      p.stable_waiters <- first.stable_waiters)
-    members;
-  { members = Array.of_list members; quorum }
+let group_attach g p =
+  if p.next_lsn <> g.g_next then
+    invalid_arg "Msglayer.group_attach: log out of step with the group";
+  (* One stability queue for the group: an ack from any member (or a
+     member's death) wakes every waiter to re-check. *)
+  p.stable_waiters <- g.g_stable;
+  g.members <- List.filter (fun m -> not m.disabled) g.members @ [ p ]
 
-(* Loops, not closures: the group paths run once per appended record and
-   per output commit, and allocate nothing. *)
+let group_last_lsn g = g.g_next - 1
 
-(* Live members stay in step; a disabled member froze at its last append. *)
-let group_next g =
-  let next = ref 0 in
-  for i = 0 to Array.length g.members - 1 do
-    next := Int.max !next g.members.(i).next_lsn
-  done;
-  !next
+(* Recursive walks, not closures: the group paths run once per appended
+   record and per output commit, and allocate nothing. *)
+
+let rec append_live record = function
+  | [] -> ()
+  | p :: rest ->
+      (* A live member's next LSN is the group's: attach checked it, and
+         only the group appends to a member. *)
+      if not p.disabled then ignore (append p record);
+      append_live record rest
 
 let group_append g record =
-  (* Every live member assigns the same LSN.  A disabled member neither
-     assigns nor advances, as [append] does, so with every member disabled
-     the group hands back the next LSN unadvanced, like a lone primary. *)
-  let lsn = group_next g in
-  for i = 0 to Array.length g.members - 1 do
-    let p = g.members.(i) in
-    if (not p.disabled) && append p record <> lsn then
-      failwith "Msglayer.group: LSN skew across members"
-  done;
+  let lsn = g.g_next in
+  g.g_next <- lsn + 1;
+  (* Journal at LSN assignment, before a send can park on a full ring: the
+     journal's index is the LSN. *)
+  (match g.g_journal with Some j -> j record | None -> ());
+  append_live record g.members;
   lsn
 
-let group_acked_count g lsn =
-  let n = ref 0 in
-  for i = 0 to Array.length g.members - 1 do
-    let p = g.members.(i) in
-    if (not p.disabled) && p.p_acked >= lsn then incr n
-  done;
-  !n
+let rec flush_members ~lsn = function
+  | [] -> ()
+  | p :: rest ->
+      flush_for ~lsn p;
+      flush_members ~lsn rest
 
-let group_live_count g =
-  let n = ref 0 in
-  for i = 0 to Array.length g.members - 1 do
-    if not g.members.(i).disabled then incr n
-  done;
-  !n
+(* Stable once a live member acked [lsn]; vacuously so with none live
+   ([live]: a live member was already passed). *)
+let rec stable ~lsn ~live = function
+  | [] -> not live
+  | p :: rest ->
+      if p.disabled then stable ~lsn ~live rest
+      else p.p_acked >= lsn || stable ~lsn ~live:true rest
 
 let group_wait_stable g ~lsn =
   (* Flush every member first (flush-on-output-commit), then park on the
-     shared queue.  Quorum shrinks with disabled members; with none left,
-     stability is vacuous (solo mode). *)
-  for i = 0 to Array.length g.members - 1 do
-    flush_for ~lsn g.members.(i)
-  done;
-  let rec wait () =
-    let live = group_live_count g in
-    let need = min g.quorum live in
-    if need = 0 || group_acked_count g lsn >= need then ()
-    else begin
-      ignore (Sync.wait_on g.members.(0).stable_waiters);
-      wait ()
-    end
-  in
-  wait ()
-
-let group_disable g i =
-  if i < 0 || i >= Array.length g.members then invalid_arg "group_disable";
-  (* [disable] wakes the shared stability queue: the quorum may now be
-     met, or vacuous. *)
-  disable g.members.(i)
-
-let sink_of_group g =
-  {
-    sink_append = (fun r -> group_append g r);
-    sink_last_lsn = (fun () -> group_next g - 1);
-    sink_wait_stable = (fun ~lsn -> group_wait_stable g ~lsn);
-    sink_flush = (fun () -> Array.iter flush g.members);
-  }
+     shared queue. *)
+  flush_members ~lsn g.members;
+  while not (stable ~lsn ~live:false g.members) do
+    ignore (Sync.wait_on g.g_stable)
+  done

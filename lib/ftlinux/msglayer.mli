@@ -1,6 +1,7 @@
 (** The replication log: an LSN-stamped FIFO of {!Wire.record}s from primary
     to secondary over the shared-memory mailbox, with cumulative
-    acknowledgements flowing back.
+    acknowledgements flowing back, and the recording group that fans one
+    record stream out to every backup's log.
 
     Three behaviours of the evaluation live here:
 
@@ -11,7 +12,11 @@
       [wake_up_process]-style latency per record delivered, serializing
       replay — the paper's identified bottleneck (§4.1);
     - {b stability}: [wait_stable] blocks until the secondary acknowledged a
-      given LSN — the primitive underneath output commit (§3.5). *)
+      given LSN — the primitive underneath output commit (§3.5).
+
+    A recording primary writes to a {!group}, never to a log directly: the
+    group assigns every LSN, journals each record at assignment, and is
+    stable once any live member acknowledged. *)
 
 open Ftsim_sim
 open Ftsim_hw
@@ -46,21 +51,15 @@ val default_batch : batch_config
 
 val create_primary :
   ?batch:batch_config ->
-  ?journal:(int -> Wire.record -> unit) ->
   ?base_lsn:int ->
   Engine.t ->
   out:Wire.message Mailbox.chan ->
   inb:Wire.message Mailbox.chan ->
   primary
 (** [batch] defaults to {!unbatched}.  {!Cluster.default_config} turns
-    {!default_batch} on.  [journal] (default: none) is invoked per appended
-    record at LSN assignment, before the send can block — live
-    re-protection spools the primary's authoritative timeline here (the
-    regeneration source after a {e backup} death, when every appended
-    record was executed by the survivor).  [base_lsn] (default 0) is the
-    first LSN this log will assign — an epoch switch continues the
-    cluster's global LSN space on a fresh mailbox pair instead of
-    restarting from zero. *)
+    {!default_batch} on.  [base_lsn] (default 0) is the first LSN this log
+    will assign — an epoch switch continues the cluster's global LSN space
+    on a fresh mailbox pair instead of restarting from zero. *)
 
 val spawn_primary_rx : primary -> (string -> (unit -> unit) -> Engine.proc) -> unit
 (** Start the ack/heartbeat receive loop — and, when batching is on, the
@@ -73,11 +72,6 @@ val append : primary -> Wire.record -> int
     backpressure throttle); batched, it is staged and the frame goes out
     when the count/byte threshold trips, the window expires, or a
     stability wait forces it. *)
-
-val flush : ?ack_now:bool -> primary -> unit
-(** Send the staged batch now (no-op when empty or disabled).  [ack_now]
-    marks the frame as an explicit ack request (see {!Wire.message}) —
-    the commit path sets it; plain window/threshold flushes do not. *)
 
 val last_lsn : primary -> int
 (** Highest assigned LSN, staged records included. *)
@@ -103,7 +97,8 @@ val wait_stable : primary -> lsn:int -> unit
 
 val disable : primary -> unit
 (** Secondary declared dead: appends become no-ops, every stability waiter
-    is released, and future waits return immediately. *)
+    (the group's, for a member) is released, and future waits return
+    immediately.  A group skips a disabled member. *)
 
 val is_disabled : primary -> bool
 
@@ -111,39 +106,42 @@ val send_heartbeat_p : primary -> seq:int -> unit
 
 val last_peer_activity_p : primary -> Time.t
 
-(** {1 Sinks: what recording components write to}
+(** {1 The recording group}
 
-    The deterministic-section engine and the namespace gates only need
-    append/stability; a [sink] abstracts the fan-out group behind them —
-    one backup (classic primary–backup) or several with quorum
-    stability. *)
-
-type sink = {
-  sink_append : Wire.record -> int;
-  sink_last_lsn : unit -> int;
-  sink_wait_stable : lsn:int -> unit;
-  sink_flush : unit -> unit;
-}
-
-(** {2 Fan-out groups} *)
+    What the deterministic-section engine and the namespace's TCP hooks
+    record into: one record stream, fanned out to every attached log.  The
+    group assigns every LSN itself and hands each record to an optional
+    journal at assignment, so the journal's index is the LSN.  A record is
+    stable once any live member acknowledged it.  Membership changes in
+    place: a backup death {!disable}s its log, and with no live member the
+    group journals alone and every record is stable at once — a degraded
+    primary's outputs release unprotected.  A one-member group behaves
+    exactly like its member: the same LSNs, flushes and stability waits. *)
 
 type group
-(** The same record stream replicated to several backups; a record is
-    stable once [quorum] backups acknowledged it. *)
 
-val create_group : primary list -> quorum:int -> group
-(** All members must be at the same next LSN (fresh logs, or logs created
-    at one [base_lsn]).  [quorum] in [1..length].  The members share one
-    stability queue from here on.  A one-member group behaves exactly like
-    its member: the same LSNs, flushes and stability waits; once every
-    member is disabled, appends return the next LSN without advancing
-    it. *)
+val create_group : ?journal:(Wire.record -> unit) -> ?base_lsn:int -> unit -> group
+(** An empty group whose first LSN is [base_lsn] (default 0).  [journal]
+    (default: none) is invoked per record at LSN assignment, before any
+    member's send can block — live re-protection spools the authoritative
+    timeline there. *)
 
-val sink_of_group : group -> sink
+val group_attach : group -> primary -> unit
+(** Add a log; the group's stability queue becomes its own.  Disabled
+    members are dropped.  Raises [Invalid_argument] unless the log's next
+    LSN is the group's ({!group_last_lsn} + 1). *)
 
-val group_disable : group -> int -> unit
-(** Declare backup [i] dead: it no longer counts toward (or blocks) the
-    quorum.  If every backup is disabled the group is fully disabled. *)
+val group_append : group -> Wire.record -> int
+(** Assign the next LSN, journal the record and {!append} it to every live
+    member; returns the LSN. *)
+
+val group_last_lsn : group -> int
+(** Highest LSN the group assigned. *)
+
+val group_wait_stable : group -> lsn:int -> unit
+(** Flush every member's staged records covering [lsn] (as {!wait_stable}
+    does), then block until a live member acknowledged [lsn]; returns at
+    once when no member is live. *)
 
 (** {1 Secondary side} *)
 
@@ -151,7 +149,7 @@ val create_secondary :
   ?batch:batch_config ->
   ?chan_progress:(unit -> (int * int) list) ->
   ?chan_restore:((int * int) list -> unit) ->
-  ?journal:(int -> Wire.record -> unit) ->
+  ?journal:(Wire.record -> unit) ->
   ?base_lsn:int ->
   ?workers:int ->
   Engine.t ->
@@ -219,9 +217,6 @@ val drained : secondary -> bool
 (** {1 Traffic metrics (both mailbox directions)} *)
 
 val p_records : primary -> int
-
-val p_frames : primary -> int
-(** Record-bearing frames actually sent ([<= p_records] with batching). *)
 
 val traffic_msgs : primary -> secondary -> int
 val traffic_bytes : primary -> secondary -> int

@@ -97,18 +97,18 @@ let cid_exn t c =
 let cid_opt t c = Hashtbl.find_opt t.cid_of_conn (Tcp.conn_id c)
 
 (* A recording primary's TCP hooks: the stack's logical state goes into
-   [sink] as deltas, and output commit (§3.5) gates both egress data and
+   [group] as deltas, and output commit (§3.5) gates both egress data and
    the ACKs of client input. *)
-let install_primary_tcp_hooks t sink stack =
-  let append r = ignore (sink.Msglayer.sink_append r) in
+let install_primary_tcp_hooks t group stack =
+  let append r = ignore (Msglayer.group_append group r) in
   let wait_tail gate () =
-    let lsn = sink.Msglayer.sink_last_lsn () in
+    let lsn = Msglayer.group_last_lsn group in
     (* Flush-on-output-commit: the tail LSN may still sit in the batching
-       stage buffer; [sink_wait_stable] pushes it onto the wire (with the
+       stage buffer; [group_wait_stable] pushes it onto the wire (with the
        ack_now flag, so the secondary replies without its delayed-ack
        timer) before parking for its ack — the output-commit rule is never
        delayed past its covering ack by the batching window. *)
-    sink.Msglayer.sink_wait_stable ~lsn;
+    Msglayer.group_wait_stable group ~lsn;
     (* Recorded after the wait returns: this is the instant the output
        actually became releasable (its covering ack had arrived). *)
     (match Det.digest (det_exn t) with
@@ -176,11 +176,11 @@ let install_primary_tcp_hooks t sink stack =
 let standalone kernel ?stack ?(env = []) () =
   make kernel ?stack ~env ~output_commit:false ()
 
-let primary kernel ~sink ?stack ?(env = []) ?(det_shard = true) ~output_commit
+let primary kernel ~group ?stack ?(env = []) ?(det_shard = true) ~output_commit
     () =
-  let det = Det.create_primary ~shard:det_shard (Kernel.engine kernel) sink in
+  let det = Det.create_primary ~shard:det_shard (Kernel.engine kernel) group in
   let t = make kernel ~det ?stack ~env ~output_commit () in
-  Option.iter (install_primary_tcp_hooks t sink) stack;
+  Option.iter (install_primary_tcp_hooks t group) stack;
   t
 
 let secondary kernel ?(env = []) ?(det_shard = true) () =
@@ -208,14 +208,14 @@ let stack_exn t =
    replication id; their syscalls are simply not logged. *)
 let log_conn_syscall t det c mk =
   match cid_opt t c with
-  | Some cid -> ignore (Det.log_syscall det (mk cid))
+  | Some cid -> Det.log_syscall det (mk cid)
   | None -> ()
 
 let real_gettimeofday t =
   let v = Kernel.gettimeofday t.kernel in
   (match recorder t with
   | Some det ->
-      ignore (Det.log_syscall det (Wire.R_gettimeofday v));
+      Det.log_syscall det (Wire.R_gettimeofday v);
       Det.fold_syscall det (h_time v)
   | None -> ());
   v
@@ -232,7 +232,7 @@ let logged_accept t det rl =
       (* Closed listener: the typed refusal is itself a logged syscall
          result (cid -1), so the replica's acceptor observes the same close
          at the same point in its per-thread stream. *)
-      ignore (Det.log_syscall det (Wire.R_accept (-1)));
+      Det.log_syscall det (Wire.R_accept (-1));
       Det.fold_syscall det (h_accept (-1));
       Error `Reset
 
@@ -303,7 +303,7 @@ let real_close t c =
 let poll_result t socks ready =
   (match recorder t with
   | Some det ->
-      ignore (Det.log_syscall det (Wire.R_poll { ready }));
+      Det.log_syscall det (Wire.R_poll { ready });
       Det.fold_syscall det (h_poll ready)
   | None -> ());
   List.filteri (fun i _ -> List.mem i ready) socks
@@ -323,21 +323,21 @@ let real_poll t socks conns ~timeout =
 let dead_recv t ~cid =
   (match recorder t with
   | Some det ->
-      ignore (Det.log_syscall det (Wire.R_read { cid; len = 0 }));
+      Det.log_syscall det (Wire.R_read { cid; len = 0 });
       Det.fold_syscall det (h_recv 0 [])
   | None -> ());
   Error `Eof
 
 let dead_send t ~cid =
   (match recorder t with
-  | Some det -> ignore (Det.log_syscall det (Wire.R_write { cid; len = -1 }))
+  | Some det -> Det.log_syscall det (Wire.R_write { cid; len = -1 })
   | None -> ());
   Error `Reset
 
 let dead_close t ~cid =
   match recorder t with
   | Some det ->
-      ignore (Det.log_syscall det (Wire.R_close { cid }));
+      Det.log_syscall det (Wire.R_close { cid });
       Det.fold_syscall det (h_close cid)
   | None -> ()
 
@@ -723,7 +723,7 @@ let start_app t app =
 (* {1 Role changes} *)
 
 type promotion = {
-  pr_sink : Msglayer.sink;
+  pr_group : Msglayer.group;
   pr_restored : (int * Tcp.conn) list;
       (* (cid, restored conn) pairs from [Shadow.restore_all] — the
          promoted primary keeps each connection's replication cid, so its
@@ -758,8 +758,8 @@ let go_live t ?stack ?(listeners = []) ?promote () =
           Hashtbl.replace t.cid_of_conn (Tcp.conn_id c) cid;
           if cid >= t.next_cid then t.next_cid <- cid + 1)
         pr.pr_restored;
-      Option.iter (install_primary_tcp_hooks t pr.pr_sink) t.stack;
-      Det.promote (det_exn t) pr.pr_sink;
+      Option.iter (install_primary_tcp_hooks t pr.pr_group) t.stack;
+      Det.promote (det_exn t) pr.pr_group;
       (* The pthread hooks record snapshots its role flags at creation:
          re-install so is_replica/defer_wakes reflect the promoted role. *)
       Pthread.set_hooks t.pt (Some (Det.pthread_hooks (det_exn t)))
@@ -777,4 +777,3 @@ let go_solo t =
 let det_ops t = match t.det with Some d -> Det.det_ops d | None -> 0
 
 let vfs_of t = t.vfs
-let pthread_ops t = Pthread.ops_count t.pt

@@ -25,16 +25,17 @@ val standalone :
 
 val primary :
   Kernel.t ->
-  sink:Msglayer.sink ->
+  group:Msglayer.group ->
   ?stack:Tcp.stack ->
   ?env:(string * string) list ->
   ?det_shard:bool ->
   output_commit:bool ->
   unit ->
   t
-(** Installs pthread hooks and (when [stack] is given) TCP hooks.
-    [output_commit] is §3.5's rule: outbound data segments, and the ACKs of
-    client input, wait until what precedes them is logged stably.  [det_shard]
+(** Records into [group].  Installs pthread hooks and (when [stack] is
+    given) TCP hooks.  [output_commit] is §3.5's rule: outbound data
+    segments, and the ACKs of client input, wait until what precedes them
+    is logged stably.  [det_shard]
     (default true) runs deterministic sections on per-object channels;
     [false] restores the namespace-global total order. *)
 
@@ -55,9 +56,10 @@ val start_app : t -> Api.app -> Api.thread
 (** Launch the application's main thread in the namespace (ft_pid 0). *)
 
 type promotion = {
-  pr_sink : Msglayer.sink;
-      (** where the promoted primary records — the cluster's live sink,
-          journaling while the replica set is degraded *)
+  pr_group : Msglayer.group;
+      (** where the promoted primary records: a fresh group that continues
+          the survivor's receive journal at its length and journals alone
+          until a regenerated backup is attached *)
   pr_restored : (int * Tcp.conn) list;
       (** [(cid, conn)] pairs from {!Shadow.restore_all}: restored
           connections keep their replication cids so the promoted
@@ -80,7 +82,7 @@ val go_live :
 
     With [promote], the survivor additionally becomes the next epoch's
     {e recording primary} (live re-protection): syscall results, TCP
-    deltas and deterministic sections are recorded into [pr_sink] exactly
+    deltas and deterministic sections are recorded into [pr_group] exactly
     as an original primary would, continuing the old epoch's per-channel
     and per-thread streams gaplessly — a backup regenerated later replays
     the journal from LSN 0 as one stream.  The digest is not sealed (see
@@ -96,7 +98,6 @@ val go_solo : t -> unit
     disables the message layer, releasing stability waiters). *)
 
 val det_ops : t -> int
-val pthread_ops : t -> int
 
 (** {1 Divergence checking} *)
 

@@ -41,14 +41,12 @@ type 'v t = {
   n : int;
   members : 'v node array;
   value_bytes : 'v -> int;
-  sent : Metrics.Counter.t;
 }
 
 let log = Trace.make "ft.paxos"
 
 let nodes t = t.n
 let majority t = (t.n / 2) + 1
-let messages_sent t = Metrics.Counter.value t.sent
 
 let slot_of node instance =
   match Hashtbl.find_opt node.slots instance with
@@ -81,12 +79,10 @@ let send t node ~to_ payload =
   else
     match List.assoc_opt to_ node.outs with
     | Some ch ->
-        if not (Mailbox.src_halted ch) then begin
-          Metrics.Counter.incr t.sent;
+        if not (Mailbox.src_halted ch) then
           (* Consensus control messages are small and must not deadlock the
              node loop; drop on a full ring and rely on retry. *)
           ignore (Mailbox.try_send ch ~bytes:(msg_bytes t payload) payload)
-        end
     | None -> ()
 
 let broadcast t node payload =
@@ -205,7 +201,6 @@ let create eng ~partitions ?mailbox_config ?(value_bytes = fun _ -> 8) () =
   let n = List.length partitions in
   if n < 2 then invalid_arg "Paxos.create: need at least 2 partitions";
   let parts = Array.of_list partitions in
-  let sent = Metrics.Counter.create () in
   (* Full mesh of unidirectional channels. *)
   let chans = Hashtbl.create (n * n) in
   Array.iteri
@@ -235,7 +230,7 @@ let create eng ~partitions ?mailbox_config ?(value_bytes = fun _ -> 8) () =
         })
       parts
   in
-  let t = { eng; n; members; value_bytes; sent } in
+  let t = { eng; n; members; value_bytes } in
   (* Per node: one forwarder per incoming channel plus the handler loop. *)
   Array.iter
     (fun node ->

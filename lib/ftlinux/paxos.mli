@@ -43,5 +43,3 @@ val wait_chosen : 'v t -> node:int -> instance:int -> 'v
 
 val chosen_prefix : 'v t -> node:int -> 'v list
 (** Values of instances [0..k-1] where [k] is the first unlearned slot. *)
-
-val messages_sent : 'v t -> int

@@ -1,3 +1,4 @@
+open Ftsim_sim
 open Ftsim_netstack
 
 type conn = {
@@ -97,7 +98,6 @@ let listener_config t ~port =
 let cid c = c.cid
 let out_seq c = c.out_seq
 let pending_output c = Payload.Buf.length c.out_pending
-let logged_input c = Payload.Buf.limit c.instream
 
 let is_live c =
   (* A connection whose teardown completed on the primary needs no

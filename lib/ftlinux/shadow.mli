@@ -10,6 +10,7 @@
     the pending output is exactly the unacknowledged suffix the client
     still needs. *)
 
+open Ftsim_sim
 open Ftsim_netstack
 
 type conn
@@ -67,9 +68,6 @@ val cid : conn -> int
 val find : t -> cid:int -> conn option
 val pending_output : conn -> int
 (** Bytes written by replay and not yet acknowledged by the client. *)
-
-val logged_input : conn -> int
-(** Total input bytes logged so far. *)
 
 val out_seq : conn -> int
 (** Mirror of the primary's [snd_nxt] (sum of forwarded segment sizes). *)

@@ -12,7 +12,6 @@ type t = {
   majority : int;
   slots : (int, slot) Hashtbl.t;  (* seq -> slot *)
   mutable faulty : int list;
-  mutable decisions : (seq:int -> digest -> unit) list;
 }
 
 let create ~replicas =
@@ -22,7 +21,6 @@ let create ~replicas =
     majority = (replicas / 2) + 1;
     slots = Hashtbl.create 256;
     faulty = [];
-    decisions = [];
   }
 
 let slot_of t seq =
@@ -53,8 +51,7 @@ let submit t ~replica ~seq d =
         (* Votes already cast against the new majority are divergent. *)
         Hashtbl.iter
           (fun r v -> if v <> d then mark_faulty t r)
-          slot.votes;
-        List.iter (fun f -> f ~seq d) t.decisions
+          slot.votes
       end
 
 let verdict t ~seq =
@@ -83,5 +80,3 @@ let decided_prefix t =
 let divergent t = List.sort compare t.faulty
 
 let is_faulty t ~replica = List.mem replica t.faulty
-
-let on_decision t f = t.decisions <- f :: t.decisions

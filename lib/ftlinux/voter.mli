@@ -37,7 +37,3 @@ val divergent : t -> int list
 (** Replicas that contradicted an [Agreed] majority at least once, sorted. *)
 
 val is_faulty : t -> replica:int -> bool
-
-val on_decision : t -> (seq:int -> digest -> unit) -> unit
-(** Callback fired when a seq first reaches [Agreed] (in submission order,
-    not necessarily seq order). *)

@@ -18,7 +18,7 @@ type tcp_delta =
       local : Ftsim_netstack.Packet.addr;
       remote : Ftsim_netstack.Packet.addr;
     }
-  | D_in_data of { cid : int; data : Ftsim_netstack.Payload.chunk list }
+  | D_in_data of { cid : int; data : Ftsim_sim.Payload.chunk list }
   | D_out_seg of { cid : int; len : int }
   | D_ack_progress of { cid : int; snd_una : int }
   | D_peer_fin of { cid : int }
@@ -80,7 +80,7 @@ let addr_bytes (a : Ftsim_netstack.Packet.addr) = 3 + String.length a.host
 
 let tcp_delta_bytes = function
   | D_new_conn { local; remote; _ } -> 4 + addr_bytes local + addr_bytes remote
-  | D_in_data { data; _ } -> 4 + Ftsim_netstack.Payload.total_len data
+  | D_in_data { data; _ } -> 4 + Ftsim_sim.Payload.total_len data
   | D_out_seg _ -> 4 + 4
   | D_ack_progress _ -> 4 + 8
   | D_peer_fin _ -> 4
@@ -127,7 +127,7 @@ let pp_record fmt = function
         | D_new_conn { cid; _ } -> Printf.sprintf "tcp.new(%d)" cid
         | D_in_data { cid; data } ->
             Printf.sprintf "tcp.in(%d,%d)" cid
-              (Ftsim_netstack.Payload.total_len data)
+              (Ftsim_sim.Payload.total_len data)
         | D_out_seg { cid; len } -> Printf.sprintf "tcp.out(%d,%d)" cid len
         | D_ack_progress { cid; snd_una } ->
             Printf.sprintf "tcp.ack(%d,%d)" cid snd_una
@@ -247,7 +247,7 @@ let add_record_fields b r =
           add_addr b remote
       | D_in_data { cid; data } ->
           add_i32 b cid;
-          Buffer.add_string b (Ftsim_netstack.Payload.concat_to_string data)
+          Buffer.add_string b (Ftsim_sim.Payload.concat_to_string data)
       | D_out_seg { cid; len } ->
           add_i32 b cid;
           add_i32 b len
@@ -415,7 +415,7 @@ let get_record_fields c ~kind ~subkind =
               let raw = get_str c (c.limit - c.pos) in
               let data =
                 if raw = "" then []
-                else [ Ftsim_netstack.Payload.of_string raw ]
+                else [ Ftsim_sim.Payload.of_string raw ]
               in
               D_in_data { cid; data }
           | 2 ->
@@ -503,7 +503,7 @@ let decode_message s =
 (* ------------------------------------------------------------------ *)
 
 let equal_data a b =
-  Ftsim_netstack.Payload.(
+  Ftsim_sim.Payload.(
     total_len a = total_len b && concat_to_string a = concat_to_string b)
 
 let equal_record a b =

@@ -38,7 +38,7 @@ type syscall_result =
 
 type tcp_delta =
   | D_new_conn of { cid : int; local : Ftsim_netstack.Packet.addr; remote : Ftsim_netstack.Packet.addr }
-  | D_in_data of { cid : int; data : Ftsim_netstack.Payload.chunk list }
+  | D_in_data of { cid : int; data : Ftsim_sim.Payload.chunk list }
   | D_out_seg of { cid : int; len : int }
       (** size of an output segment, forwarded before it is sent ("the
           primary will inform the replicas of the size of the packet") *)

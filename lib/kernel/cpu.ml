@@ -33,5 +33,3 @@ let busy_ns t = Metrics.Counter.value t.busy
 let utilization t ~elapsed =
   if elapsed <= 0 then 0.0
   else float_of_int (busy_ns t) /. (float_of_int t.cores *. float_of_int elapsed)
-
-let queue_length t = Sync.Semaphore.waiters t.sem

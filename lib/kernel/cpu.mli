@@ -25,5 +25,3 @@ val busy_ns : t -> int
 val utilization : t -> elapsed:Time.t -> float
 (** [busy_ns / (cores * elapsed)]. *)
 
-val queue_length : t -> int
-(** Threads currently waiting for a core. *)

@@ -64,26 +64,12 @@ let alloc t =
 let get t a = (word_of t a).value
 let set t a v = (word_of t a).value <- v
 
-let fetch_add t a d =
-  let w = word_of t a in
-  let old = w.value in
-  w.value <- old + d;
-  old
-
 let wait t a ~expected =
   let w = word_of t a in
   if w.value <> expected then `Value_mismatch
   else begin
     match Sync.wait_on w.q with `Woken -> `Woken | `Timeout -> assert false
   end
-
-let wait_deadline t a ~expected ~deadline =
-  let w = word_of t a in
-  if w.value <> expected then `Value_mismatch
-  else
-    match Sync.wait_on ~deadline w.q with
-    | `Woken -> `Woken
-    | `Timeout -> `Timeout
 
 let wake t a ~count =
   let w = word_of t a in

@@ -22,16 +22,9 @@ val alloc : table -> addr
 val get : table -> addr -> int
 val set : table -> addr -> int -> unit
 
-val fetch_add : table -> addr -> int -> int
-(** Atomic add; returns the previous value. *)
-
 val wait : table -> addr -> expected:int -> [ `Woken | `Value_mismatch ]
 (** If the word still holds [expected], sleep until woken (FIFO); otherwise
     return [`Value_mismatch] immediately. *)
-
-val wait_deadline :
-  table -> addr -> expected:int -> deadline:Time.t ->
-  [ `Woken | `Value_mismatch | `Timeout ]
 
 val wake : table -> addr -> count:int -> int
 (** Wake up to [count] waiters in FIFO order; returns the number woken. *)

@@ -23,7 +23,6 @@ type t = {
   cpu : Cpu.t;
   futexes : Futex.table;
   cfg : config;
-  mutable time_hook : (unit -> Time.t) option;
 }
 
 let boot part ?(config = default_config) () =
@@ -35,7 +34,6 @@ let boot part ?(config = default_config) () =
         ~quantum:config.quantum ();
     futexes = Futex.create_table ~eng:(Partition.engine part) ();
     cfg = config;
-    time_hook = None;
   }
 
 let partition t = t.part
@@ -51,11 +49,4 @@ let compute t d = Cpu.consume t.cpu d
 
 let small_op _t d = if d > 0 then Engine.sleep d
 
-let gettimeofday t =
-  match t.time_hook with
-  | Some h -> h ()
-  | None -> Engine.now (engine t) + t.cfg.boot_epoch
-
-let set_time_hook t h = t.time_hook <- h
-
-let is_alive t = not (Partition.is_halted t.part)
+let gettimeofday t = Engine.now (engine t) + t.cfg.boot_epoch

@@ -47,10 +47,5 @@ val small_op : t -> Time.t -> unit
     thread already holds its core; see DESIGN.md. *)
 
 val gettimeofday : t -> Time.t
-(** Wall-clock time.  When a replication runtime has installed a time hook
-    (see {!set_time_hook}), the hook's value is returned instead — this is
-    how the secondary observes the primary's clock. *)
-
-val set_time_hook : t -> (unit -> Time.t) option -> unit
-
-val is_alive : t -> bool
+(** Wall-clock time: the engine clock plus the configured boot epoch.  A
+    replaying secondary replays the primary's logged value instead. *)

@@ -57,8 +57,6 @@ let alloc_slab t n =
   check_fit t n;
   t.slab <- t.slab + n
 
-let free_slab t n = t.slab <- max 0 (t.slab - min n t.slab)
-
 let alloc_page_cache t n =
   if n < 0 then invalid_arg "Memlayout.alloc_page_cache";
   (* The page cache grows opportunistically and shrinks under pressure; cap

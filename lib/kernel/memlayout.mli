@@ -32,8 +32,6 @@ val free_user : t -> int -> unit
 val alloc_slab : t -> int -> unit
 (** Kernel slab: socket buffers, connection tracking, dentries — Ignored. *)
 
-val free_slab : t -> int -> unit
-
 val alloc_page_cache : t -> int -> unit
 (** Clean page cache — Delayed (recoverable). *)
 

@@ -1,5 +1,3 @@
-open Ftsim_sim
-
 type hooks = {
   is_replica : bool;
   chan_alloc : unit -> int;
@@ -10,17 +8,11 @@ type hooks = {
   replay_timed_outcome : unit -> bool option;
 }
 
-type t = {
-  k : Kernel.t;
-  mutable hooks : hooks option;
-  ops : Metrics.Counter.t;
-}
+type t = { k : Kernel.t; mutable hooks : hooks option }
 
-let create k = { k; hooks = None; ops = Metrics.Counter.create () }
+let create k = { k; hooks = None }
 let kernel t = t.k
 let set_hooks t h = t.hooks <- h
-let hooks_installed t = t.hooks <> None
-let ops_count t = Metrics.Counter.value t.ops
 
 (* Channel id for a new sync object.  0 (the misc channel) when no
    replication hooks are installed — harmless, since channels only matter
@@ -49,7 +41,6 @@ let det_end t =
    section: no suspension may separate the section from the queue position
    it fixes. *)
 let charge t =
-  Metrics.Counter.incr t.ops;
   Kernel.small_op t.k (Kernel.config t.k).Kernel.pthread_op_cost
 
 (* {1 Mutex}

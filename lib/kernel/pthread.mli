@@ -58,7 +58,6 @@ val create : Kernel.t -> t
 val kernel : t -> Kernel.t
 
 val set_hooks : t -> hooks option -> unit
-val hooks_installed : t -> bool
 
 (** {1 Mutexes} *)
 
@@ -126,5 +125,3 @@ val sem_value : t -> sem -> int
 
 (** {1 Introspection} *)
 
-val ops_count : t -> int
-(** Total pthread operations executed through this instance. *)

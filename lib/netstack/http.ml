@@ -1,3 +1,5 @@
+open Ftsim_sim
+
 type reader = {
   recv : int -> Payload.chunk list;
   mutable pending : Payload.chunk list;  (* unread, in order *)

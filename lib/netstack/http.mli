@@ -5,6 +5,8 @@
     close semantics.  Bodies stay as {!Payload} chunks so multi-gigabyte
     responses cost no memory. *)
 
+open Ftsim_sim
+
 type reader
 (** Buffered reader over a TCP connection. *)
 

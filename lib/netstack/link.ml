@@ -16,7 +16,6 @@ type endpoint = {
   dropped : Metrics.Counter.t;
   lost : Metrics.Counter.t;
   delivered : Metrics.Counter.t;
-  bytes : Metrics.Counter.t;
 }
 
 type t = { a : endpoint; b : endpoint }
@@ -36,7 +35,6 @@ let make_endpoint eng ~bandwidth_bps ~latency ~loss ~prng =
     dropped = Metrics.Counter.create ();
     lost = Metrics.Counter.create ();
     delivered = Metrics.Counter.create ();
-    bytes = Metrics.Counter.create ();
   }
 
 let create eng ~bandwidth_bps ~latency ?(loss = 0.0) ?seed_split () =
@@ -86,7 +84,6 @@ let transmit ep pkt =
         match peer.receiver with
         | Some rx ->
             Metrics.Counter.incr peer.delivered;
-            Metrics.Counter.add peer.bytes (Packet.wire_size pkt);
             rx pkt
         | None -> Metrics.Counter.incr peer.dropped)
 
@@ -95,4 +92,3 @@ let set_receiver ep rx = ep.receiver <- rx
 let dropped ep = Metrics.Counter.value ep.dropped
 let lost ep = Metrics.Counter.value ep.lost
 let delivered ep = Metrics.Counter.value ep.delivered
-let bytes_delivered ep = Metrics.Counter.value ep.bytes

@@ -44,4 +44,3 @@ val lost : endpoint -> int
 (** Packets destined to this endpoint lost to link errors. *)
 
 val delivered : endpoint -> int
-val bytes_delivered : endpoint -> int

@@ -9,16 +9,12 @@ type t = {
   driver_load_time : Time.t;
   mutable owner : Partition.t option;
   mutable up : bool;
-  tx_drop : Metrics.Counter.t;
 }
 
 let log = Trace.make "net.nic"
 
 let create eng ?(driver_load_time = default_driver_load_time) ep =
-  let t =
-    { eng; ep; driver_load_time; owner = None; up = false;
-      tx_drop = Metrics.Counter.create () }
-  in
+  let t = { eng; ep; driver_load_time; owner = None; up = false } in
   Link.set_receiver ep None;
   t
 
@@ -55,10 +51,4 @@ let transfer t ~owner ~rx =
   Evlog.span_end (Engine.evlog t.eng) sp;
   Trace.infof log ~eng:t.eng "driver bound to %s" (Partition.name owner)
 
-let is_up t = t.up
-
-let transmit t pkt =
-  if t.up then Link.transmit t.ep pkt else Metrics.Counter.incr t.tx_drop
-
-let tx_dropped t = Metrics.Counter.value t.tx_drop
-let rx_dropped t = Link.dropped t.ep
+let transmit t pkt = if t.up then Link.transmit t.ep pkt

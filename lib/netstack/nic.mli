@@ -27,12 +27,6 @@ val transfer : t -> owner:Partition.t -> rx:(Packet.t -> unit) -> unit
 
 val detach : t -> unit
 
-val is_up : t -> bool
-
 val transmit : t -> Packet.t -> unit
-(** Hand a packet to the device for transmission.  Dropped (counted) if the
-    driver is down. *)
-
-val tx_dropped : t -> int
-val rx_dropped : t -> int
-(** Packets that arrived while no driver was bound. *)
+(** Hand a packet to the device for transmission.  Dropped if the driver is
+    down. *)

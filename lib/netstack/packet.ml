@@ -1,3 +1,5 @@
+open Ftsim_sim
+
 type addr = { host : string; port : int }
 
 let pp_addr fmt a = Format.fprintf fmt "%s:%d" a.host a.port

@@ -1,5 +1,7 @@
 (** TCP/IP packets on the wire. *)
 
+open Ftsim_sim
+
 type addr = { host : string; port : int }
 
 val pp_addr : Format.formatter -> addr -> unit

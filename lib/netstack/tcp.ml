@@ -108,7 +108,6 @@ and stack = {
 
 let log = Trace.make "net.tcp"
 
-let config_of s = s.cfg
 let ip s = s.s_ip
 let set_hooks s h = s.hooks <- h
 
@@ -119,8 +118,6 @@ let is_established c = c.established
 let snd_una c = Payload.Buf.base c.sndbuf
 let snd_nxt c = c.snd_nxt
 let rcv_nxt c = c.rcv_nxt
-let bytes_unread c = Payload.Buf.length c.rcvbuf
-let peer_fin_received c = c.peer_fin
 
 let segs_in s = Metrics.Counter.value s.m_segs_in
 let segs_out s = Metrics.Counter.value s.m_segs_out

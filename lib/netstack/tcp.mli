@@ -69,7 +69,6 @@ val bind_nic : stack -> Nic.t -> unit
     by {!Nic.transfer} during failover). *)
 
 val set_hooks : stack -> hooks option -> unit
-val config_of : stack -> config
 val ip : stack -> string
 
 (** {1 Sockets} *)
@@ -151,9 +150,6 @@ val snd_una : conn -> int
 val snd_nxt : conn -> int
 val rcv_nxt : conn -> int
 (** Next expected input byte (all input below is received in order). *)
-
-val bytes_unread : conn -> int
-val peer_fin_received : conn -> bool
 
 (** {1 Failover reconstruction} *)
 

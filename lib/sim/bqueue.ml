@@ -35,14 +35,6 @@ let rec put t v =
     ignore (Waitq.wake_one t.not_empty)
   end
 
-let try_put t v =
-  if is_full t then false
-  else begin
-    Queue.push v t.items;
-    ignore (Waitq.wake_one t.not_empty);
-    true
-  end
-
 let rec get t =
   match Queue.take_opt t.items with
   | Some v ->

@@ -13,9 +13,6 @@ val create : ?capacity:int -> unit -> 'a t
 val put : 'a t -> 'a -> unit
 (** Enqueue; blocks while the queue is full. *)
 
-val try_put : 'a t -> 'a -> bool
-(** Enqueue unless full; never blocks. *)
-
 val get : 'a t -> 'a
 (** Dequeue; blocks while the queue is empty. *)
 

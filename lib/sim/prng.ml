@@ -55,5 +55,3 @@ let exponential t ~mean =
   let u = float t 1.0 in
   let u = if u <= 0.0 then 1e-12 else u in
   -.mean *. log u
-
-let uniform_range t ~lo ~hi = lo +. float t (hi -. lo)

@@ -26,5 +26,3 @@ val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
-
-val uniform_range : t -> lo:float -> hi:float -> float

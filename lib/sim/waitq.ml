@@ -11,8 +11,6 @@ let add t waker =
 
 let cancel e = if e.st = `Waiting then e.st <- `Cancelled
 
-let is_woken e = e.st = `Woken
-
 (* Cancelled entries are dropped lazily as wake operations walk the queue,
    so [cancel] itself stays O(1). *)
 let rec wake_one t =

@@ -17,8 +17,6 @@ val cancel : entry -> unit
 (** Remove the entry from consideration.  Idempotent; a no-op if the entry
     was already woken. *)
 
-val is_woken : entry -> bool
-
 val wake_one : t -> bool
 (** Wake the oldest live waiter.  Returns [false] if none. *)
 

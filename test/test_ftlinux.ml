@@ -1037,6 +1037,135 @@ let test_msglayer_backpressure () =
   Engine.run ~until:(Time.ms 100) eng;
   Alcotest.(check int) "producer stalled at ring size" 8 !appended
 
+(* {2 The recording group} *)
+
+let syscall_record i =
+  Wire.Syscall_result { ft_pid = 0; sseq = i; result = Wire.R_accept i }
+
+let record_sseq = function
+  | Wire.Syscall_result { sseq; _ } -> sseq
+  | _ -> -1
+
+(* A log pair between two fresh partitions, the primary's end starting at
+   [base_lsn].  The secondary starts replaying and acking [acks_after] from
+   now (default: at once); [None] means it never does. *)
+let group_log eng ?(base_lsn = 0) ?(acks_after = Some 0) ?(handler = ignore) ()
+    =
+  let a, b = two_parts eng in
+  let duplex = Mailbox.duplex eng ~a ~b () in
+  let ml_p =
+    Msglayer.create_primary ~base_lsn eng ~out:duplex.Mailbox.a_to_b
+      ~inb:duplex.Mailbox.b_to_a
+  in
+  Msglayer.spawn_primary_rx ml_p (fun n f -> Engine.spawn eng ~name:n f);
+  Option.iter
+    (fun after ->
+      let ml_s =
+        Msglayer.create_secondary ~base_lsn eng ~inb:duplex.Mailbox.a_to_b
+          ~out:duplex.Mailbox.b_to_a ~replay_cost:(Time.us 10)
+          ~delta_cost:(Time.us 2) ~handler
+      in
+      Engine.schedule eng ~at:(Engine.now eng + after) (fun () ->
+          Msglayer.spawn_secondary_rx ml_s (fun n f -> Engine.spawn eng ~name:n f)))
+    acks_after;
+  ml_p
+
+(* A journaling group whose only member dies after ten records keeps
+   assigning gapless LSNs and journals alone; [test_group_attach_continues]
+   goes on from here. *)
+let group_journals_alone eng =
+  let journal = ref [] in
+  let g = Msglayer.create_group ~journal:(fun r -> journal := r :: !journal) () in
+  let ml_p = group_log eng () in
+  Msglayer.group_attach g ml_p;
+  let lsns = ref [] in
+  for i = 0 to 19 do
+    if i = 10 then Msglayer.disable ml_p;
+    lsns := Msglayer.group_append g (syscall_record i) :: !lsns
+  done;
+  Alcotest.(check (list int)) "LSNs run 0-19 without gaps" (List.init 20 Fun.id)
+    (List.rev !lsns);
+  Alcotest.(check (list int)) "the journal holds every record in order"
+    (List.init 20 Fun.id)
+    (List.rev_map record_sseq !journal);
+  Alcotest.(check int) "the dead member stopped after ten records" 9
+    (Msglayer.last_lsn ml_p);
+  let t0 = Engine.now eng in
+  Msglayer.group_wait_stable g ~lsn:19;
+  Alcotest.(check int) "stable at once with no live member" t0 (Engine.now eng);
+  g
+
+let in_process eng f =
+  let finished = ref false in
+  ignore
+    (Engine.spawn eng (fun () ->
+         f ();
+         finished := true));
+  Engine.run ~until:(Time.sec 1) eng;
+  Alcotest.(check bool) "completed" true !finished
+
+let test_group_journals_alone () =
+  let eng = Engine.create () in
+  in_process eng (fun () -> ignore (group_journals_alone eng))
+
+let test_group_attach_out_of_step () =
+  let eng = Engine.create () in
+  in_process eng (fun () ->
+      let g = Msglayer.create_group () in
+      ignore (Msglayer.group_append g (syscall_record 0));
+      let refused base_lsn =
+        match Msglayer.group_attach g (group_log eng ~base_lsn ()) with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) "a log behind the group is refused" true (refused 0);
+      Alcotest.(check bool) "a log ahead of the group is refused" true
+        (refused 2);
+      Alcotest.(check bool) "a log at the group's next LSN joins" false
+        (refused 1))
+
+let test_group_attach_continues () =
+  let eng = Engine.create () in
+  in_process eng (fun () ->
+      let g = group_journals_alone eng in
+      let base_lsn = Msglayer.group_last_lsn g + 1 in
+      let received = ref [] in
+      let ml_p =
+        group_log eng ~base_lsn ~acks_after:(Some (Time.ms 5))
+          ~handler:(fun r -> received := record_sseq r :: !received)
+          ()
+      in
+      Msglayer.group_attach g ml_p;
+      let lsn = Msglayer.group_append g (syscall_record 20) in
+      Alcotest.(check int) "the fresh log takes the next LSN" base_lsn lsn;
+      let t0 = Engine.now eng in
+      Msglayer.group_wait_stable g ~lsn;
+      Alcotest.(check bool) "the wait parked until the secondary acked" true
+        (Engine.now eng >= t0 + Time.ms 5 && Msglayer.acked ml_p >= lsn);
+      Alcotest.(check (list int)) "the secondary got exactly that record" [ 20 ]
+        !received)
+
+let test_group_disabled_member_never_blocks () =
+  let eng = Engine.create () in
+  in_process eng (fun () ->
+      let g = Msglayer.create_group () in
+      let silent = group_log eng ~acks_after:None () in
+      let acker = group_log eng ~acks_after:(Some (Time.ms 5)) () in
+      Msglayer.group_attach g silent;
+      Msglayer.group_attach g acker;
+      let lsn = Msglayer.group_append g (syscall_record 0) in
+      Engine.schedule eng ~at:(Time.ms 1) (fun () -> Msglayer.disable silent);
+      Msglayer.group_wait_stable g ~lsn;
+      Alcotest.(check bool) "stable only once the live member acked" true
+        (Engine.now eng >= Time.ms 5 && Msglayer.acked acker >= lsn);
+      (* Disabled before the next append: that record waits on the live
+         member alone. *)
+      let lsn = Msglayer.group_append g (syscall_record 1) in
+      Msglayer.group_wait_stable g ~lsn;
+      Alcotest.(check bool) "the next record is stable on the live member's ack"
+        true
+        (Msglayer.acked acker >= lsn))
+
 (* {1 Trace invariants (Evlog.Query)}
 
    The structured event trace is itself a checkable artifact: the sync-tuple
@@ -1838,6 +1967,14 @@ let () =
           Alcotest.test_case "disable releases waiters" `Quick
             test_msglayer_disable_releases_waiters;
           Alcotest.test_case "backpressure" `Quick test_msglayer_backpressure;
+          Alcotest.test_case "group journals alone" `Quick
+            test_group_journals_alone;
+          Alcotest.test_case "group attach out of step" `Quick
+            test_group_attach_out_of_step;
+          Alcotest.test_case "group attach continues" `Quick
+            test_group_attach_continues;
+          Alcotest.test_case "group disabled member never blocks" `Quick
+            test_group_disabled_member_never_blocks;
           Alcotest.test_case "parallel executors" `Quick
             test_msglayer_parallel_executors;
         ] );

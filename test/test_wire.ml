@@ -3,7 +3,7 @@
    max-size frames. *)
 
 open Ftsim_ftlinux
-module Payload = Ftsim_netstack.Payload
+module Payload = Ftsim_sim.Payload
 module Packet = Ftsim_netstack.Packet
 
 (* {1 Generators} *)
