@@ -39,7 +39,12 @@ type t = {
   chans : (int, cstate) Hashtbl.t;
   threads : (int, tstate) Hashtbl.t;
   mutable nsections : int;  (* total sections digested (the epoch) *)
-  mutable commits : (int * int) list;  (* (epoch, lsn), newest first *)
+  (* Output-commit marks, oldest first: the [k]th at epoch
+     [commit_epochs.(k)] with LSN [commit_lsns.(k)], for [k < ncommits].
+     Epochs never decrease, so the marks are sorted by epoch. *)
+  mutable commit_epochs : int array;
+  mutable commit_lsns : int array;
+  mutable ncommits : int;
   mutable sealed_at : int option;  (* comparable section count *)
 }
 
@@ -48,7 +53,9 @@ let create () =
     chans = Hashtbl.create 16;
     threads = Hashtbl.create 16;
     nsections = 0;
-    commits = [];
+    commit_epochs = [||];
+    commit_lsns = [||];
+    ncommits = 0;
     sealed_at = None;
   }
 
@@ -139,8 +146,32 @@ let section_end t ~ft_pid ~thread_seq ~chans ~payload =
       end)
     chans
 
-let mark_commit t ~lsn = t.commits <- (t.nsections, lsn) :: t.commits
-let commit_marks t = List.rev t.commits
+let mark_commit t ~lsn =
+  let n = t.ncommits in
+  if n = Array.length t.commit_epochs then begin
+    let grow a =
+      let b = Array.make (max 16 (2 * n)) 0 in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    t.commit_epochs <- grow t.commit_epochs;
+    t.commit_lsns <- grow t.commit_lsns
+  end;
+  t.commit_epochs.(n) <- t.nsections;
+  t.commit_lsns.(n) <- lsn;
+  t.ncommits <- n + 1
+
+(* The LSN of the last mark at or before [epoch], if any.  [search lo hi]
+   keeps the marks below [lo] at or before [epoch] and those from [hi] on
+   after it. *)
+let commit_before t epoch =
+  let rec search lo hi =
+    if lo = hi then if lo = 0 then None else Some t.commit_lsns.(lo - 1)
+    else
+      let mid = (lo + hi) / 2 in
+      if t.commit_epochs.(mid) <= epoch then search (mid + 1) hi else search lo mid
+  in
+  search 0 t.ncommits
 
 let seal t =
   if t.sealed_at = None then begin
@@ -257,12 +288,7 @@ let compare_channels ~secondary_cap ~primary ~secondary =
     match (ps, ss) with
     | (pc, pd, pepoch) :: ps', (_, sd, _) :: ss' ->
         if pd <> sd then
-          let lsn =
-            List.fold_left
-              (fun acc (epoch, lsn) -> if epoch <= pepoch then Some lsn else acc)
-              None
-              (commit_marks primary)
-          in
+          let lsn = commit_before primary pepoch in
           Some
             ( pepoch,
               {

@@ -80,9 +80,6 @@ val mark_commit : t -> lsn:int -> unit
 (** Record an output-commit boundary at the current epoch (total sections
     digested). *)
 
-val commit_marks : t -> (int * int) list
-(** [(epoch, lsn)] marks, oldest first. *)
-
 val seal : t -> unit
 (** Stop the comparable region (secondary go-live): snapshots taken after
     [seal] are excluded from {!comparable}. *)

@@ -10,12 +10,17 @@ type 'a chan = {
   src : Partition.t;
   slots : Sync.Semaphore.t;
   inbox : 'a Bqueue.t;
-  (* Messages in the propagation window, oldest first, each with its
-     delivery timer (cancelled on coherency loss) and its open trace span
-     (which the drop path closes).  The delay is the same for every
-     message and same-instant timers fire in arming order, so messages are
-     delivered in the order they were sent: delivery pops the head. *)
-  pending : (Engine.handle * Evlog.span) Queue.t;
+  (* Messages in the propagation window, oldest first, in three parallel
+     rings: each message, its delivery timer (cancelled on coherency loss)
+     and its open trace span (which the drop path closes).  The delay is
+     the same for every message and same-instant timers fire in arming
+     order, so messages are delivered in the order they were sent: every
+     delivery timer runs the channel's one [deliver], which pops the
+     head. *)
+  w_msgs : 'a Ring.t;
+  w_timers : Engine.handle Ring.t;
+  w_spans : Evlog.span Ring.t;
+  mutable deliver : unit -> unit;
   mutable next_token : int;  (* messages sent so far: the next one's id *)
   sent_msgs : Metrics.Counter.t;
   sent_bytes : Metrics.Counter.t;
@@ -23,22 +28,34 @@ type 'a chan = {
   r_bytes : Metrics.Counter.t;
 }
 
+let deliver_head t =
+  ignore (Ring.pop t.w_timers);
+  Evlog.span_end (Engine.evlog t.eng) (Ring.pop t.w_spans);
+  Bqueue.put t.inbox (Ring.pop t.w_msgs)
+
 let create eng ?(config = default_config) ~src ~dst () =
   ignore dst;
   let reg = Engine.metrics eng in
-  {
-    cfg = config;
-    eng;
-    src;
-    slots = Sync.Semaphore.create config.capacity;
-    inbox = Bqueue.create ();
-    pending = Queue.create ();
-    next_token = 0;
-    sent_msgs = Metrics.Counter.create ();
-    sent_bytes = Metrics.Counter.create ();
-    r_msgs = Metrics.Registry.counter reg "mailbox.msgs_sent";
-    r_bytes = Metrics.Registry.counter reg "mailbox.bytes_sent";
-  }
+  let t =
+    {
+      cfg = config;
+      eng;
+      src;
+      slots = Sync.Semaphore.create config.capacity;
+      inbox = Bqueue.create ();
+      w_msgs = Ring.create ();
+      w_timers = Ring.create ();
+      w_spans = Ring.create ();
+      deliver = ignore;
+      next_token = 0;
+      sent_msgs = Metrics.Counter.create ();
+      sent_bytes = Metrics.Counter.create ();
+      r_msgs = Metrics.Registry.counter reg "mailbox.msgs_sent";
+      r_bytes = Metrics.Registry.counter reg "mailbox.bytes_sent";
+    }
+  in
+  t.deliver <- (fun () -> deliver_head t);
+  t
 
 let account t bytes =
   Metrics.Counter.incr t.sent_msgs;
@@ -54,16 +71,10 @@ let deliver_later t ~bytes v =
   Evlog.arg_int ev "token" tok;
   Evlog.arg_int ev "bytes" bytes;
   Evlog.close ev;
-  let h =
-    Engine.timer t.eng
-      ~at:(Engine.now t.eng + t.cfg.propagation_delay)
-      (fun () ->
-        let _, head = Queue.take t.pending in
-        assert (head == sp);
-        Evlog.span_end ev sp;
-        Bqueue.put t.inbox v)
-  in
-  Queue.push (h, sp) t.pending
+  Ring.push t.w_msgs v;
+  Ring.push t.w_spans sp;
+  Ring.push t.w_timers
+    (Engine.timer t.eng ~at:(Engine.now t.eng + t.cfg.propagation_delay) t.deliver)
 
 let send t ~bytes v =
   Partition.check_alive t.src;
@@ -99,7 +110,7 @@ let poll t =
       Sync.Semaphore.release t.slots;
       Some v
 
-let in_flight t = Queue.length t.pending + Bqueue.length t.inbox
+let in_flight t = Ring.length t.w_msgs + Bqueue.length t.inbox
 
 let src_halted t = Partition.is_halted t.src
 
@@ -123,10 +134,10 @@ let drop_in_flight t =
      timers are cancelled, modelling the victim's outbound rings losing
      coherency mid-flight (§3.5).  They go in the order they were sent, and
      so do the semaphore hand-offs. *)
-  while not (Queue.is_empty t.pending) do
-    let h, sp = Queue.take t.pending in
-    Engine.cancel h;
-    Evlog.span_end (Engine.evlog t.eng) sp
+  while not (Ring.is_empty t.w_msgs) do
+    ignore (Ring.pop t.w_msgs);
+    Engine.cancel (Ring.pop t.w_timers);
+    Evlog.span_end (Engine.evlog t.eng) (Ring.pop t.w_spans)
       ~args:[ ("dropped", Evlog.Bool true) ];
     Sync.Semaphore.release t.slots;
     incr n

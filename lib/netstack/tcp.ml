@@ -92,7 +92,9 @@ and stack = {
   cfg : config;
   s_ip : string;
   mutable nic : Nic.t option;
-  conns : (string * int * int, conn) Hashtbl.t;  (* remote host, remote port, local port *)
+  conns : (int, conn list) Hashtbl.t;
+      (* by [ports_key]: the connections on one port pair, which differ in
+         remote host *)
   listeners : (int, group) Hashtbl.t;
   mutable hooks : hooks option;
   mutable next_ephemeral : int;
@@ -147,7 +149,41 @@ let shard_of_tuple ~(remote : Packet.addr) ~port ~shards =
     h mod shards
   end
 
-let conn_key c = (c.remote.Packet.host, c.remote.Packet.port, c.local.Packet.port)
+(* A connection is demuxed by (remote host, remote port, local port).  The
+   table's int key packs the two ports, and the host is matched in the
+   entry, so looking a segment's connection up allocates nothing. *)
+let ports_key ~remote_port ~local_port = (remote_port lsl 31) lor local_port
+
+let conn_ports c =
+  ports_key ~remote_port:c.remote.Packet.port ~local_port:c.local.Packet.port
+
+let other_host c c' = not (String.equal c'.remote.Packet.host c.remote.Packet.host)
+
+let conns_on s k = try Hashtbl.find s.conns k with Not_found -> []
+
+(* Enter [c] under its key, replacing any connection with the same one. *)
+let add_conn s c =
+  let k = conn_ports c in
+  Hashtbl.replace s.conns k (c :: List.filter (other_host c) (conns_on s k))
+
+(* Remove whatever connection has [c]'s key. *)
+let remove_conn s c =
+  let k = conn_ports c in
+  match List.filter (other_host c) (conns_on s k) with
+  | [] -> Hashtbl.remove s.conns k
+  | rest -> Hashtbl.replace s.conns k rest
+
+let rec find_host host = function
+  | [] -> raise Not_found
+  | c :: rest ->
+      if String.equal c.remote.Packet.host host then c else find_host host rest
+
+(* The connection [pkt] belongs to.  @raise Not_found if none. *)
+let find_conn s (pkt : Packet.t) =
+  find_host pkt.Packet.src.Packet.host
+    (Hashtbl.find s.conns
+       (ports_key ~remote_port:pkt.Packet.src.Packet.port
+          ~local_port:pkt.Packet.dst.Packet.port))
 
 let fin_seq c =
   (* FIN occupies one sequence slot after the last data byte. *)
@@ -323,7 +359,7 @@ let make_conn stack ~local ~remote ~established () =
     }
   in
   if established then Ivar.fill c.established_iv ();
-  Hashtbl.replace stack.conns (conn_key c) c;
+  add_conn stack c;
   spawn_conn_procs c;
   c
 
@@ -417,7 +453,7 @@ let process_fin c (pkt : Packet.t) =
 let maybe_reap c =
   if c.fin_acked && c.peer_fin && c.tw_timer = None then begin
     let s = c.stack in
-    if s.cfg.time_wait <= 0 then Hashtbl.remove s.conns (conn_key c)
+    if s.cfg.time_wait <= 0 then remove_conn s c
     else begin
       let eng = s.env.Netenv.eng in
       c.tw_timer <-
@@ -426,7 +462,7 @@ let maybe_reap c =
              ~at:(Engine.now eng + s.cfg.time_wait)
              (fun () ->
                c.tw_timer <- None;
-               Hashtbl.remove s.conns (conn_key c)))
+               remove_conn s c))
     end
   end
 
@@ -462,7 +498,7 @@ let abort c =
         Engine.cancel h;
         c.tw_timer <- None
     | None -> ());
-    Hashtbl.remove c.stack.conns (conn_key c);
+    remove_conn c.stack c;
     wake_all c.readable;
     wake_all c.writable;
     wake_all c.send_wake
@@ -514,9 +550,8 @@ let route_shard g ~(remote : Packet.addr) =
 let handle_packet s (pkt : Packet.t) =
   Metrics.Counter.incr s.m_segs_in;
   Metrics.Counter.add s.m_bytes_in (Packet.wire_size pkt);
-  let key = (pkt.Packet.src.Packet.host, pkt.Packet.src.Packet.port, pkt.Packet.dst.Packet.port) in
-  match Hashtbl.find_opt s.conns key with
-  | Some c ->
+  match find_conn s pkt with
+  | c ->
       if c.aborted then ()
       else if pkt.Packet.flags.Packet.rst then handle_rst c
       else if c.established then handle_established c pkt
@@ -552,7 +587,7 @@ let handle_packet s (pkt : Packet.t) =
         if Packet.payload_len pkt > 0 || pkt.Packet.flags.Packet.fin then
           handle_established c pkt
       end
-  | None ->
+  | exception Not_found ->
       if pkt.Packet.flags.Packet.rst then
         Trace.debugf log ~eng:s.env.Netenv.eng "RST for unknown conn dropped"
       else if pkt.Packet.flags.Packet.syn && not pkt.Packet.flags.Packet.ack then begin
@@ -826,7 +861,7 @@ let restore s (ls : logical_state) =
   Ivar.fill c.established_iv ();
   List.iter (Payload.Buf.append c.sndbuf) ls.l_unacked;
   List.iter (Payload.Buf.append c.rcvbuf) ls.l_unread;
-  Hashtbl.replace s.conns (conn_key c) c;
+  add_conn s c;
   spawn_conn_procs c;
   (* Poke the peer: an immediate pure ACK makes it resume (and tells it our
      rcv_nxt so its own retransmissions trim correctly). *)

@@ -3,7 +3,9 @@
     The inter-replica mailbox and every producer/consumer structure in the
     workloads are built on these.  A bounded queue makes producers block when
     the consumer falls behind — the mechanism behind the paper's
-    burst-versus-sustained throughput distinction. *)
+    burst-versus-sustained throughput distinction.  Items sit in a
+    {!Ring}, so a {!put} and a {!get} that do not block allocate nothing
+    beyond the ring's growth. *)
 
 type 'a t
 

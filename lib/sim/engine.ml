@@ -81,7 +81,7 @@ let create ?(seed = 42) ?evlog_cap () =
     {
       now = 0;
       events = Heap.create ~filler:ignore ();
-      timers = Twheel.create ~filler:ignore ();
+      timers = Twheel.create ();
       seq = 0;
       live = 0;
       next_pid = 0;
@@ -173,7 +173,7 @@ let fire p k =
   else Effect.Deep.continue k ()
 
 (* Never armed: the sleep handle of a process that is not asleep. *)
-let no_sleep = Twheel.unarmed ignore
+let no_sleep = Twheel.unarmed
 
 (* [p]'s resume event.  A kill that claimed a sleeper cancels the sleep's
    timer here, as it unwinds the fiber: a timer due at this instant before
@@ -318,11 +318,11 @@ let no_queue = Waitq.create ()
 let no_gate = { g_head = Nil; g_tail = Nil }
 
 (* The handler of [p]'s fiber, built when [p] first runs, with everything a
-   park needs: [p]'s resume event, its sleep waker, and one [Some] closure
-   per effect.  An effect leaves its argument in the refs below and
-   returns its prebuilt closure, so handling it allocates nothing; a park
-   costs the continuation, its [Some] box and what the wait itself files
-   (a wheel entry, a queue entry, a waker). *)
+   park needs: [p]'s resume event, its sleep waker, its wait-queue entry
+   and one [Some] closure per effect.  An effect leaves its argument in the
+   refs below and returns its prebuilt closure, so handling it allocates
+   nothing; a park costs the continuation, its [Some] box and, for a
+   sleep, the wheel entry it files. *)
 let handler p =
   let open Effect.Deep in
   let t = p.eng in
@@ -330,8 +330,12 @@ let handler p =
   let queue = ref no_queue and gate = ref no_gate and ready = ref no_ready in
   (* A sleep's timer fires at most once per park and, if a kill claimed
      [p] first, finds it no longer [Blocked]; the resume event cancels the
-     timer before [p] can park again.  So it needs no generation. *)
+     timer before [p] can park again.  So it needs no generation.  Nor
+     does the wait-queue entry: a wake takes it out of its queue before
+     it claims [p], and a kill that claimed [p] first leaves it queued, to
+     take one wake and claim nothing, but [p] never parks again. *)
   let alarm () = match p.state with Blocked -> claim p | _ -> () in
+  let entry = Waitq.entry alarm in
   (* [then_] files the wake-up of the park just begun. *)
   let parks then_ =
     Some
@@ -349,7 +353,7 @@ let handler p =
         register := no_register;
         r p (waker p))
   and on_sleep = parks (fun () -> p.sleep_h <- arm t ~at:!deadline alarm)
-  and on_wait = parks (fun () -> ignore (Waitq.add !queue (waker p)))
+  and on_wait = parks (fun () -> Waitq.push !queue entry)
   and on_gate =
     parks (fun () ->
         let w =
@@ -426,8 +430,8 @@ let spawn t ?(name = "proc") ?at f =
    [ta <= w <= ha], and the smaller [(at, seq)] of the two heads fires.  If
    nothing became due, [w] was only a cascade step: it fires nothing, does
    not move [t.now], and the next pass decides again — so the heap never
-   fires while an earlier timer is still sifting down the wheel.  Firing
-   allocates nothing; only cascades do (a list cell per level). *)
+   fires while an earlier timer is still sifting down the wheel.  Neither
+   firing nor a cascade allocates. *)
 let run ?(until = Time.never) t =
   t.stopping <- false;
   let fire_heap at =

@@ -126,8 +126,11 @@ val suspend : (proc -> (unit -> unit) -> unit) -> unit
 val suspend_on : Waitq.t -> unit
 (** [suspend_on q] parks the calling process on [q] until a
     {!Waitq.wake_one} or {!Waitq.wake_all} reaches it: the same park, events
-    and trace as [suspend (fun _ w -> ignore (Waitq.add q w))], without the
-    registration closure. *)
+    and trace as [suspend (fun _ w -> ignore (Waitq.add q w))], but the
+    process queues its own entry, built when it first runs, so the park
+    allocates only its continuation and box.  A process killed while parked
+    here leaves its entry queued: that entry takes one wake, as a waker
+    would, and resumes nothing. *)
 
 (** {1 Gates}
 

@@ -15,22 +15,32 @@
    is identical to a single heap's.
 
    Cancellation is O(1): the handle is flagged and the live count drops
-   immediately; the corpse is discarded when its slot is next visited. *)
+   immediately; the corpse is discarded when its slot is next visited.
+
+   A slot is a chain of handles linked through their [link] field and
+   ended by [Nil], so filing a timer, at first or as it cascades,
+   allocates nothing.  A handle's link is cleared as it leaves its chain,
+   so a fired or dropped handle keeps no other handle alive. *)
 
 type state = Armed | Fired | Cancelled
 
-type 'a handle = {
-  seq : int;
-  at : Time.t;
-  value : 'a;
-  mutable state : state;
-}
+(* [Nil] ends a chain, fills the due heap's vacant slots and is the
+   handle of no timer. *)
+type 'a handle =
+  | Nil
+  | Handle of {
+      seq : int;
+      at : Time.t;
+      value : 'a;
+      mutable state : state;
+      mutable link : 'a handle; (* next in its chain, [Nil] out of one *)
+    }
 
 type 'a t = {
   mutable wnow : Time.t;
-  slots : 'a handle list array array; (* levels x 32, unordered *)
+  slots : 'a handle array array; (* levels x 32 chains, unordered *)
   bits : int array; (* occupancy bitmap per level *)
-  mutable overflow : 'a handle list; (* beyond the top level's rotation *)
+  mutable overflow : 'a handle; (* chain beyond the top level's rotation *)
   mutable next : Time.t; (* [next_internal t], kept current *)
   due : 'a handle Heap.t; (* expired, keyed by (at, seq) *)
   mutable live : int;
@@ -42,28 +52,28 @@ let levels = 10
 let slot_mask = wheel_slots - 1
 let top_shift = slot_bits * levels
 
-let unarmed value = { seq = 0; at = 0; value; state = Fired }
+let unarmed = Nil
 
-let create ?(now = 0) ~filler () =
+let create ?(now = 0) () =
   {
     wnow = now;
-    slots = Array.init levels (fun _ -> Array.make wheel_slots []);
+    slots = Array.init levels (fun _ -> Array.make wheel_slots Nil);
     bits = Array.make levels 0;
-    overflow = [];
+    overflow = Nil;
     next = Time.never;
-    due = Heap.create ~filler:(unarmed filler) ();
+    due = Heap.create ~filler:Nil ();
     live = 0;
   }
 
 let now t = t.wnow
 let live t = t.live
-let is_armed h = h.state = Armed
+let is_armed = function Handle h -> h.state = Armed | Nil -> false
 
-let cancel t h =
-  if h.state = Armed then begin
-    h.state <- Cancelled;
-    t.live <- t.live - 1
-  end
+let cancel t = function
+  | Handle h when h.state = Armed ->
+      h.state <- Cancelled;
+      t.live <- t.live - 1
+  | _ -> ()
 
 (* Index of the lowest set bit of a non-zero 32-bit occupancy bitmap:
    isolate it, then look its de Bruijn product up in a 32-entry table. *)
@@ -107,13 +117,14 @@ let rec scan_levels t k best =
 
 let block_start at = (at lsr top_shift) lsl top_shift
 
-let next_internal t =
-  List.fold_left
-    (fun best h ->
-      let c = block_start h.at in
-      if c < best then c else best)
-    (scan_levels t 0 Time.never)
-    t.overflow
+let rec overflow_min h best =
+  match h with
+  | Nil -> best
+  | Handle r ->
+      let c = block_start r.at in
+      overflow_min r.link (if c < best then c else best)
+
+let next_internal t = overflow_min t.overflow (scan_levels t 0 Time.never)
 
 (* Lowest level [k] whose current rotation contains an expiry whose bits
    differ from the clock's in [x]; [levels] means the overflow list. *)
@@ -125,34 +136,59 @@ let rec level_of x k =
    an expired timer goes straight to the due heap.  A timer filed ahead of
    the clock can only bring [next_internal] forward, to its own slot's (or
    overflow block's) start. *)
-let place t h =
-  if h.at <= t.wnow then Heap.push t.due ~prio:h.at ~seq:h.seq h
-  else begin
-    let k = level_of (h.at lxor t.wnow) 0 in
-    let c =
-      if k = levels then begin
-        t.overflow <- h :: t.overflow;
-        block_start h.at
-      end
+let place t = function
+  | Nil -> ()
+  | Handle r as h ->
+      if r.at <= t.wnow then Heap.push t.due ~prio:r.at ~seq:r.seq h
       else begin
-        let sh = slot_bits * k in
-        let s = (h.at lsr sh) land slot_mask in
-        t.slots.(k).(s) <- h :: t.slots.(k).(s);
-        t.bits.(k) <- t.bits.(k) lor (1 lsl s);
-        (h.at lsr sh) lsl sh
+        let k = level_of (r.at lxor t.wnow) 0 in
+        let c =
+          if k = levels then begin
+            r.link <- t.overflow;
+            t.overflow <- h;
+            block_start r.at
+          end
+          else begin
+            let sh = slot_bits * k in
+            let s = (r.at lsr sh) land slot_mask in
+            r.link <- t.slots.(k).(s);
+            t.slots.(k).(s) <- h;
+            t.bits.(k) <- t.bits.(k) lor (1 lsl s);
+            (r.at lsr sh) lsl sh
+          end
+        in
+        if c < t.next then t.next <- c
       end
-    in
-    if c < t.next then t.next <- c
-  end
 
+(* File again the armed handles of a chain that has left its slot; the
+   cancelled ones are dropped. *)
 let rec place_armed t = function
-  | [] -> ()
-  | h :: rest ->
-      if h.state = Armed then place t h;
+  | Nil -> ()
+  | Handle r as h ->
+      let rest = r.link in
+      r.link <- Nil;
+      if r.state = Armed then place t h;
       place_armed t rest
 
+(* Split the overflow chain at the clock's new top-level block [top]: a
+   handle due in a later block stays, corpse or not, and the rest are
+   filed again. *)
+let rec split_overflow t top = function
+  | Nil -> ()
+  | Handle r as h ->
+      let rest = r.link in
+      if r.at lsr top_shift > top then begin
+        r.link <- t.overflow;
+        t.overflow <- h
+      end
+      else begin
+        r.link <- Nil;
+        if r.state = Armed then place t h
+      end;
+      split_overflow t top rest
+
 let add t ~at ~seq value =
-  let h = { seq; at; value; state = Armed } in
+  let h = Handle { seq; at; value; state = Armed; link = Nil } in
   t.live <- t.live + 1;
   place t h;
   h
@@ -162,21 +198,19 @@ let add t ~at ~seq value =
    expiries into the due heap. *)
 let process_instant t c =
   t.wnow <- c;
-  if t.overflow <> [] then begin
-    let stay, move =
-      List.partition (fun h -> h.at lsr top_shift > c lsr top_shift) t.overflow
-    in
-    t.overflow <- stay;
-    place_armed t move
-  end;
+  (match t.overflow with
+  | Nil -> ()
+  | chain ->
+      t.overflow <- Nil;
+      split_overflow t (c lsr top_shift) chain);
   for k = levels - 1 downto 0 do
     let sh = slot_bits * k in
     let s = (c lsr sh) land slot_mask in
     if t.bits.(k) land (1 lsl s) <> 0 && c land ((1 lsl sh) - 1) = 0 then begin
-      let entries = t.slots.(k).(s) in
-      t.slots.(k).(s) <- [];
+      let chain = t.slots.(k).(s) in
+      t.slots.(k).(s) <- Nil;
       t.bits.(k) <- t.bits.(k) land lnot (1 lsl s);
-      place_armed t entries
+      place_armed t chain
     end
   done;
   t.next <- next_internal t
@@ -191,7 +225,7 @@ let rec advance t ~upto =
 
 (* Drop cancelled corpses from the head of the due heap. *)
 let rec drop_cancelled t =
-  if (not (Heap.is_empty t.due)) && (Heap.top t.due).state <> Armed then begin
+  if (not (Heap.is_empty t.due)) && not (is_armed (Heap.top t.due)) then begin
     ignore (Heap.pop t.due);
     drop_cancelled t
   end
@@ -214,7 +248,9 @@ let due_seq t = Heap.top_seq t.due
 
 let pop_due t =
   drop_cancelled t;
-  let h = Heap.pop t.due in
-  h.state <- Fired;
-  t.live <- t.live - 1;
-  h.value
+  match Heap.pop t.due with
+  | Handle h ->
+      h.state <- Fired;
+      t.live <- t.live - 1;
+      h.value
+  | Nil -> assert false

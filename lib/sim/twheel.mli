@@ -4,15 +4,14 @@
     and drains expired entries from the due heap with {!pop_due}; entries
     become due in [(at, seq)] order, so an owner that merges the due heap
     with another [(at, seq)]-ordered source (the engine's event heap)
-    preserves a single global deterministic order.  Reads, {!advance} steps
-    that cross no wheel work, and {!pop_due} allocate nothing. *)
+    preserves a single global deterministic order.  {!add} allocates its
+    handle and nothing else; reads, {!advance} (cascades included) and
+    {!pop_due} allocate nothing beyond the due heap's growth. *)
 
 type 'a t
 type 'a handle
 
-val create : ?now:Time.t -> filler:'a -> unit -> 'a t
-(** [filler] is a value the due heap keeps in its vacant slots (see
-    {!Heap.create}); it is never returned. *)
+val create : ?now:Time.t -> unit -> 'a t
 
 val now : 'a t -> Time.t
 
@@ -32,7 +31,7 @@ val is_armed : 'a handle -> bool
 
 (** A handle that belongs to no wheel and was never armed: {!is_armed} is
     false and {!cancel} a no-op.  A placeholder for a slot that holds one. *)
-val unarmed : 'a -> 'a handle
+val unarmed : 'a handle
 
 (** Earliest instant at which the wheel needs attention — an expired entry
     waiting in the due heap (returned as an instant [>= now t]) or an

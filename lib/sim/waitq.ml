@@ -1,29 +1,50 @@
-type entry = { waker : unit -> unit; mutable st : [ `Waiting | `Cancelled | `Woken ] }
+(* An intrusive FIFO: each entry is its own list cell.  An [Idle] entry is
+   in no queue; [Waiting] and [Cancelled] ones are linked, a cancelled one
+   until a wake operation walks past and drops it, so [cancel] stays O(1). *)
+type state = Idle | Waiting | Cancelled
 
-type t = { q : entry Queue.t }
+type entry =
+  | Nil
+  | Entry of { waker : unit -> unit; mutable st : state; mutable next : entry }
 
-let create () = { q = Queue.create () }
+type t = { mutable head : entry; mutable tail : entry }
+
+let create () = { head = Nil; tail = Nil }
+
+let entry waker = Entry { waker; st = Idle; next = Nil }
+
+let push t e =
+  match e with
+  | Entry r when r.st = Idle ->
+      r.st <- Waiting;
+      (match t.tail with Nil -> t.head <- e | Entry last -> last.next <- e);
+      t.tail <- e
+  | _ -> invalid_arg "Waitq.push: entry already queued"
 
 let add t waker =
-  let e = { waker; st = `Waiting } in
-  Queue.push e t.q;
+  let e = entry waker in
+  push t e;
   e
 
-let cancel e = if e.st = `Waiting then e.st <- `Cancelled
+let cancel = function
+  | Entry r when r.st = Waiting -> r.st <- Cancelled
+  | _ -> ()
 
-(* Cancelled entries are dropped lazily as wake operations walk the queue,
-   so [cancel] itself stays O(1). *)
 let rec wake_one t =
-  if Queue.is_empty t.q then false
-  else
-    let e = Queue.take t.q in
-    match e.st with
-    | `Cancelled -> wake_one t
-    | `Woken -> assert false
-    | `Waiting ->
-        e.st <- `Woken;
-        e.waker ();
-        true
+  match t.head with
+  | Nil -> false
+  | Entry r -> (
+      t.head <- r.next;
+      (match r.next with Nil -> t.tail <- Nil | Entry _ -> ());
+      r.next <- Nil;
+      let st = r.st in
+      r.st <- Idle;
+      match st with
+      | Cancelled -> wake_one t
+      | Idle -> assert false
+      | Waiting ->
+          r.waker ();
+          true)
 
 let wake_all t =
   let n = ref 0 in
@@ -32,7 +53,9 @@ let wake_all t =
   done;
   !n
 
-let length t =
-  Queue.fold (fun acc e -> if e.st = `Waiting then acc + 1 else acc) 0 t.q
+let rec count n = function
+  | Nil -> n
+  | Entry r -> count (if r.st = Waiting then n + 1 else n) r.next
 
+let length t = count 0 t.head
 let is_empty t = length t = 0

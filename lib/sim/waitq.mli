@@ -2,7 +2,9 @@
 
     The building block for every blocking structure in the simulator.  An
     entry can be cancelled (e.g. by a timed wait that expired), in which case
-    wake operations skip it without consuming the wake. *)
+    wake operations skip it without consuming the wake.  Entries are linked
+    intrusively: an entry is its own list cell, so queueing one allocates
+    nothing, and an entry woken out of its queue can be queued again. *)
 
 type t
 type entry
@@ -12,6 +14,16 @@ val create : unit -> t
 val add : t -> (unit -> unit) -> entry
 (** [add q waker] appends a waiter.  [waker] will be invoked at most once,
     by [wake_one]/[wake_all]. *)
+
+val entry : (unit -> unit) -> entry
+(** An entry with its waker, in no queue. *)
+
+val push : t -> entry -> unit
+(** [push q e] appends [e], which must be in no queue: new from {!entry},
+    or already woken out of its last one.  [add q waker] is
+    [push q (entry waker)].
+    @raise Invalid_argument if [e] is still queued: waiting, or cancelled
+    and not yet dropped by a wake. *)
 
 val cancel : entry -> unit
 (** Remove the entry from consideration.  Idempotent; a no-op if the entry

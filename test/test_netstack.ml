@@ -288,6 +288,63 @@ let test_tcp_echo () =
   in
   Alcotest.(check string) "echoed" "ping-1 ping-2" v
 
+(* Two clients on different hosts connect from the same ephemeral port to
+   the same server port: the server tells their connections apart by
+   remote host alone.  Each client's link is forwarded straight into the
+   server, and the server's replies are routed back by destination. *)
+let test_tcp_demux_by_host () =
+  let v =
+    run_sim (fun eng ->
+        let link () = Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) () in
+        let l0 = link () and l1 = link () and l2 = link () in
+        let server = Tcp.create (Netenv.plain eng) ~ip:"10.0.0.1" () in
+        Tcp.attach_nic server (Nic.create eng ~driver_load_time:0 (Link.endpoint_a l0));
+        let c1 = Host.stack (Host.create eng ~ip:"10.0.0.2" (Link.endpoint_b l1)) in
+        let c2 = Host.stack (Host.create eng ~ip:"10.0.0.3" (Link.endpoint_b l2)) in
+        List.iter
+          (fun l -> Link.set_receiver (Link.endpoint_a l) (Some (Tcp.rx_callback server)))
+          [ l1; l2 ];
+        Link.set_receiver (Link.endpoint_b l0)
+          (Some
+             (fun pkt ->
+               let l = if pkt.Packet.dst.Packet.host = "10.0.0.2" then l1 else l2 in
+               Link.transmit (Link.endpoint_a l) pkt));
+        let l = Tcp.listen server ~port:80 in
+        for _ = 1 to 2 do
+          ignore
+            (Engine.spawn eng (fun () ->
+                 let c = accept_exn l in
+                 let rec echo () =
+                   match Tcp.recv c ~max:4096 with
+                   | [] -> Tcp.close c
+                   | cs ->
+                       List.iter (Tcp.send c) cs;
+                       echo ()
+                 in
+                 echo ()))
+        done;
+        let talk client msg =
+          let c = Tcp.connect client ~host:"10.0.0.1" ~port:80 in
+          Tcp.send c (Payload.of_string msg);
+          (c, msg)
+        in
+        let conns = [ talk c1 "from-two"; talk c2 "from-three" ] in
+        List.map
+          (fun (c, msg) ->
+            let out = Buffer.create 16 in
+            while Buffer.length out < String.length msg do
+              Buffer.add_string out (Payload.concat_to_string (Tcp.recv c ~max:64))
+            done;
+            ((Tcp.local_addr c).Packet.port, Buffer.contents out))
+          conns)
+  in
+  match v with
+  | [ (p1, e1); (p2, e2) ] ->
+      Alcotest.(check int) "same ephemeral port" p1 p2;
+      Alcotest.(check (pair string string)) "each echo reaches its own client"
+        ("from-two", "from-three") (e1, e2)
+  | _ -> Alcotest.fail "two connections expected"
+
 let test_tcp_bulk_transfer_integrity () =
   (* 1 MB with byte-accurate segmentation across many MSS boundaries. *)
   let v =
@@ -959,6 +1016,7 @@ let () =
         [
           Alcotest.test_case "connect/accept" `Quick test_tcp_connect_accept;
           Alcotest.test_case "echo" `Quick test_tcp_echo;
+          Alcotest.test_case "demux by remote host" `Quick test_tcp_demux_by_host;
           Alcotest.test_case "bulk integrity" `Quick test_tcp_bulk_transfer_integrity;
           Alcotest.test_case "near line rate" `Quick
             test_tcp_throughput_near_line_rate;
