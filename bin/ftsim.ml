@@ -104,10 +104,11 @@ let replay_workers_t (base : Cluster.config) =
     value & opt int base.replay_workers
     & info [ "replay-workers" ] ~docv:"N"
         ~doc:
-          "Backup replay-executor pool size.  $(b,1) (default) keeps the \
-           serial replay drain; above 1, records fan out to N executors and \
-           only the per-channel x per-thread partial order serializes \
-           replay (most effective with $(b,--det-shard on)).")
+          "Backup replay-executor pool size.  $(b,1) (default) is the pool \
+           with no executor process: the receive loop replays every record, \
+           the serial drain.  Above 1, thread-waking records fan out to N \
+           executors and only the per-channel x per-thread partial order \
+           serializes replay (most effective with $(b,--det-shard on)).")
 
 let lagmon_t (base : Cluster.config) =
   let quiet = { Lagmon.default_config with Lagmon.quiet = true } in

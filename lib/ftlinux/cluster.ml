@@ -20,7 +20,7 @@ type config = {
   output_commit : bool;
   det_shard : bool;
   replay_workers : int;
-      (* secondary replay-executor pool; 1 = the original serial drain *)
+      (* replay executors; 1 = none, the receive loop replays each record *)
   driver_load_time : Time.t;
   batch : Msglayer.batch_config;
   lagmon : Lagmon.config option;

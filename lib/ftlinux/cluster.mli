@@ -81,10 +81,10 @@ type config = {
       (** per-object channels for deterministic sections (default true);
           [false] restores the namespace-global total order *)
   replay_workers : int;
-      (** secondary replay-executor pool size (default 1 = the serial
-          drain).  Above 1, records fan out to executors and only the
-          per-channel × per-thread partial order serializes replay; most
-          effective with [det_shard = true] *)
+      (** replay-executor pool size (default 1: no executor process, the
+          serial drain).  Above 1, thread-waking records fan out to
+          executors and only the per-channel × per-thread partial order
+          serializes replay; most effective with [det_shard = true] *)
   driver_load_time : Time.t;
   batch : Msglayer.batch_config;
       (** sync-tuple streaming batch/ack-coalescing knobs; defaults to

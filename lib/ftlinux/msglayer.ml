@@ -82,23 +82,23 @@ type secondary = {
          records the survivor's authoritative timeline here: only records
          the backup actually received count (staged frames lost in a
          primary crash were never part of this replica's history). *)
-  workers : int;  (* replay executors; 1 = the original serial drain *)
   mutable s_first : int;  (* first LSN ever received; -1 = none yet *)
+  mutable s_tail : int;  (* last LSN received; an ack request covers it *)
   mutable s_received : int;
-      (* Contiguous replay watermark: every LSN <= s_received has been
-         handled.  Serial replay advances it in arrival order; with
-         executors it advances through [complete] as out-of-order
-         completions become contiguous, so [Ack.upto] stays exact. *)
+      (* Gapless replay watermark: every LSN <= s_received has been
+         replayed.  Executors complete out of order, so it advances
+         through [complete] as completions become contiguous, and
+         [Ack.upto] stays exact. *)
   mutable s_last_acked : int;
   mutable s_last_peer : Time.t;
-  mutable processing : bool;  (* dispatch (or serial replay) mid-message *)
+  mutable processing : bool;  (* mid-frame *)
   mutable ack_timer : Engine.handle option;
-  (* Executor pool (workers > 1).  Records are routed by ft_pid so each
-     thread's deliveries stay FIFO; the per-channel admission gate in Det
-     provides all remaining serialization. *)
-  exec_qs : (int * Wire.record) Queue.t array;
-  exec_wqs : Waitq.t array;
-  mutable inflight : int;  (* dispatched to executors, not yet completed *)
+  (* One queue per executor process, none with one worker.  A record goes
+     to executor [ft_pid mod] the pool size, so each thread's deliveries
+     stay FIFO; the per-channel admission gate in Det provides all
+     remaining serialization. *)
+  exec_qs : (int * Wire.record) Bqueue.t array;
+  mutable inflight : int;  (* handed to executors, not yet completed *)
   done_lsns : (int, unit) Hashtbl.t;  (* completed above the watermark *)
   mutable ack_req_upto : int;  (* pending ack_now request; -1 = none *)
   mutable completed_since_ack : int;
@@ -376,8 +376,9 @@ let create_secondary ?(batch = unbatched) ?(chan_progress = fun () -> [])
   if workers < 1 then invalid_arg "Msglayer.create_secondary: workers < 1";
   if base_lsn < 0 then invalid_arg "Msglayer.create_secondary: base_lsn < 0";
   let reg = Engine.metrics eng in
-  (* Executor metrics exist only in parallel mode so serial runs keep their
-     registry dumps (and the committed bench baselines) byte-identical. *)
+  (* With one worker there is no executor process and no executor metric:
+     one-worker registry dumps (and the committed bench baselines) carry no
+     [replay.exec*] or [replay.queue_depth_peak] key. *)
   let n = if workers > 1 then workers else 0 in
   {
     s_eng = eng;
@@ -390,15 +391,14 @@ let create_secondary ?(batch = unbatched) ?(chan_progress = fun () -> [])
     chan_progress;
     chan_restore;
     journal;
-    workers;
     s_first = -1;
+    s_tail = base_lsn - 1;
     s_received = base_lsn - 1;
     s_last_acked = base_lsn - 1;
     s_last_peer = Engine.now eng;
     processing = false;
     ack_timer = None;
-    exec_qs = Array.init n (fun _ -> Queue.create ());
-    exec_wqs = Array.init n (fun _ -> Waitq.create ());
+    exec_qs = Array.init n (fun _ -> Bqueue.create ());
     inflight = 0;
     done_lsns = Hashtbl.create 64;
     ack_req_upto = -1;
@@ -409,7 +409,7 @@ let create_secondary ?(batch = unbatched) ?(chan_progress = fun () -> [])
       Array.init n (fun i ->
           Metrics.Registry.counter reg (Printf.sprintf "replay.exec%d.records" i));
     g_queue_peak =
-      (if workers > 1 then Some (Metrics.Registry.gauge reg "replay.queue_depth_peak")
+      (if n > 0 then Some (Metrics.Registry.gauge reg "replay.queue_depth_peak")
        else None);
   }
 
@@ -420,11 +420,7 @@ let cancel_ack_timer s =
       s.ack_timer <- None;
       Engine.cancel h
 
-(* Delayed-ack arming needs to be visible from [send_ack]'s failure path:
-   forward-declared, tied below. *)
-let arm_delayed_ack_ref = ref (fun (_ : secondary) -> ())
-
-let send_ack s =
+let rec send_ack s =
   if s.s_received > s.s_last_acked then begin
     (* Per-channel replay cursors ride the ack; the dirty marks are drained
        here. *)
@@ -452,7 +448,7 @@ let send_ack s =
          cumulative ack itself retries even if the replay queue stays
          idle from here on. *)
       s.chan_restore chans;
-      !arm_delayed_ack_ref s
+      arm_delayed_ack s
     end
   end
 
@@ -460,7 +456,7 @@ let send_ack s =
    the moment the queue runs dry, arm a short timer; acks for everything
    replayed meanwhile ride one cumulative frame.  [send_ack] is try_send
    based, so firing in raw timer context is safe. *)
-let arm_delayed_ack s =
+and arm_delayed_ack s =
   if s.s_received > s.s_last_acked then
     match s.ack_timer with
     | Some h when Engine.timer_armed h -> ()
@@ -468,111 +464,19 @@ let arm_delayed_ack s =
         let at = Engine.now s.s_eng + s.s_batch.ack_delay in
         s.ack_timer <- Some (Engine.timer s.s_eng ~at (fun () -> send_ack s))
 
-let () = arm_delayed_ack_ref := arm_delayed_ack
+(* {2 The one ack rule}
 
-(* First touch of a record, in LSN order on both replay paths: stamp the
-   first-LSN probe and hand it to the receive-side journal before any
-   replay cost is charged. *)
-let note_received s ~lsn record =
-  if s.s_first < 0 then s.s_first <- lsn;
-  match s.journal with Some j -> j record | None -> ()
+   Completed records are counted.  A frame's end settles whatever
+   completed during its dispatch: it answers an [ack_now] request (the
+   primary's PSH analogue, covering every record received so far) once the
+   watermark covers it, and otherwise acks once the count reaches
+   [ack_every].  An executor completion outside a frame settles the same
+   way, and idle-acks when the pool drains.  When the mailbox runs dry with
+   nothing in flight, the receive loop idle-acks and restarts the count;
+   an executor's idle ack leaves the count running.  With one worker every
+   completion falls inside a frame, and this is the serial drain's rule. *)
 
-(* Open a record's replay span, with its LSN; the caller adds any further
-   args and closes it. *)
-let open_replay_span s ~lsn =
-  let ev = Engine.evlog s.s_eng in
-  let sp = Evlog.begin_span ev ~comp:"ft.msglayer" "replay" in
-  Evlog.arg_int ev "lsn" lsn;
-  sp
-
-let batch_span s ~base_lsn ~count =
-  let ev = Engine.evlog s.s_eng in
-  let sp = Evlog.begin_span ev ~comp:"ft.msglayer" "replay.batch" in
-  Evlog.arg_int ev "base_lsn" base_lsn;
-  Evlog.arg_int ev "count" count;
-  Evlog.close ev;
-  sp
-
-let replay_one s ~lsn record =
-  note_received s ~lsn record;
-  let sp = open_replay_span s ~lsn in
-  Evlog.close (Engine.evlog s.s_eng);
-  (* Records that wake a replaying thread pay the wake_up_process()
-     latency — the serial bottleneck the paper identifies (§4.1); TCP
-     deltas are absorbed in this context at memcpy-ish cost. *)
-  Engine.sleep
-    (if Wire.wakes_thread record then s.replay_cost else s.delta_cost);
-  s.handler record;
-  s.s_received <- max s.s_received lsn;
-  Metrics.Counter.incr s.r_replayed;
-  Evlog.span_end (Engine.evlog s.s_eng) sp
-
-(* Returns how many records the message carried. *)
-let handle s msg =
-  s.s_last_peer <- Engine.now s.s_eng;
-  match msg with
-  | Wire.Record { lsn; record; _ } ->
-      s.processing <- true;
-      replay_one s ~lsn record;
-      s.processing <- false;
-      1
-  | Wire.Batch { base_lsn; records; _ } ->
-      (* A batch is one mailbox message: it survives a primary crash whole
-         or not at all, and [processing] covers its full replay so a
-         failover cannot observe a half-applied frame. *)
-      s.processing <- true;
-      let sp = batch_span s ~base_lsn ~count:(List.length records) in
-      List.iteri (fun i record -> replay_one s ~lsn:(base_lsn + i) record) records;
-      Evlog.span_end (Engine.evlog s.s_eng) sp;
-      s.processing <- false;
-      List.length records
-  | Wire.Heartbeat _ -> 0
-  | Wire.Ack _ ->
-      Trace.errorf log ~eng:s.s_eng "unexpected ack on record channel";
-      0
-
-(* The primary's explicit ack request (PSH analogue): answer right away. *)
-let wants_ack_now = function
-  | Wire.Record { ack_now; _ } | Wire.Batch { ack_now; _ } -> ack_now
-  | Wire.Ack _ | Wire.Heartbeat _ -> false
-
-(* {2 Parallel replay executors}
-
-   With [workers > 1] the rx process becomes a pure dispatcher: it drains
-   the mailbox in LSN order, applies TCP deltas inline (they never wake a
-   thread, and a record behind a delta may depend on the stream state the
-   delta installs), and routes thread-waking records to the executor keyed
-   by [ft_pid mod workers] — so each replicated thread's deliveries stay
-   FIFO, the invariant Det's per-thread queues require.  All remaining
-   serialization is the per-channel admission gate in Det: an executor
-   that runs ahead of a channel's cursor parks on the gate, reproducing
-   exactly the partial order the primary recorded.  The cumulative-ack
-   watermark must stay gapless even though executors complete records out
-   of order, so completions above the watermark pool in [done_lsns] until
-   the gap closes. *)
-
-let executor_of s record =
-  match record with
-  | Wire.Sync_tuple { ft_pid; _ } | Wire.Syscall_result { ft_pid; _ } ->
-      ft_pid mod s.workers
-  | Wire.Tcp_delta _ -> assert false (* applied inline by the dispatcher *)
-
-(* Record [lsn] fully replayed: advance the contiguous watermark. *)
-let complete s lsn =
-  if lsn > s.s_received then begin
-    Hashtbl.replace s.done_lsns lsn ();
-    while Hashtbl.mem s.done_lsns (s.s_received + 1) do
-      Hashtbl.remove s.done_lsns (s.s_received + 1);
-      s.s_received <- s.s_received + 1
-    done
-  end
-
-(* Ack policy after each completed record.  Mirrors the serial loop:
-   coalesce up to [ack_every] completions, answer pending ack_now requests
-   the moment the watermark covers them, and fall back to the delayed ack
-   when the pool runs dry. *)
-let after_completion s =
-  s.completed_since_ack <- s.completed_since_ack + 1;
+let settle s =
   if s.ack_req_upto >= 0 && s.s_received >= s.ack_req_upto then begin
     s.ack_req_upto <- -1;
     s.completed_since_ack <- 0;
@@ -582,166 +486,146 @@ let after_completion s =
     s.completed_since_ack <- 0;
     send_ack s
   end
-  else if s.inflight = 0 && not s.processing then
-    if s.s_batch.ack_delay <= 0 then send_ack s else arm_delayed_ack s
 
-(* The primary asked for an ack covering [upto]: answer as soon as the
-   watermark reaches it (maybe right now — e.g. an empty ack_now batch
-   poking for [base_lsn - 1]). *)
-let request_ack s ~upto =
-  if s.s_received >= upto then begin
-    s.completed_since_ack <- 0;
-    send_ack s
+let idle_ack s =
+  if s.s_batch.ack_delay <= 0 then send_ack s else arm_delayed_ack s
+
+(* Record [lsn] replayed: advance the gapless watermark.  In LSN order
+   that is one store; a completion above a gap pools in [done_lsns] until
+   the gap closes. *)
+let complete s lsn =
+  if lsn = s.s_received + 1 then begin
+    s.s_received <- lsn;
+    while
+      Hashtbl.length s.done_lsns > 0
+      && Hashtbl.mem s.done_lsns (s.s_received + 1)
+    do
+      Hashtbl.remove s.done_lsns (s.s_received + 1);
+      s.s_received <- s.s_received + 1
+    done
   end
-  else s.ack_req_upto <- max s.ack_req_upto upto
+  else if lsn > s.s_received then Hashtbl.replace s.done_lsns lsn ()
 
-let enqueue s ~lsn record =
-  let i = executor_of s record in
-  Queue.add (lsn, record) s.exec_qs.(i);
-  s.inflight <- s.inflight + 1;
-  if s.inflight > s.queue_peak then begin
-    s.queue_peak <- s.inflight;
-    match s.g_queue_peak with
-    | Some g -> Metrics.Gauge.set g (float_of_int s.queue_peak)
-    | None -> ()
-  end;
-  ignore (Waitq.wake_one s.exec_wqs.(i))
-
-let dispatch_record s ~lsn record =
-  note_received s ~lsn record;
-  if Wire.wakes_thread record then enqueue s ~lsn record
-  else begin
-    (* Inline TCP delta: dispatch order is LSN order, so any record behind
-       this one observes the shadow-stream state it had on the primary. *)
-    let sp = open_replay_span s ~lsn in
-    Evlog.close (Engine.evlog s.s_eng);
-    Engine.sleep s.delta_cost;
-    s.handler record;
-    Evlog.span_end (Engine.evlog s.s_eng) sp;
-    Metrics.Counter.incr s.r_replayed;
-    complete s lsn;
-    after_completion s
-  end
-
-(* One record, executor context: channel-tagged replay span, then the same
-   wake_up_process() cost model as the serial drain. *)
-let replay_exec s ~exec ~lsn record =
+(* Replay one record, inline or on executor [exec] (-1 = inline): records
+   that wake a replaying thread pay the wake_up_process() latency — the
+   serial bottleneck the paper identifies (§4.1); TCP deltas are absorbed
+   at memcpy-ish cost.  An executor's span names it and the record's
+   channels. *)
+let replay s ~exec ~lsn record =
   let ev = Engine.evlog s.s_eng in
-  let channels =
-    match record with
-    | Wire.Sync_tuple { chans; _ } ->
-        Some (String.concat "," (List.map (fun (c, _) -> string_of_int c) chans))
-    | _ -> None
-  in
-  let sp = open_replay_span s ~lsn in
-  Evlog.arg_int ev "executor" exec;
-  (match channels with Some c -> Evlog.arg_str ev "channels" c | None -> ());
+  let sp = Evlog.begin_span ev ~comp:"ft.msglayer" "replay" in
+  Evlog.arg_int ev "lsn" lsn;
+  (if exec >= 0 then begin
+     Evlog.arg_int ev "executor" exec;
+     match record with
+     | Wire.Sync_tuple { chans; _ } ->
+         Evlog.arg_str ev "channels"
+           (String.concat "," (List.map (fun (c, _) -> string_of_int c) chans))
+     | _ -> ()
+   end);
   Evlog.close ev;
-  Engine.sleep s.replay_cost;
+  Engine.sleep
+    (if Wire.wakes_thread record then s.replay_cost else s.delta_cost);
   s.handler record;
-  Evlog.span_end (Engine.evlog s.s_eng) sp;
+  Evlog.span_end ev sp;
   Metrics.Counter.incr s.r_replayed;
-  Metrics.Counter.incr s.r_exec_records.(exec);
-  s.inflight <- s.inflight - 1;
   complete s lsn;
-  after_completion s
+  s.completed_since_ack <- s.completed_since_ack + 1
 
 let spawn_executor s spawn i =
   ignore
     (spawn
        (Printf.sprintf "ft-ml-srx-%d" i)
        (fun () ->
-         let q = s.exec_qs.(i) in
          let rec loop () =
-           match Queue.take_opt q with
-           | Some (lsn, record) ->
-               replay_exec s ~exec:i ~lsn record;
-               loop ()
-           | None ->
-               (* Cooperative scheduler: the empty check and the park are
-                  atomic, so a wake between them cannot be lost. *)
-               ignore (Sync.wait_on s.exec_wqs.(i));
-               loop ()
+           let lsn, record = Bqueue.get s.exec_qs.(i) in
+           replay s ~exec:i ~lsn record;
+           Metrics.Counter.incr s.r_exec_records.(i);
+           s.inflight <- s.inflight - 1;
+           if not s.processing then begin
+             settle s;
+             if s.inflight = 0 then idle_ack s
+           end;
+           loop ()
          in
          loop ()))
 
-let dispatch_msg s msg =
+(* Take a record off the wire, in LSN order: stamp the first-LSN probe and
+   journal it before any replay cost is charged, then replay it inline or
+   hand it to its thread's executor.  Inline is the only choice with one
+   worker, and always a TCP delta's: it wakes no thread, and a record
+   behind it may depend on the stream state it installs. *)
+let take s ~lsn record =
+  if s.s_first < 0 then s.s_first <- lsn;
+  s.s_tail <- lsn;
+  (match s.journal with Some j -> j record | None -> ());
+  let n = Array.length s.exec_qs in
+  match record with
+  | (Wire.Sync_tuple { ft_pid; _ } | Wire.Syscall_result { ft_pid; _ }) when n > 0
+    ->
+      Bqueue.put s.exec_qs.(ft_pid mod n) (lsn, record);
+      s.inflight <- s.inflight + 1;
+      if s.inflight > s.queue_peak then begin
+        s.queue_peak <- s.inflight;
+        Option.iter
+          (fun g -> Metrics.Gauge.set g (float_of_int s.queue_peak))
+          s.g_queue_peak
+      end
+  | _ -> replay s ~exec:(-1) ~lsn record
+
+let end_frame s ~ack_now =
+  s.processing <- false;
+  if ack_now then s.ack_req_upto <- s.s_tail;
+  settle s
+
+(* A batch is one mailbox message: it survives a primary crash whole or not
+   at all, and [processing] covers its whole dispatch, inline replays
+   included, so a failover cannot observe a half-applied frame. *)
+let on_frame s msg =
   s.s_last_peer <- Engine.now s.s_eng;
   match msg with
   | Wire.Record { lsn; record; ack_now } ->
       s.processing <- true;
-      dispatch_record s ~lsn record;
-      s.processing <- false;
-      if ack_now then request_ack s ~upto:lsn
+      take s ~lsn record;
+      end_frame s ~ack_now
   | Wire.Batch { base_lsn; records; ack_now } ->
-      (* Dispatch never parks between records (enqueue is non-blocking),
-         so the whole frame reaches the executor queues before a failover
-         can observe [processing = false] — the batch keeps its
-         all-or-nothing replay guarantee. *)
       s.processing <- true;
-      let count = List.length records in
-      let sp = batch_span s ~base_lsn ~count in
-      List.iteri
-        (fun i record -> dispatch_record s ~lsn:(base_lsn + i) record)
-        records;
-      Evlog.span_end (Engine.evlog s.s_eng) sp;
-      s.processing <- false;
-      if ack_now then request_ack s ~upto:(base_lsn + count - 1)
+      let ev = Engine.evlog s.s_eng in
+      let sp = Evlog.begin_span ev ~comp:"ft.msglayer" "replay.batch" in
+      Evlog.arg_int ev "base_lsn" base_lsn;
+      Evlog.arg_int ev "count" (List.length records);
+      Evlog.close ev;
+      List.iteri (fun i record -> take s ~lsn:(base_lsn + i) record) records;
+      Evlog.span_end ev sp;
+      end_frame s ~ack_now
   | Wire.Heartbeat _ -> ()
   | Wire.Ack _ -> Trace.errorf log ~eng:s.s_eng "unexpected ack on record channel"
 
+(* The one receive loop: drain the mailbox in LSN order; when it runs dry
+   with nothing in flight, idle-ack, then park for the next frame.  A
+   record leaves the ring only when the loop takes it, so with one worker
+   the ring stays full while a record replays — the backpressure that sets
+   Fig 4's sustained rate. *)
 let spawn_secondary_rx s spawn =
-  if s.workers = 1 then
-    (* The original serial drain, untouched: one process replays in LSN
-       order and acks at frame boundaries. *)
-    ignore
-      (spawn "ft-ml-srx" (fun () ->
-           let rec loop since_ack =
-             (* Drain what is immediately available, then ack once. *)
-             match Mailbox.poll s.s_in with
-             | Some msg ->
-                 let since_ack = since_ack + handle s msg in
-                 if wants_ack_now msg || since_ack >= s.s_batch.ack_every
-                 then begin
-                   send_ack s;
-                   loop 0
-                 end
-                 else loop since_ack
-             | None ->
-                 if s.s_batch.ack_delay <= 0 then send_ack s
-                 else arm_delayed_ack s;
-                 let msg = Mailbox.recv s.s_in in
-                 let n = handle s msg in
-                 if wants_ack_now msg then begin
-                   send_ack s;
-                   loop 0
-                 end
-                 else loop n
-           in
-           loop 0))
-  else begin
-    for i = 0 to s.workers - 1 do
-      spawn_executor s spawn i
-    done;
-    ignore
-      (spawn "ft-ml-srx" (fun () ->
-           let rec loop () =
-             match Mailbox.poll s.s_in with
-             | Some msg ->
-                 dispatch_msg s msg;
-                 loop ()
-             | None ->
-                 (* Mailbox dry.  If the executors are idle too, this is
-                    the quiescent point the serial loop acks from; if not,
-                    the last completion will ack via [after_completion]. *)
-                 if s.inflight = 0 then
-                   if s.s_batch.ack_delay <= 0 then send_ack s
-                   else arm_delayed_ack s;
-                 dispatch_msg s (Mailbox.recv s.s_in);
-                 loop ()
-           in
-           loop ()))
-  end
+  for i = 0 to Array.length s.exec_qs - 1 do
+    spawn_executor s spawn i
+  done;
+  ignore
+    (spawn "ft-ml-srx" (fun () ->
+         let rec loop () =
+           match Mailbox.poll s.s_in with
+           | Some msg ->
+               on_frame s msg;
+               loop ()
+           | None ->
+               if s.inflight = 0 then begin
+                 s.completed_since_ack <- 0;
+                 idle_ack s
+               end;
+               on_frame s (Mailbox.recv s.s_in);
+               loop ()
+         in
+         loop ()))
 
 let received_lsn s = s.s_received
 

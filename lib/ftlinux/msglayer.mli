@@ -167,32 +167,37 @@ val create_secondary :
     cursors back when the ack could not be sent on a full ring (see
     {!Det.chan_progress_restore}).
 
-    [workers] (default 1) is the replay-executor pool size.  At 1 the
-    receive loop is the original serial drain.  Above 1 the loop becomes a
-    dispatcher: TCP deltas apply inline in LSN order, thread-waking
-    records are routed to executor [ft_pid mod workers] (keeping each
-    replicated thread's deliveries FIFO), and the per-channel admission
-    gate in {!Det} supplies all remaining serialization.  Acks still carry
-    a gapless cumulative watermark: out-of-order completions pool until
-    the LSN gap below them closes.
+    [workers] (default 1) sizes the replay-executor pool.  The receive
+    loop takes records off the mailbox in LSN order and replays each one
+    inline or hands it to executor [ft_pid mod workers].  A TCP delta
+    always replays inline, and [workers = 1] is the pool with no executor
+    process, so there every record does: the paper's serial drain, whose
+    ring stays full while a record replays.  Above 1, each replicated
+    thread's deliveries stay FIFO on its executor and the per-channel
+    admission gate in {!Det} supplies all remaining serialization.
 
     [journal] (default: none) is invoked per record as it comes off the
-    mailbox, in LSN order on both replay paths and before any replay cost
-    is charged — regeneration records the backup's authoritative receive
-    timeline here.  [base_lsn] (default 0) offsets the replay watermark:
-    a backup spliced in at an epoch switch starts acking from the switch
-    cutoff instead of LSN 0. *)
+    mailbox, in LSN order and before any replay cost is charged —
+    regeneration records the backup's authoritative receive timeline
+    here.  [base_lsn] (default 0) offsets the replay watermark: a backup
+    spliced in at an epoch switch starts acking from the switch cutoff
+    instead of LSN 0. *)
 
 val spawn_secondary_rx : secondary -> (string -> (unit -> unit) -> Engine.proc) -> unit
-(** Start the receive loop (plus the executor pool when [workers > 1]):
-    per record, charge [replay_cost], invoke the handler, and acknowledge
-    cumulatively — every [ack_every] records while the queue is hot,
-    otherwise via the delayed-ack timer. *)
+(** Start the receive loop and any executor processes.  Each record is
+    charged [replay_cost] ([delta_cost] for a TCP delta) and handed to the
+    handler.  One ack rule serves every pool size: completed records are
+    counted, and a frame's end answers its [ack_now] request (covering
+    every record received so far) once {!received_lsn} reaches it, or
+    otherwise acks once [ack_every] records completed.  An executor
+    completion outside a frame does the same, and idle-acks when the pool
+    drains.  When the mailbox runs dry with nothing in flight, the loop
+    idle-acks — at once, or after [ack_delay] so acks coalesce — and
+    restarts the count. *)
 
 val received_lsn : secondary -> int
-(** Contiguous replay watermark: every LSN [<= received_lsn] is replayed
-    (with parallel executors, completions above a gap do not count until
-    the gap closes). *)
+(** Gapless replay watermark: every LSN [<= received_lsn] is replayed
+    (executor completions above a gap count once it closes). *)
 
 val first_lsn : secondary -> int option
 (** The first LSN this secondary ever received off the wire, or [None]
