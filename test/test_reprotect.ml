@@ -91,13 +91,17 @@ let lifecycle_path cluster =
 
 (* {1 One full cycle} *)
 
-let test_reprotect_cycle () =
+let full_cycle () =
   let eng = Engine.create () in
   let messages = List.init 40 (fun i -> Printf.sprintf "msg-%02d|" i) in
   let cluster, result = run_scenario ~messages eng in
   Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms 120);
   Engine.run ~until:(Time.sec 30) eng;
   Cluster.shutdown cluster;
+  (cluster, messages, result)
+
+let test_reprotect_cycle () =
+  let cluster, messages, result = full_cycle () in
   (match Ivar.peek result with
   | Some s ->
       Alcotest.(check string) "complete, unduplicated stream"
@@ -141,7 +145,7 @@ let test_epoch_switch_boundary () =
 
 (* {1 Fault mid-snapshot-transfer aborts cleanly; the retry succeeds} *)
 
-let test_abort_mid_transfer () =
+let abort_mid_transfer () =
   let eng = Engine.create () in
   (* A populated memory layout gives the snapshot copy a real budget
      (~200 ms at the default 2 GB/s), widening the Regenerating window the
@@ -162,6 +166,10 @@ let test_abort_mid_transfer () =
       end);
   Engine.run ~until:(Time.sec 60) eng;
   Cluster.shutdown cluster;
+  (cluster, messages, result)
+
+let test_abort_mid_transfer () =
+  let cluster, messages, result = abort_mid_transfer () in
   (* The primary was unperturbed throughout: the client saw a full,
      exactly-once stream. *)
   (match Ivar.peek result with
@@ -179,6 +187,39 @@ let test_abort_mid_transfer () =
     (Cluster.failover_count cluster);
   Alcotest.(check int) "epoch advanced once" 1 (Cluster.epoch cluster);
   check_clean cluster
+
+(* {1 The splice instant}
+
+   A regeneration ends at the feed's first check that finds the journal
+   fed, the fresh replica's replay idle and the snapshot copied.  With
+   nothing to copy that is 5 us in: one 64-record burst, then its 5 us
+   sleep.  With a copy budget it is the first 50 us poll at or after the
+   copy deadline. *)
+
+let regenerations cluster =
+  let rec windows = function
+    | { Cluster.tr_to = Cluster.Regenerating; tr_at = start; _ }
+      :: ({ Cluster.tr_to = Cluster.Protected; tr_at = stop; _ } :: _ as rest)
+      ->
+        (start, stop) :: windows rest
+    | _ :: rest -> windows rest
+    | [] -> []
+  in
+  windows (Cluster.transitions cluster)
+
+let test_splice_instant () =
+  let cycle, _, _ = full_cycle () in
+  Alcotest.(check (list (pair int int)))
+    "no copy budget: the splice follows the first burst"
+    [ (Time.us 397_000, Time.us 397_005) ]
+    (regenerations cycle);
+  (* 400 MiB of user pages at 2 GB/s: a 209.7152 ms budget from 507 ms,
+     so the deadline falls at 716.7152 ms. *)
+  let aborted, _, _ = abort_mid_transfer () in
+  Alcotest.(check (list (pair int int)))
+    "copy budget: the splice is the first poll past the deadline"
+    [ (Time.ms 507, Time.us 716_745) ]
+    (regenerations aborted)
 
 (* {1 Backup death: the primary degrades, keeps recording, re-protects} *)
 
@@ -378,6 +419,7 @@ let () =
             test_epoch_switch_boundary;
           Alcotest.test_case "backup death re-protects" `Quick
             test_backup_death_reprotects;
+          Alcotest.test_case "splice instant" `Quick test_splice_instant;
         ] );
       ( "faults",
         [
