@@ -91,11 +91,10 @@ let gbit_link eng =
   Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) ()
 
 let ft_config ?(mailbox_capacity = Mailbox.default_config.Mailbox.capacity)
-    ?(split = `Symmetric) ?(driver_load_time = Time.ms 4950) () =
+    ?(split = Cluster.default_config.Cluster.split) () =
   {
     Cluster.default_config with
     split;
-    driver_load_time;
     mailbox_config =
       { Mailbox.default_config with Mailbox.capacity = mailbox_capacity };
   }

@@ -13,9 +13,15 @@ open Ftsim_apps
 
 let mib n = n * 1024 * 1024
 
+(* Run until [stop] holds, the clock reaches [cap] or nothing is left to
+   fire: [Engine.run] does not move the clock of an empty engine. *)
 let drive eng ~cap ~stop =
   let rec loop () =
-    if (not (stop ())) && Engine.now eng < cap then begin
+    if
+      (not (stop ()))
+      && Engine.now eng < cap
+      && Engine.pending_events eng > 0
+    then begin
       Engine.run ~until:(min cap (Engine.now eng + Time.ms 100)) eng;
       loop ()
     end
@@ -139,10 +145,10 @@ let reprotect_t (base : Cluster.config) =
         ~doc:
           "Live re-protection: after a replica death the survivor keeps \
            serving while journaling the record stream, the failed partition \
-           is recommissioned, a fresh backup boots and replays online, and a \
-           consensus-coordinated epoch switch splices it into the live \
-           stream — restoring $(b,Protected) instead of running unprotected \
-           to the end of the run.  Two replicas only.")
+           is recommissioned, a fresh backup boots and replays online, and \
+           an epoch switch at the primary's next LSN splices it into the \
+           live stream — restoring $(b,Protected) instead of running \
+           unprotected to the end of the run.  Two replicas only.")
 
 let regen_delay_t (base : Cluster.config) =
   ms_flag [ "regen-delay" ] ~default:base.regen_delay
@@ -422,10 +428,21 @@ let pbzip2_cmd =
       }
     in
     let t_done = ref None in
+    let cluster = ref None in
+    (* The run completes when the serving replica's copy does: the
+       primary's, or once the primary partition is down, the copy of the
+       backup taking over.  A backup's replay finishes later and does not
+       count. *)
+    let serving kernel =
+      match !cluster with
+      | None -> true
+      | Some c ->
+          let p = Cluster.primary_partition c in
+          Kernel.partition kernel == p || Ftsim_hw.Partition.is_halted p
+    in
     let app api =
       Pbzip2.run ~params api;
-      if (not replicated) || Kernel.name api.Api.kernel = "primary" then
-        t_done := Some (Engine.now eng)
+      if serving api.Api.kernel then t_done := Some (Engine.now eng)
     in
     let blocks = Pbzip2.block_count params in
     let cluster_opt =
@@ -441,6 +458,7 @@ let pbzip2_cmd =
         None
       end
     in
+    cluster := cluster_opt;
     drive eng ~cap:(Time.sec 600) ~stop:(fun () -> !t_done <> None);
     (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
     finish r eng;

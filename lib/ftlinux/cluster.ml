@@ -766,8 +766,9 @@ and reprotect t =
    spare, stream the survivor's journal to it (accelerated replay models
    the Memlayout-guided state transfer) while the primary keeps serving
    and appending, then splice the new replica into the live stream in one
-   non-yielding turn once consensus, the copy budget, and catch-up all
-   hold.  The spliced backup's first wire LSN is exactly the journal
+   non-yielding turn once catch-up and the copy budget both hold.  The
+   primary's group orders the record stream, so its next LSN is the switch
+   point: the spliced backup's first wire LSN is exactly the journal
    length at the splice — no gap, no overlap.  Re-protection runs with one
    backup, so the slot is always backup 0. *)
 and do_reprotect t =
@@ -833,13 +834,6 @@ and do_reprotect t =
           set_lifecycle t Degraded;
           schedule_reprotect t
         end);
-    (* The epoch switch is agreed through consensus between the two
-       partitions (paper §6's path to coordinated membership change). *)
-    let paxos =
-      Paxos.create t.eng ~partitions:[ t.primary.part; part_b ]
-        ~mailbox_config:t.cfg.mailbox_config ()
-    in
-    Paxos.propose paxos ~node:0 ~instance:0 new_epoch;
     let fed = ref 0 in
     (* Next epoch's health monitor: it reads the journal-feed cursors until
        the splice, then the spliced pair. *)
@@ -933,7 +927,6 @@ and do_reprotect t =
                else if
                  (not (Namespace.replay_idle r.ns))
                  || Engine.now t.eng < copy_deadline
-                 || Paxos.chosen paxos ~node:0 ~instance:0 = None
                then begin
                  Engine.sleep (Time.us 50);
                  loop ()

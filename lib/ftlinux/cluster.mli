@@ -41,10 +41,10 @@
     the failed unit's hardware is recommissioned, a fresh kernel boots on
     it, replays the journal from LSN 0 (accelerated replay models the
     {!Ftsim_kernel.Memlayout}-guided snapshot transfer) while the primary
-    keeps serving, and a consensus-coordinated epoch switch attaches the new
-    backup's log to the group — its first wire LSN is exactly the journal
-    cutoff, and {!compare_digests} plus §3.5 output commit hold exactly as
-    for an original backup.
+    keeps serving, and an epoch switch in one non-yielding turn attaches
+    the new backup's log to the group at the primary's next LSN — its
+    first wire LSN is exactly the journal cutoff, and {!compare_digests}
+    plus §3.5 output commit hold exactly as for an original backup.
 
     [standalone] builds the baseline: the same application on an unmodified
     kernel given the same resources as a single FT-Linux partition. *)
