@@ -221,6 +221,49 @@ let test_splice_instant () =
     [ (Time.ms 507, Time.us 716_745) ]
     (regenerations aborted)
 
+(* {1 The journal handoff}
+
+   A regeneration replays the journal the promoted survivor continued.
+   The second takeover's survivor is itself a regenerated backup, so its
+   journal crosses an epoch switch: the cutoffs pin both the journal it
+   was spliced from and the prefix it took over with. *)
+
+let test_journal_handoff () =
+  let eng = Engine.create () in
+  let messages = List.init 40 (fun i -> Printf.sprintf "j%02d." i) in
+  let cluster, result = run_scenario ~pace:(Time.ms 40) ~messages eng in
+  Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms 120);
+  let cutoffs = ref [] and firsts = ref [] in
+  Cluster.on_transition cluster (fun tr ->
+      match tr.Cluster.tr_to with
+      | Cluster.Protected ->
+          cutoffs := Cluster.switch_cutoff cluster :: !cutoffs;
+          if List.length !cutoffs = 1 then
+            Cluster.kill cluster ~role:Replica_set.Primary
+              ~at:(tr.Cluster.tr_at + Time.ms 150)
+      | Cluster.Degraded when !cutoffs <> [] ->
+          (* The spliced backup is the one about to take over. *)
+          firsts := Cluster.backup_first_lsn cluster :: !firsts
+      | _ -> ());
+  Engine.run ~until:(Time.sec 30) eng;
+  Cluster.shutdown cluster;
+  firsts := Cluster.backup_first_lsn cluster :: !firsts;
+  (match Ivar.peek result with
+  | Some s ->
+      Alcotest.(check string) "exactly-once stream across both takeovers"
+        (String.concat "" messages) s
+  | None -> Alcotest.fail "client did not finish");
+  Alcotest.(check (list (option int)))
+    "cutoff at each splice" [ Some 15; Some 20 ] (List.rev !cutoffs);
+  Alcotest.(check (list (option int)))
+    "each spliced backup's first LSN is its cutoff" (List.rev !cutoffs)
+    (List.rev !firsts);
+  Alcotest.(check int) "two failovers" 2 (Cluster.failover_count cluster);
+  Alcotest.(check int) "epoch 2" 2 (Cluster.epoch cluster);
+  Alcotest.(check bool) "protected at the end" true
+    (Cluster.state cluster = Cluster.Protected);
+  check_clean cluster
+
 (* {1 Backup death: the primary degrades, keeps recording, re-protects} *)
 
 let test_backup_death_reprotects () =
@@ -420,6 +463,7 @@ let () =
           Alcotest.test_case "backup death re-protects" `Quick
             test_backup_death_reprotects;
           Alcotest.test_case "splice instant" `Quick test_splice_instant;
+          Alcotest.test_case "journal handoff" `Quick test_journal_handoff;
         ] );
       ( "faults",
         [
