@@ -90,13 +90,12 @@ let drive eng ~cap ~stop =
 let gbit_link eng =
   Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) ()
 
-let ft_config ?(mailbox_capacity = Mailbox.default_config.Mailbox.capacity)
-    ?(split = Cluster.default_config.Cluster.split) () =
+(* The default cluster with a [capacity]-slot mailbox ring. *)
+let with_ring capacity =
   {
     Cluster.default_config with
-    split;
     mailbox_config =
-      { Mailbox.default_config with Mailbox.capacity = mailbox_capacity };
+      { Cluster.default_config.Cluster.mailbox_config with Mailbox.capacity };
   }
 
 let burst_capacity = 50_000_000
@@ -214,8 +213,10 @@ let run_pbzip2 ~mode ~block_kb ~file_mb =
       let dt = Option.value ~default:cap !t_done in
       { pb_blocks_per_s = tail_rate series dt; pb_msgs_per_s = 0.; pb_bytes_per_s = 0. }
   | `Ft kind ->
-      let mailbox_capacity =
-        match kind with `Burst -> burst_capacity | `Sustained -> 4096
+      let config =
+        match kind with
+        | `Burst -> with_ring burst_capacity
+        | `Sustained -> Cluster.default_config
       in
       let app api =
         if Kernel.name api.Api.kernel = "primary" then begin
@@ -225,7 +226,7 @@ let run_pbzip2 ~mode ~block_kb ~file_mb =
         else Pbzip2.run ~params api
       in
       let cluster =
-        Cluster.create eng ~config:(ft_config ~mailbox_capacity ()) ~app ()
+        Cluster.create eng ~config ~app ()
       in
       drive eng ~cap ~stop:(fun () -> !t_done <> None);
       let msgs = Cluster.traffic_msgs cluster in
@@ -304,13 +305,12 @@ let run_mongoose ~mode ~cpu_k ~warmup ~window ~concurrency =
         in
         None
     | `Ft kind ->
-        let mailbox_capacity =
-          match kind with `Burst -> burst_capacity | `Sustained -> 4096
+        let config =
+          match kind with
+          | `Burst -> with_ring burst_capacity
+          | `Sustained -> Cluster.default_config
         in
-        Some
-          (Cluster.create eng
-             ~config:(ft_config ~mailbox_capacity ())
-             ~link:(Link.endpoint_a link) ~app ())
+        Some (Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app ())
   in
   let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
   let ab =
@@ -406,7 +406,7 @@ let run_sec43 ~mode =
     | `Ft ->
         let c =
           Cluster.create eng
-            ~config:(ft_config ~split:(`Asymmetric 32) ())
+            ~config:{ Cluster.default_config with split = `Asymmetric 32 }
             ~link:(Link.endpoint_a link) ~app ()
         in
         (Cluster.primary_kernel c, Some c)
@@ -467,8 +467,7 @@ let run_fig8 ~mode ~file_mb ~fail_at =
         None
     | `Ft ->
         Some
-          (Cluster.create eng ~config:(ft_config ()) ~link:(Link.endpoint_a link)
-             ~app ())
+          (Cluster.create eng ~link:(Link.endpoint_a link) ~app ())
   in
   (match (cluster_opt, fail_at) with
   | Some c, Some at -> Cluster.kill c ~role:Replica_set.Primary ~at
@@ -548,7 +547,7 @@ let ablation_proximity () =
       let link = gbit_link eng in
       let config =
         {
-          (ft_config ()) with
+          Cluster.default_config with
           Cluster.mailbox_config =
             { Mailbox.default_config with Mailbox.propagation_delay = delay };
         }
@@ -594,7 +593,7 @@ let ablation_output_commit () =
     (fun (label, oc) ->
       let eng = Engine.create () in
       let link = gbit_link eng in
-      let config = { (ft_config ()) with Cluster.output_commit = oc } in
+      let config = { Cluster.default_config with Cluster.output_commit = oc } in
       let app api =
         Fileserver.run
           ~params:
@@ -629,7 +628,7 @@ let ablation_wake_latency () =
       let eng = Engine.create () in
       let config =
         {
-          (ft_config ()) with
+          Cluster.default_config with
           Cluster.kernel_config =
             { Kernel.default_config with Kernel.wake_latency = Time.us us };
         }
@@ -701,7 +700,7 @@ let ablation_replica_count () =
       measure label (fun eng link ->
           let c =
             Cluster.create eng
-              ~config:{ (ft_config ()) with Cluster.replicas }
+              ~config:{ Cluster.default_config with Cluster.replicas }
               ~link:(Link.endpoint_a link) ~app:fileserver_app ()
           in
           fun () -> Cluster.shutdown c))
@@ -914,7 +913,7 @@ let memcached_clients eng link ~clients ~iters ~keys =
 let run_batch_memcached ~batch ~iters ~clients =
   let eng = new_engine () in
   let link = gbit_link eng in
-  let config = { (ft_config ()) with Cluster.batch } in
+  let config = { Cluster.default_config with Cluster.batch } in
   let cluster =
     Cluster.create eng ~config ~link:(Link.endpoint_a link)
       ~app:(fun api -> Memcached.server api)
@@ -935,7 +934,7 @@ let run_batch_memcached ~batch ~iters ~clients =
 let run_batch_mongoose ~batch ~window =
   let eng = new_engine () in
   let link = gbit_link eng in
-  let config = { (ft_config ()) with Cluster.batch } in
+  let config = { Cluster.default_config with Cluster.batch } in
   let app api =
     Mongoose.run ~params:{ Mongoose.default_params with Mongoose.workers = 32 } api
   in
@@ -965,7 +964,7 @@ let run_batch_fileserver ~batch ~file_mb =
   let eng = new_engine () in
   let link = gbit_link eng in
   let chunk_bytes = 64 * 1024 in
-  let config = { (ft_config ()) with Cluster.batch } in
+  let config = { Cluster.default_config with Cluster.batch } in
   let app api =
     Fileserver.run
       ~params:
@@ -1102,7 +1101,7 @@ let scaling_config ?replay_workers ~det_shard () =
     | None -> effective_replay_workers ()
   in
   {
-    (ft_config ~mailbox_capacity:256 ()) with
+    (with_ring 256) with
     Cluster.det_shard;
     replay_workers;
     batch = Msglayer.unbatched;

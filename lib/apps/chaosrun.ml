@@ -202,7 +202,9 @@ let arm_stats eng sched = function
         (Statsdump.arm eng ~every
            ~label:(Printf.sprintf "#%03d" sched.Chaos.sched_index))
 
-let config ?(det_shard = true) ?(replay_workers = 1) ?(reprotect = false)
+let config ?(det_shard = Cluster.default_config.Cluster.det_shard)
+    ?(replay_workers = Cluster.default_config.Cluster.replay_workers)
+    ?(reprotect = Cluster.default_config.Cluster.reprotect)
     ?(regen_delay = Time.ms 50) ~replicas () =
   {
     (* Slo's small machine, tight failure detection and fast driver

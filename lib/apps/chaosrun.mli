@@ -51,10 +51,11 @@ val run :
     {!Statsdump} printer on each run's engine (stderr, labelled with the
     schedule index).  [mutate] (testing only) makes the secondary skip one
     sync tuple's digest fold, proving the checker detects a seeded
-    divergence.  [det_shard] (default true) selects the per-channel
-    deterministic-section core; [false] restores the namespace-global total
-    order.  [replay_workers] (default 1) sizes the backups' replay-executor
-    pools (see {!Cluster.config}).
+    divergence.  [det_shard], [replay_workers] and [reprotect] default to
+    {!Cluster.default_config}'s.  [det_shard] (true there) selects the
+    per-channel deterministic-section core; [false] restores the
+    namespace-global total order.  [replay_workers] (1 there) sizes the
+    backups' replay-executor pools (see {!Cluster.config}).
 
     Every injection resolves its target partition {e at fire time} through
     the cluster's accessors ([T_backup i] names backup [i mod (replicas -
@@ -62,7 +63,7 @@ val run :
     run's failover count and outage test come from
     {!Cluster.failover_count} and {!Cluster.all_halted}.
 
-    [reprotect] (default false; two replicas only — {!Cluster.create}
+    [reprotect] (false there; two replicas only — {!Cluster.create}
     raises with three) turns on live re-protection with a [regen_delay]
     dwell (default 50 ms); roles then move across failovers and epoch
     switches, and injections follow them.  Pair with

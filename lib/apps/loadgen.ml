@@ -1,6 +1,9 @@
 open Ftsim_sim
 open Ftsim_netstack
 
+(* Every latency Whist's window width. *)
+let latency_window = Time.ms 100
+
 type ab_stats = {
   completed : Metrics.Counter.t;
   errors : Metrics.Counter.t;
@@ -14,7 +17,7 @@ type ab = { stats : ab_stats; mutable stopped : bool }
 let one_request host ~server ~port ~target =
   let stack = Host.stack host in
   let c = Tcp.connect stack ~host:server ~port in
-  Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target ()));
+  Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target));
   let reader = Http.reader c in
   let result =
     match Http.read_headers reader with
@@ -30,9 +33,7 @@ let one_request host ~server ~port ~target =
   (* Drain to let the FIN exchange finish promptly. *)
   result
 
-let ab_start host ~server ~port ~target ~concurrency ?response_bytes_hint
-    ?(latency_window = Time.ms 100) ?on_complete () =
-  ignore response_bytes_hint;
+let ab_start host ~server ~port ~target ~concurrency ?on_complete () =
   let eng = Engine.engine_of_proc (Host.spawn host "ab-probe" (fun () -> ())) in
   let t =
     {
@@ -130,7 +131,7 @@ let ol_one_request host ~server ~port ~target ~timeout =
       in
       let result =
         try
-          Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target ()));
+          Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target));
           let reader =
             Http.reader_fn (fun max ->
                 match Tcp.recv c ~max with
@@ -155,8 +156,7 @@ let ol_one_request host ~server ~port ~target ~timeout =
       result
 
 let ol_start host ~server ~port ~target ~rate ~conns ?(poisson = false)
-    ?(seed = 1) ?(latency_window = Time.ms 100) ?(timeout = Time.sec 10)
-    ?on_complete () =
+    ?(seed = 1) ?(timeout = Time.sec 10) ?on_complete () =
   if rate <= 0.0 then invalid_arg "Loadgen.ol_start: rate must be positive";
   if conns < 0 then invalid_arg "Loadgen.ol_start: conns must be >= 0";
   let t =
@@ -245,8 +245,7 @@ type oracle = {
 let oracle_ok o = o.violations = [] && not o.truncated
 
 let verified_start host ~server ~port ~target ~expect_bytes
-    ?(requests = 1) ?(allow_shed = false) ?(latency_window = Time.ms 100)
-    ?on_complete () =
+    ?(requests = 1) ?(allow_shed = false) ?on_complete () =
   let o =
     {
       completed = 0;
@@ -294,7 +293,7 @@ let verified_start host ~server ~port ~target ~expect_bytes
             let ok = ref true in
             while !ok && !r < requests do
               let t0 = Engine.now eng in
-              Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target ()));
+              Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target));
               (match Http.read_headers reader with
               | None ->
                   o.truncated <- true;
@@ -357,7 +356,7 @@ let wget_start host ~server ~port ~target ?(bucket = Time.sec 1) () =
          in
          let stack = Host.stack host in
          let c = Tcp.connect stack ~host:server ~port in
-         Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target ()));
+         Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target));
          let reader = Http.reader c in
          match Http.read_headers reader with
          | None -> Ivar.fill w.total 0

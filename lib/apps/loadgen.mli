@@ -18,7 +18,7 @@ type ab_stats = {
   latency : Metrics.Hist.t;  (** per-request seconds *)
   latency_w : Metrics.Whist.t;
       (** the same per-request samples in milliseconds, windowed on
-          completion time ([latency_window] wide) — percentiles can be
+          completion time (100 ms windows) — percentiles can be
           read per interval, e.g. across a failover *)
   completions : Metrics.Series.t;  (** requests per time bucket *)
 }
@@ -31,15 +31,12 @@ val ab_start :
   port:int ->
   target:string ->
   concurrency:int ->
-  ?response_bytes_hint:int ->
-  ?latency_window:Time.t ->
   ?on_complete:(at:Time.t -> latency:Time.t -> unit) ->
   unit ->
   ab
-(** Start [concurrency] closed-loop request workers.  [latency_window]
-    (default 100 ms) sizes [latency_w]'s windows; [on_complete] fires once
-    per successful request with its completion time and latency (the SLO
-    reporter collects raw completions through it). *)
+(** Start [concurrency] closed-loop request workers.  [on_complete] fires
+    once per successful request with its completion time and latency (the
+    SLO reporter collects raw completions through it). *)
 
 val ab_stats : ab -> ab_stats
 
@@ -60,7 +57,8 @@ type ol_stats = {
   ol_errors : Metrics.Counter.t;
       (** everything else: resets, truncations, malformed responses *)
   ol_latency_w : Metrics.Whist.t;
-      (** per successful request, milliseconds, windowed on completion *)
+      (** per successful request, milliseconds, windowed on completion
+          time (100 ms windows) *)
 }
 
 type ol
@@ -74,7 +72,6 @@ val ol_start :
   conns:int ->
   ?poisson:bool ->
   ?seed:int ->
-  ?latency_window:Time.t ->
   ?timeout:Time.t ->
   ?on_complete:(at:Time.t -> latency:Time.t -> unit) ->
   unit ->
@@ -122,7 +119,8 @@ type oracle = {
       (** explicit zero-body 503 sheds observed and retried (only under
           [allow_shed]) *)
   o_latency : Metrics.Whist.t;
-      (** per verified response, milliseconds, windowed on completion time *)
+      (** per verified response, milliseconds, windowed on completion time
+          (100 ms windows) *)
 }
 
 val oracle_ok : oracle -> bool
@@ -136,7 +134,6 @@ val verified_start :
   expect_bytes:int ->
   ?requests:int ->
   ?allow_shed:bool ->
-  ?latency_window:Time.t ->
   ?on_complete:(at:Time.t -> latency:Time.t -> unit) ->
   unit ->
   oracle

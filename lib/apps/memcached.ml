@@ -49,7 +49,7 @@ let default_params =
     admission = None;
   }
 
-let server ?(params = default_params) ?(on_op = fun _ -> ()) (api : Api.t) =
+let server ?(params = default_params) (api : Api.t) =
   let pt = api.Api.pt in
   (* Real memcached stripes its hash table's bucket locks; a stripe count of
      1 is the old single global store lock.  Each stripe's mutex is its own
@@ -137,7 +137,6 @@ let server ?(params = default_params) ?(on_op = fun _ -> ()) (api : Api.t) =
                   reply (Printf.sprintf "VALUE %d\r\n" (String.length v));
                   reply v
               | None -> reply "MISS\r\n");
-              on_op "get";
               loop ()
           | [ "set"; key; nbytes ] -> (
               match int_of_string_opt nbytes with
@@ -153,7 +152,6 @@ let server ?(params = default_params) ?(on_op = fun _ -> ()) (api : Api.t) =
                       Hashtbl.replace store.(i) key v;
                       Ftsim_kernel.Pthread.mutex_unlock pt locks.(i);
                       reply "STORED\r\n";
-                      on_op "set";
                       loop ()))
           | [ "quit" ] -> ()
           | _ ->

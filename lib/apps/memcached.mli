@@ -47,9 +47,8 @@ type params = {
 
 val default_params : params
 
-val server : ?params:params -> ?on_op:(string -> unit) -> Api.app
+val server : ?params:params -> Api.app
 (** Protocol, line-oriented over TCP:
     ["set <key> <nbytes>\r\n<nbytes of value>"] → ["STORED\r\n"];
     ["get <key>\r\n"] → ["VALUE <nbytes>\r\n<value>"] or ["MISS\r\n"];
-    ["quit\r\n"] closes.  [on_op] fires per completed operation with the
-    verb. *)
+    ["quit\r\n"] closes. *)

@@ -67,22 +67,20 @@ let delta_replay_cost = Time.us 10
    rate. *)
 let regen_bw = 2_000_000_000
 
-(* The journal: the survivor-readable copy of the replication stream.  A
-   regenerated backup replays it from LSN 0, so the global LSN space and
-   the journal's index space must coincide — the recording group journals
-   at LSN assignment and [create_secondary ?journal] in receive order, and
-   every epoch switch chains [base_lsn] to the journal length, keeping the
-   invariant across epochs. *)
+(* The journal: the one copy of the replication stream a regeneration
+   replays from LSN 0, so its index is the LSN.  The recording group
+   journals at LSN assignment, and a promoted survivor's group continues
+   it at the survivor's replay point, so the invariant holds across
+   epochs.  Storage is allocated on the first append: a run without
+   re-protection journals nothing. *)
 type journal = {
   mutable j_buf : Wire.record option array;
   mutable j_len : int;
 }
 
-let journal_create () = { j_buf = Array.make 256 None; j_len = 0 }
-
 let journal_append j r =
   if j.j_len = Array.length j.j_buf then begin
-    let nb = Array.make (2 * Array.length j.j_buf) None in
+    let nb = Array.make (max 256 (2 * j.j_len)) None in
     Array.blit j.j_buf 0 nb 0 j.j_len;
     j.j_buf <- nb
   end;
@@ -91,11 +89,6 @@ let journal_append j r =
 
 let journal_get j i =
   match j.j_buf.(i) with Some r -> r | None -> invalid_arg "journal_get"
-
-let journal_clone_prefix j n =
-  let buf = Array.make (max 256 n) None in
-  Array.blit j.j_buf 0 buf 0 n;
-  { j_buf = buf; j_len = n }
 
 type transition = {
   tr_at : Time.t;
@@ -120,9 +113,6 @@ type backup = {
   mutable ml_s : Msglayer.secondary;
   mutable hb_p : Heartbeat.t option;  (* the primary watching this backup *)
   mutable hb_s : Heartbeat.t option;  (* this backup watching the primary *)
-  mutable journal : journal;
-      (* receive-order journal (re-protection only): the regeneration
-         source when the *primary* dies and this backup is the survivor *)
 }
 
 type t = {
@@ -137,7 +127,7 @@ type t = {
   mutable group : Msglayer.group;
       (* what the primary records into: every backup's log, stable at one
          ack *)
-  mutable journal : journal;
+  journal : journal;
       (* what the group journals (re-protection only): the regeneration
          source *)
   arb : int Mailbox.chan option array array;
@@ -217,12 +207,13 @@ let traffic_msgs t =
 let traffic_bytes t =
   t.acc_bytes + sum_backups (fun b -> Msglayer.traffic_bytes b.ml_p b.ml_s) t
 
-let reset_traffic t =
-  t.acc_msgs <- 0;
-  t.acc_bytes <- 0;
-  Array.iter (fun b -> Msglayer.reset_traffic b.ml_p b.ml_s) t.backups
-
-let det_ops t = Namespace.det_ops t.primary.ns
+(* The serving replica's sections: the primary's, or once its partition
+   is down, those of the backup that took over. *)
+let det_ops t =
+  match t.winner with
+  | Some i when Partition.is_halted t.primary.part ->
+      Namespace.det_ops t.backups.(i).r.ns
+  | _ -> Namespace.det_ops t.primary.ns
 
 (* Every live log carries every record, so the busiest one counts them. *)
 let records_sent t =
@@ -376,10 +367,10 @@ let boot_backup cfg ~joined part =
 
 (* The log between [primary] and backup [r]: a mailbox duplex, whose rings
    lose what was in flight when either end suffers a coherency-disrupting
-   fault (§3.5's rare worst case), the primary's end attached to [group] at
-   its next LSN, and the backup's end replaying into [r]'s namespace and,
-   with re-protection, spooling what it receives into [journal]. *)
-let log_pair machine cfg group ~primary r ~journal =
+   fault (§3.5's rare worst case), the primary's end born a member of
+   [group] at its next LSN, and the backup's end replaying into [r]'s
+   namespace from that LSN. *)
+let log_pair machine cfg group ~primary r =
   let eng = Machine.engine machine in
   let d =
     Mailbox.duplex eng ~config:cfg.mailbox_config ~a:primary.part ~b:r.part ()
@@ -388,19 +379,17 @@ let log_pair machine cfg group ~primary r ~journal =
     (fun () -> Mailbox.drop_in_flight d.Mailbox.a_to_b);
   Machine.on_coherency_loss machine ~partition_id:(Partition.id r.part)
     (fun () -> Mailbox.drop_in_flight d.Mailbox.b_to_a);
-  let base_lsn = Msglayer.group_last_lsn group + 1 in
   let ml_p =
-    Msglayer.create_primary ~batch:cfg.batch ~base_lsn eng
-      ~out:d.Mailbox.a_to_b ~inb:d.Mailbox.b_to_a
+    Msglayer.create_member ~batch:cfg.batch eng group ~out:d.Mailbox.a_to_b
+      ~inb:d.Mailbox.b_to_a
   in
-  Msglayer.group_attach group ml_p;
   let ns = r.ns in
   let ml_s =
     Msglayer.create_secondary ~batch:cfg.batch
       ~chan_progress:(fun () -> Namespace.chan_progress ns)
       ~chan_restore:(fun chans -> Namespace.chan_restore ns chans)
-      ?journal:(if cfg.reprotect then Some (journal_append journal) else None)
-      ~base_lsn ~workers:cfg.replay_workers eng ~inb:d.Mailbox.a_to_b
+      ~base_lsn:(Msglayer.last_lsn ml_p + 1)
+      ~workers:cfg.replay_workers eng ~inb:d.Mailbox.a_to_b
       ~out:d.Mailbox.b_to_a ~replay_cost:cfg.kernel_config.Kernel.wake_latency
       ~delta_cost:delta_replay_cost
       ~handler:(fun record -> Namespace.record_handler ns record)
@@ -604,8 +593,8 @@ and arbitrate t i =
 (* The takeover, run by the arbitration winner.  Wall-clock is dominated by
    the NIC driver reload (99 % of the ~5 s reported in §4.4).  With
    re-protection on, the survivor is additionally *promoted*: it records
-   into a fresh group that journals alone until a regenerated backup is
-   spliced in. *)
+   into a fresh group that continues the journal and journals alone until a
+   regenerated backup is spliced in. *)
 and take_over t i =
   let b = t.backups.(i) in
   let reg = Engine.metrics t.eng in
@@ -619,25 +608,24 @@ and take_over t i =
      primary. *)
   if t.cfg.reprotect then
     close_pairs t (Option.map Digest.capture (Namespace.digest b.r.ns));
-  let promote_of restored =
+  let promotion () =
     if t.cfg.reprotect then begin
-      (* The survivor's receive journal is the authoritative timeline now;
-         the promoted primary's group continues it. *)
-      t.journal <- b.journal;
+      (* The promoted primary's group continues the journal from the
+         survivor's replay point.  The mailbox is FIFO, LSNs have no gaps
+         and the drain is done, so the prefix up to it is, record for
+         record, what the survivor received; records past it died with
+         the primary.  Later appends overwrite their slots. *)
+      t.journal.j_len <- Msglayer.received_lsn b.ml_s + 1;
       t.group <-
-        Msglayer.create_group ~journal:(journal_append b.journal)
-          ~base_lsn:b.journal.j_len ();
+        Msglayer.create_group ~journal:(journal_append t.journal)
+          ~base_lsn:t.journal.j_len ();
       Some
-        {
-          Namespace.pr_group = t.group;
-          pr_restored = restored;
-          pr_output_commit = t.cfg.output_commit;
-        }
+        { Namespace.pr_group = t.group; pr_output_commit = t.cfg.output_commit }
     end
     else None
   in
-  (* Take over the network: reload the driver, rebuild the TCP stack from
-     the shadow's logical state, re-listen. *)
+  (* Take over the network: reload the driver onto a fresh stack, then the
+     namespace rebuilds its TCP state on it. *)
   (match t.nic with
   | Some nic ->
       let stack =
@@ -646,40 +634,10 @@ and take_over t i =
       Nic.transfer nic ~owner:b.r.part ~rx:(Tcp.rx_callback stack);
       next_phase t "failover.golive";
       Tcp.bind_nic stack nic;
-      let shadow = Namespace.shadow_of b.r.ns in
-      let listeners =
-        (* Re-create each listener group with the shard/backlog/overflow
-           shape the replayed app registered, so accept routing and shed
-           behaviour survive the failover. *)
-        List.concat_map
-          (fun lc ->
-            let shards =
-              Tcp.listen_group stack ~port:lc.Shadow.lc_port
-                ~shards:lc.Shadow.lc_shards ?backlog:lc.Shadow.lc_backlog
-                ~overflow:lc.Shadow.lc_overflow ()
-            in
-            Array.to_list
-              (Array.map
-                 (fun l -> ((lc.Shadow.lc_port, Tcp.listener_shard l), l))
-                 shards))
-          (Shadow.listener_configs shadow)
-      in
-      let restored = Shadow.restore_all shadow stack in
-      (* Connections the application never accepted were sitting in the
-         dead primary's accept queue; hand them to the fresh listeners (in
-         establishment order) instead of orphaning them.  Output commit
-         guarantees no response to them was ever released, so a fresh
-         accept-and-serve is exactly-once from the client's point of
-         view. *)
-      List.iter
-        (fun (cid, rc) ->
-          if not (Shadow.was_accepted shadow ~cid) then
-            Tcp.requeue_restored stack rc)
-        (List.sort (fun (a, _) (b, _) -> compare a b) restored);
-      Namespace.go_live b.r.ns ~stack ~listeners ?promote:(promote_of restored) ()
+      Namespace.go_live b.r.ns ~stack ?promote:(promotion ()) ()
   | None ->
       next_phase t "failover.golive";
-      Namespace.go_live b.r.ns ?promote:(promote_of []) ());
+      Namespace.go_live b.r.ns ?promote:(promotion ()) ());
   end_phase t;
   (* The other backups hold none of the log the winner writes from here. *)
   Array.iteri
@@ -763,9 +721,9 @@ and reprotect t =
            do_reprotect t))
 
 (* Online backup regeneration: boot a fresh kernel on the recommissioned
-   spare, stream the survivor's journal to it (accelerated replay models
-   the Memlayout-guided state transfer) while the primary keeps serving
-   and appending, then splice the new replica into the live stream in one
+   spare, stream the journal to it (accelerated replay models the
+   Memlayout-guided state transfer) while the primary keeps serving and
+   appending, then splice the new replica into the live stream in one
    non-yielding turn once catch-up and the copy budget both hold.  The
    primary's group orders the record stream, so its next LSN is the switch
    point: the spliced backup's first wire LSN is exactly the journal
@@ -864,17 +822,13 @@ and do_reprotect t =
     let splice () =
       let cutoff = Msglayer.group_last_lsn t.group + 1 in
       t.switch_cutoff <- Some cutoff;
-      let journal = journal_clone_prefix t.journal cutoff in
-      let ml_p, ml_s =
-        log_pair t.machine t.cfg t.group ~primary:t.primary r ~journal
-      in
+      let ml_p, ml_s = log_pair t.machine t.cfg t.group ~primary:t.primary r in
       (* Bank the dead pair's traffic before dropping the handles. *)
       t.acc_msgs <- t.acc_msgs + Msglayer.traffic_msgs b.ml_p b.ml_s;
       t.acc_bytes <- t.acc_bytes + Msglayer.traffic_bytes b.ml_p b.ml_s;
       t.acc_records <- t.acc_records + Msglayer.p_records b.ml_p;
       b.ml_p <- ml_p;
       b.ml_s <- ml_s;
-      b.journal <- journal;
       (* Both digests cover the stream from LSN 0: the fresh backup
          replayed the whole journal. *)
       t.cur_pairs <- [ (Option.get (Namespace.digest t.primary.ns), d_fresh) ];
@@ -907,10 +861,9 @@ and do_reprotect t =
         "re-protection complete: epoch %d protected (cutoff LSN %d)"
         new_epoch cutoff
     in
-    (* Feed: replay the survivor's journal from LSN 0 on the fresh kernel,
-       then keep chasing the live tail the primary appends meanwhile.
-       Runs on the target kernel so a target fault kills it with the
-       partition. *)
+    (* Feed: replay the journal from LSN 0 on the fresh kernel, then keep
+       chasing the live tail the primary appends meanwhile.  Runs on the
+       target kernel so a target fault kills it with the partition. *)
     ignore
       (Kernel.spawn_thread r.kernel ~name:"ft-regen-feed" (fun () ->
            let rec loop () =
@@ -982,10 +935,9 @@ let create eng ?(config = default_config) ?link ~app () =
   let machine = Machine.create eng config.topology in
   let part_p, parts_b = carve machine config in
   let kernel_p = Kernel.boot part_p ~config:config.kernel_config () in
-  (* Dual journals (re-protection only): the group spools records at LSN
-     assignment, each backup spools receives in LSN order — whichever side
-     survives a fault holds the full authoritative timeline. *)
-  let journal = journal_create () in
+  (* The one journal (re-protection only): the group spools records at LSN
+     assignment. *)
+  let journal = { j_buf = [||]; j_len = 0 } in
   let group =
     Msglayer.create_group
       ?journal:(if config.reprotect then Some (journal_append journal) else None)
@@ -1015,9 +967,8 @@ let create eng ?(config = default_config) ?link ~app () =
   let backups =
     Array.map
       (fun (r, _) ->
-        let journal = journal_create () in
-        let ml_p, ml_s = log_pair machine config group ~primary r ~journal in
-        { r; ml_p; ml_s; hb_p = None; hb_s = None; journal })
+        let ml_p, ml_s = log_pair machine config group ~primary r in
+        { r; ml_p; ml_s; hb_p = None; hb_s = None })
       booted
   in
   Array.iter

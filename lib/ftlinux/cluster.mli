@@ -37,7 +37,8 @@
     With [config.reprotect] on (two replicas only), the group journals every
     record and a replica death leaves the survivor as a {e recording}
     primary whose group journals alone (after a primary death, a fresh
-    group continuing the survivor's receive journal).  After [regen_delay]
+    group continuing the one journal from the survivor's replay point: the
+    prefix it received).  After [regen_delay]
     the failed unit's hardware is recommissioned, a fresh kernel boots on
     it, replays the journal from LSN 0 (accelerated replay models the
     {!Ftsim_kernel.Memlayout}-guided snapshot transfer) while the primary
@@ -166,12 +167,6 @@ val on_transition : t -> (transition -> unit) -> unit
 (** Subscribe to lifecycle transitions (called synchronously, in
     subscription order, from the transition point — keep it non-blocking). *)
 
-val reprotect : t -> unit
-(** Start regenerating the dead replica now (no-op unless the set is
-    [Degraded] and [config.reprotect] is on).  An automatic regeneration
-    is scheduled [regen_delay] after every replica death anyway; this
-    forces it early. *)
-
 val kill : t -> role:Replica_set.role -> at:Time.t -> unit
 (** Schedule a fail-stop core fault on the partition holding [role] {e at
     fire time} (roles move across failovers and epoch switches with
@@ -245,8 +240,11 @@ val shutdown : t -> unit
 
 val traffic_msgs : t -> int
 val traffic_bytes : t -> int
-val reset_traffic : t -> unit
+
 val det_ops : t -> int
+(** Deterministic sections the serving replica ran: the primary, or once
+    its partition has halted, the backup that took over. *)
+
 val records_sent : t -> int
 
 (** {1 Divergence checking}

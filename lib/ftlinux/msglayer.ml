@@ -40,7 +40,7 @@ type primary = {
      acks: channel id -> sections consumed.  Observability only (the
      output-commit rule needs just [p_acked]). *)
   p_chan_acks : (int, int) Hashtbl.t;
-  mutable stable_waiters : Waitq.t;  (* the group's, once attached *)
+  stable_waiters : Waitq.t;  (* the group's *)
   mutable disabled : bool;
   mutable p_last_peer : Time.t;
   (* Staged records not yet on the wire, oldest last ([buf] is reversed).
@@ -76,12 +76,6 @@ type secondary = {
   handler : Wire.record -> unit;
   chan_progress : unit -> (int * int) list;
   chan_restore : (int * int) list -> unit;
-  journal : (Wire.record -> unit) option;
-      (* Receive-side record journal, invoked in LSN order as records come
-         off the mailbox — before replay cost is charged.  Regeneration
-         records the survivor's authoritative timeline here: only records
-         the backup actually received count (staged frames lost in a
-         primary crash were never part of this replica's history). *)
   mutable s_first : int;  (* first LSN ever received; -1 = none yet *)
   mutable s_tail : int;  (* last LSN received; an ack request covers it *)
   mutable s_received : int;
@@ -111,39 +105,6 @@ type secondary = {
 let log = Trace.make "ft.msglayer"
 
 (* {1 Primary} *)
-
-let create_primary ?(batch = unbatched) ?(base_lsn = 0) eng ~out ~inb =
-  if base_lsn < 0 then invalid_arg "Msglayer.create_primary: base_lsn < 0";
-  {
-    p_eng = eng;
-    p_out = out;
-    p_in = inb;
-    batch;
-    next_lsn = base_lsn;
-    p_acked = base_lsn - 1;
-    p_chan_acks = Hashtbl.create 8;
-    stable_waiters = Waitq.create ();
-    disabled = false;
-    p_last_peer = Engine.now eng;
-    buf = [];
-    buf_base = 0;
-    buf_count = 0;
-    buf_bytes = 0;
-    buf_opened = Engine.now eng;
-    flush_wq = Waitq.create ();
-    flush_mu = Sync.Mutex.create ();
-    rtt_lsn = -1;
-    rtt_sent = Engine.now eng;
-    p_last_rtt = None;
-    r_rtt = Metrics.Registry.hist (Engine.metrics eng) "lag.rtt_ns";
-    p_recs = Metrics.Counter.create ();
-    r_recs =
-      Metrics.Registry.counter (Engine.metrics eng) "msglayer.records_appended";
-    r_frames =
-      Metrics.Registry.counter (Engine.metrics eng) "msglayer.frames_sent";
-    r_commit_flush =
-      Metrics.Registry.counter (Engine.metrics eng) "msglayer.commit_flushes";
-  }
 
 let record_kind = function
   | Wire.Sync_tuple _ -> "tuple"
@@ -274,17 +235,6 @@ let flush_for ~lsn p =
     end
   end
 
-let wait_stable p ~lsn =
-  flush_for ~lsn p;
-  let rec wait () =
-    if p.disabled || p.p_acked >= lsn then ()
-    else begin
-      ignore (Sync.wait_on p.stable_waiters);
-      wait ()
-    end
-  in
-  wait ()
-
 let disable p =
   if not p.disabled then begin
     p.disabled <- true;
@@ -371,7 +321,7 @@ let spawn_primary_rx p spawn =
 (* {1 Secondary} *)
 
 let create_secondary ?(batch = unbatched) ?(chan_progress = fun () -> [])
-    ?(chan_restore = fun _ -> ()) ?journal ?(base_lsn = 0) ?(workers = 1) eng
+    ?(chan_restore = fun _ -> ()) ?(base_lsn = 0) ?(workers = 1) eng
     ~inb ~out ~replay_cost ~delta_cost ~handler =
   if workers < 1 then invalid_arg "Msglayer.create_secondary: workers < 1";
   if base_lsn < 0 then invalid_arg "Msglayer.create_secondary: base_lsn < 0";
@@ -390,7 +340,6 @@ let create_secondary ?(batch = unbatched) ?(chan_progress = fun () -> [])
     handler;
     chan_progress;
     chan_restore;
-    journal;
     s_first = -1;
     s_tail = base_lsn - 1;
     s_received = base_lsn - 1;
@@ -550,15 +499,14 @@ let spawn_executor s spawn i =
          in
          loop ()))
 
-(* Take a record off the wire, in LSN order: stamp the first-LSN probe and
-   journal it before any replay cost is charged, then replay it inline or
-   hand it to its thread's executor.  Inline is the only choice with one
-   worker, and always a TCP delta's: it wakes no thread, and a record
-   behind it may depend on the stream state it installs. *)
+(* Take a record off the wire, in LSN order: stamp the first-LSN probe,
+   then replay it inline or hand it to its thread's executor.  Inline is
+   the only choice with one worker, and always a TCP delta's: it wakes no
+   thread, and a record behind it may depend on the stream state it
+   installs. *)
 let take s ~lsn record =
   if s.s_first < 0 then s.s_first <- lsn;
   s.s_tail <- lsn;
-  (match s.journal with Some j -> j record | None -> ());
   let n = Array.length s.exec_qs in
   match record with
   | (Wire.Sync_tuple { ft_pid; _ } | Wire.Syscall_result { ft_pid; _ }) when n > 0
@@ -658,14 +606,10 @@ let traffic_msgs p s = Mailbox.msgs_sent p.p_out + Mailbox.msgs_sent s.s_out
 
 let traffic_bytes p s = Mailbox.bytes_sent p.p_out + Mailbox.bytes_sent s.s_out
 
-let reset_traffic p s =
-  Mailbox.reset_metrics p.p_out;
-  Mailbox.reset_metrics s.s_out
-
 (* {1 The recording group} *)
 
 type group = {
-  mutable members : primary list;  (* in attach order *)
+  mutable members : primary list;  (* in creation order *)
   g_journal : (Wire.record -> unit) option;
   mutable g_next : int;  (* the next LSN the group assigns *)
   g_stable : Waitq.t;  (* every member's stability queue *)
@@ -680,13 +624,44 @@ let create_group ?journal ?(base_lsn = 0) () =
     g_stable = Waitq.create ();
   }
 
-let group_attach g p =
-  if p.next_lsn <> g.g_next then
-    invalid_arg "Msglayer.group_attach: log out of step with the group";
-  (* One stability queue for the group: an ack from any member (or a
-     member's death) wakes every waiter to re-check. *)
-  p.stable_waiters <- g.g_stable;
-  g.members <- List.filter (fun m -> not m.disabled) g.members @ [ p ]
+(* A member is born at the group's next LSN, on the group's one stability
+   queue: an ack from any member (or a member's death) wakes every waiter
+   to re-check. *)
+let create_member ?(batch = unbatched) eng g ~out ~inb =
+  let p =
+    {
+      p_eng = eng;
+      p_out = out;
+      p_in = inb;
+      batch;
+      next_lsn = g.g_next;
+      p_acked = g.g_next - 1;
+      p_chan_acks = Hashtbl.create 8;
+      stable_waiters = g.g_stable;
+      disabled = false;
+      p_last_peer = Engine.now eng;
+      buf = [];
+      buf_base = 0;
+      buf_count = 0;
+      buf_bytes = 0;
+      buf_opened = Engine.now eng;
+      flush_wq = Waitq.create ();
+      flush_mu = Sync.Mutex.create ();
+      rtt_lsn = -1;
+      rtt_sent = Engine.now eng;
+      p_last_rtt = None;
+      r_rtt = Metrics.Registry.hist (Engine.metrics eng) "lag.rtt_ns";
+      p_recs = Metrics.Counter.create ();
+      r_recs =
+        Metrics.Registry.counter (Engine.metrics eng) "msglayer.records_appended";
+      r_frames =
+        Metrics.Registry.counter (Engine.metrics eng) "msglayer.frames_sent";
+      r_commit_flush =
+        Metrics.Registry.counter (Engine.metrics eng) "msglayer.commit_flushes";
+    }
+  in
+  g.members <- List.filter (fun m -> not m.disabled) g.members @ [ p ];
+  p
 
 let group_last_lsn g = g.g_next - 1
 
@@ -696,7 +671,7 @@ let group_last_lsn g = g.g_next - 1
 let rec append_live record = function
   | [] -> ()
   | p :: rest ->
-      (* A live member's next LSN is the group's: attach checked it, and
+      (* A live member's next LSN is the group's: it was born there, and
          only the group appends to a member. *)
       if not p.disabled then ignore (append p record);
       append_live record rest

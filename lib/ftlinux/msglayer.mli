@@ -5,18 +5,20 @@
 
     Three behaviours of the evaluation live here:
 
-    - {b backpressure}: [append] blocks when the mailbox ring is full, so a
-      primary that outruns the secondary's replay slows to its pace — the
-      paper's sustained-throughput ceiling;
+    - {b backpressure}: {!group_append} blocks when a member's mailbox ring
+      is full, so a primary that outruns the secondary's replay slows to
+      its pace — the paper's sustained-throughput ceiling;
     - {b replay delivery cost}: the secondary charges a
       [wake_up_process]-style latency per record delivered, serializing
       replay — the paper's identified bottleneck (§4.1);
-    - {b stability}: [wait_stable] blocks until the secondary acknowledged a
-      given LSN — the primitive underneath output commit (§3.5).
+    - {b stability}: {!group_wait_stable} blocks until a secondary
+      acknowledged a given LSN — the primitive underneath output commit
+      (§3.5).
 
     A recording primary writes to a {!group}, never to a log directly: the
     group assigns every LSN, journals each record at assignment, and is
-    stable once any live member acknowledged. *)
+    stable once any live member acknowledged.  A log's primary end is born
+    a member of its group ({!create_member}). *)
 
 open Ftsim_sim
 open Ftsim_hw
@@ -49,29 +51,10 @@ val default_batch : batch_config
 (** 16 records / 4×MTU bytes / 20 µs window; acks every 32 records or
     after a 10 µs delayed-ack timer. *)
 
-val create_primary :
-  ?batch:batch_config ->
-  ?base_lsn:int ->
-  Engine.t ->
-  out:Wire.message Mailbox.chan ->
-  inb:Wire.message Mailbox.chan ->
-  primary
-(** [batch] defaults to {!unbatched}.  {!Cluster.default_config} turns
-    {!default_batch} on.  [base_lsn] (default 0) is the first LSN this log
-    will assign — an epoch switch continues the cluster's global LSN space
-    on a fresh mailbox pair instead of restarting from zero. *)
-
 val spawn_primary_rx : primary -> (string -> (unit -> unit) -> Engine.proc) -> unit
 (** Start the ack/heartbeat receive loop — and, when batching is on, the
     window flusher — with a partition-bound spawner, so both die with
     their partition (staged-but-unsent records die with the primary). *)
-
-val append : primary -> Wire.record -> int
-(** Stamp and count a record; returns its LSN.  Unbatched, the record is
-    sent immediately (blocking while the mailbox ring is full — the
-    backpressure throttle); batched, it is staged and the frame goes out
-    when the count/byte threshold trips, the window expires, or a
-    stability wait forces it. *)
 
 val last_lsn : primary -> int
 (** Highest assigned LSN, staged records included. *)
@@ -89,16 +72,10 @@ val last_rtt : primary -> Time.t option
     the first ack covering it (also recorded in the ["lag.rtt_ns"] registry
     histogram).  [None] until the first ack.  Observability only. *)
 
-val wait_stable : primary -> lsn:int -> unit
-(** Block until [acked >= lsn] (returns immediately when replication is
-    disabled or the LSN is already stable).  Flushes any staged records
-    covering [lsn] first — flush-on-output-commit: a commit never waits on
-    an ack for a record that has not been sent. *)
-
 val disable : primary -> unit
-(** Secondary declared dead: appends become no-ops, every stability waiter
-    (the group's, for a member) is released, and future waits return
-    immediately.  A group skips a disabled member. *)
+(** Secondary declared dead: appends become no-ops, every waiter on the
+    group's stability queue is released to re-check, and the group skips
+    this member from here on. *)
 
 val is_disabled : primary -> bool
 
@@ -109,14 +86,13 @@ val last_peer_activity_p : primary -> Time.t
 (** {1 The recording group}
 
     What the deterministic-section engine and the namespace's TCP hooks
-    record into: one record stream, fanned out to every attached log.  The
+    record into: one record stream, fanned out to every member log.  The
     group assigns every LSN itself and hands each record to an optional
     journal at assignment, so the journal's index is the LSN.  A record is
     stable once any live member acknowledged it.  Membership changes in
     place: a backup death {!disable}s its log, and with no live member the
     group journals alone and every record is stable at once — a degraded
-    primary's outputs release unprotected.  A one-member group behaves
-    exactly like its member: the same LSNs, flushes and stability waits. *)
+    primary's outputs release unprotected. *)
 
 type group
 
@@ -126,22 +102,35 @@ val create_group : ?journal:(Wire.record -> unit) -> ?base_lsn:int -> unit -> gr
     member's send can block — live re-protection spools the authoritative
     timeline there. *)
 
-val group_attach : group -> primary -> unit
-(** Add a log; the group's stability queue becomes its own.  Disabled
-    members are dropped.  Raises [Invalid_argument] unless the log's next
-    LSN is the group's ({!group_last_lsn} + 1). *)
+val create_member :
+  ?batch:batch_config ->
+  Engine.t ->
+  group ->
+  out:Wire.message Mailbox.chan ->
+  inb:Wire.message Mailbox.chan ->
+  primary
+(** A log's primary end, born a member of the group: its first LSN is the
+    group's next ({!group_last_lsn} + 1) and it waits on the group's
+    stability queue; the group drops its disabled members.  [batch]
+    defaults to {!unbatched}; {!Cluster.default_config} turns
+    {!default_batch} on. *)
 
 val group_append : group -> Wire.record -> int
-(** Assign the next LSN, journal the record and {!append} it to every live
-    member; returns the LSN. *)
+(** Assign the next LSN, journal the record and append it to every live
+    member; returns the LSN.  Unbatched, a member sends the record at once,
+    blocking while its mailbox ring is full (the backpressure throttle);
+    batched, it stages the record and the frame goes out when the
+    count/byte threshold trips, the window expires, or a stability wait
+    forces it. *)
 
 val group_last_lsn : group -> int
 (** Highest LSN the group assigned. *)
 
 val group_wait_stable : group -> lsn:int -> unit
-(** Flush every member's staged records covering [lsn] (as {!wait_stable}
-    does), then block until a live member acknowledged [lsn]; returns at
-    once when no member is live. *)
+(** Flush every member's staged records covering [lsn] first —
+    flush-on-output-commit: a commit never waits on an ack for a record
+    that has not been sent — then block until a live member acknowledged
+    [lsn]; returns at once when no member is live. *)
 
 (** {1 Secondary side} *)
 
@@ -149,7 +138,6 @@ val create_secondary :
   ?batch:batch_config ->
   ?chan_progress:(unit -> (int * int) list) ->
   ?chan_restore:((int * int) list -> unit) ->
-  ?journal:(Wire.record -> unit) ->
   ?base_lsn:int ->
   ?workers:int ->
   Engine.t ->
@@ -176,12 +164,9 @@ val create_secondary :
     thread's deliveries stay FIFO on its executor and the per-channel
     admission gate in {!Det} supplies all remaining serialization.
 
-    [journal] (default: none) is invoked per record as it comes off the
-    mailbox, in LSN order and before any replay cost is charged —
-    regeneration records the backup's authoritative receive timeline
-    here.  [base_lsn] (default 0) offsets the replay watermark: a backup
-    spliced in at an epoch switch starts acking from the switch cutoff
-    instead of LSN 0. *)
+    [base_lsn] (default 0) offsets the replay watermark: a backup spliced
+    in at an epoch switch starts acking from the switch cutoff instead of
+    LSN 0. *)
 
 val spawn_secondary_rx : secondary -> (string -> (unit -> unit) -> Engine.proc) -> unit
 (** Start the receive loop and any executor processes.  Each record is
@@ -225,4 +210,3 @@ val p_records : primary -> int
 
 val traffic_msgs : primary -> secondary -> int
 val traffic_bytes : primary -> secondary -> int
-val reset_traffic : primary -> secondary -> unit

@@ -350,26 +350,38 @@ let restored_conn s sc =
       Some rc
   | None -> None
 
-(* After go-live: resolve a shadow listener shard to a real one.  The
-   failover orchestrator normally restored the whole group (keyed
-   (port, shard) in [restored_listeners]); if the app listened at a point
-   replay never reached, create a fresh group matching the shadow's
-   registered shape and remember every shard, so sibling acceptor threads
-   resolve to the same group instead of racing to re-listen the port. *)
+(* Open a real listener group in a shadow listener's registered shape and
+   remember every shard, so sibling acceptor threads resolve to the same
+   group instead of racing to re-listen the port. *)
+let relisten t stack lc =
+  let ls =
+    Tcp.listen_group stack ~port:lc.Shadow.lc_port ~shards:lc.Shadow.lc_shards
+      ?backlog:lc.Shadow.lc_backlog ~overflow:lc.Shadow.lc_overflow ()
+  in
+  Array.iteri
+    (fun i l -> Hashtbl.replace t.restored_listeners (lc.Shadow.lc_port, i) l)
+    ls;
+  ls
+
+(* After go-live: resolve a shadow listener shard to a real one.  Go-live
+   normally re-listened the whole group; if the app listened at a point
+   replay never reached, open the group now. *)
 let live_listener t ~port ~shard =
   match Hashtbl.find_opt t.restored_listeners (port, shard) with
   | Some rl -> rl
   | None ->
-      let shards, backlog, overflow =
+      let lc =
         match Shadow.listener_config (shadow_of t) ~port with
-        | Some lc -> (lc.Shadow.lc_shards, lc.Shadow.lc_backlog, lc.Shadow.lc_overflow)
-        | None -> (max 1 (shard + 1), None, `Drop)
+        | Some lc -> lc
+        | None ->
+            {
+              Shadow.lc_port = port;
+              lc_shards = max 1 (shard + 1);
+              lc_backlog = None;
+              lc_overflow = `Drop;
+            }
       in
-      let ls = Tcp.listen_group (stack_exn t) ~port ~shards ?backlog ~overflow () in
-      Array.iteri
-        (fun i l -> Hashtbl.replace t.restored_listeners (port, i) l)
-        ls;
-      ls.(shard)
+      (relisten t (stack_exn t) lc).(shard)
 
 (* Closing tears down the whole group; forget it, so that listening on the
    port again opens a fresh group instead of finding the closed one. *)
@@ -724,21 +736,34 @@ let start_app t app =
 
 type promotion = {
   pr_group : Msglayer.group;
-  pr_restored : (int * Tcp.conn) list;
-      (* (cid, restored conn) pairs from [Shadow.restore_all] — the
-         promoted primary keeps each connection's replication cid, so its
-         deltas continue the same per-connection streams *)
   pr_output_commit : bool;
 }
 
-let go_live t ?stack ?(listeners = []) ?promote () =
+(* The shadow's TCP state becomes real on [stack]: re-listen each shadow
+   listener group in the shape the replayed app registered, so accept
+   routing and shed behaviour survive the failover; restore the live
+   connections; and hand the ones the application never accepted to the
+   fresh listeners, in establishment (cid) order, instead of orphaning
+   them.  Output commit guarantees no response to those was ever
+   released, so a fresh accept-and-serve is exactly-once from the client's
+   point of view.  Returns the (cid, restored conn) pairs. *)
+let restore_tcp t stack =
+  let shadow = shadow_of t in
+  List.iter (fun lc -> ignore (relisten t stack lc)) (Shadow.listener_configs shadow);
+  let restored = Shadow.restore_all shadow stack in
+  List.iter
+    (fun (cid, rc) ->
+      if not (Shadow.was_accepted shadow ~cid) then Tcp.requeue_restored stack rc)
+    (List.sort (fun (a, _) (b, _) -> compare a b) restored);
+  restored
+
+let go_live t ?stack ?promote () =
+  let restored = Option.fold ~none:[] ~some:(restore_tcp t) stack in
   Trace.warnf log ~eng:(Kernel.engine t.kernel) "namespace %s going live%s"
     (Kernel.name t.kernel)
     (if promote = None then "" else " (promoted)");
-  (match stack with Some s -> t.stack <- Some s | None -> ());
-  List.iter
-    (fun (key, l) -> Hashtbl.replace t.restored_listeners key l)
-    listeners;
+  (* A replaying secondary has no stack of its own. *)
+  t.stack <- stack;
   t.live <- true;
   (* The pthread hooks stay installed: a thread may be inside a
      deterministic section right now, and its det_end must still run.  In
@@ -747,17 +772,19 @@ let go_live t ?stack ?(listeners = []) ?promote () =
   | None -> Det.go_live (det_exn t)
   | Some pr ->
       (* Promotion: this survivor becomes the next epoch's recording
-         primary.  Must be called at the quiesced point (replay idle), with
-         restore-time retransmits already done — they replay from the old
-         epoch's deltas on the regenerated backup and must not be logged
-         again.  No suspension points below, so the role flip is atomic
-         with respect to application threads. *)
+         primary.  Must be called at the quiesced point (replay idle); the
+         restore-time retransmits above replay from the old epoch's deltas
+         on the regenerated backup and must not be logged again.  No
+         suspension points below, so the role flip is atomic with respect
+         to application threads.  Restored connections keep their
+         replication cids, so the promoted primary's deltas continue the
+         same per-connection streams. *)
       t.output_commit <- pr.pr_output_commit;
       List.iter
         (fun (cid, c) ->
           Hashtbl.replace t.cid_of_conn (Tcp.conn_id c) cid;
           if cid >= t.next_cid then t.next_cid <- cid + 1)
-        pr.pr_restored;
+        restored;
       Option.iter (install_primary_tcp_hooks t pr.pr_group) t.stack;
       Det.promote (det_exn t) pr.pr_group;
       (* The pthread hooks record snapshots its role flags at creation:

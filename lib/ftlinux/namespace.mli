@@ -49,46 +49,35 @@ val record_handler : t -> Wire.record -> unit
 (** The secondary's dispatch of incoming log records (pass to
     {!Msglayer.create_secondary}). *)
 
-val shadow_of : t -> Shadow.t
-(** Secondary only. *)
-
 val start_app : t -> Api.app -> Api.thread
 (** Launch the application's main thread in the namespace (ft_pid 0). *)
 
 type promotion = {
   pr_group : Msglayer.group;
       (** where the promoted primary records: a fresh group that continues
-          the survivor's receive journal at its length and journals alone
-          until a regenerated backup is attached *)
-  pr_restored : (int * Tcp.conn) list;
-      (** [(cid, conn)] pairs from {!Shadow.restore_all}: restored
-          connections keep their replication cids so the promoted
-          primary's deltas continue the same per-connection streams *)
+          the replication journal at the survivor's replay point and
+          journals alone until a regenerated backup joins it *)
   pr_output_commit : bool;
 }
 
-val go_live :
-  t ->
-  ?stack:Tcp.stack ->
-  ?listeners:((int * int) * Tcp.listener) list ->
-  ?promote:promotion ->
-  unit ->
-  unit
-(** Secondary, at failover: open every replay gate and switch socket
-    operations to the restored stack (when there is a network).
-    [listeners] maps [(port, shard)] to the re-created real listener — one
-    entry per shard of each re-created listener group (see
-    {!Shadow.listener_configs}).
+val go_live : t -> ?stack:Tcp.stack -> ?promote:promotion -> unit -> unit
+(** Secondary, at failover: open every replay gate and, given the fresh
+    [stack] that took over the NIC, make the shadow's TCP state real on
+    it — re-listen each shadow listener group in the shard, backlog and
+    overflow shape the replayed app registered, restore every live
+    connection ({!Shadow.restore_all}), and requeue the restored
+    connections the application never accepted onto their listeners in
+    cid order.  Socket operations then run on [stack].
 
     With [promote], the survivor additionally becomes the next epoch's
     {e recording primary} (live re-protection): syscall results, TCP
     deltas and deterministic sections are recorded into [pr_group] exactly
-    as an original primary would, continuing the old epoch's per-channel
-    and per-thread streams gaplessly — a backup regenerated later replays
-    the journal from LSN 0 as one stream.  The digest is not sealed (see
-    {!Det.promote}); callers bound comparisons against the dead primary
-    with {!Digest.capture}.  Must be called at the quiesced point (replay
-    idle), after restore-time retransmits. *)
+    as an original primary would, continuing the old epoch's per-channel,
+    per-thread and per-connection streams gaplessly — a backup regenerated
+    later replays the journal from LSN 0 as one stream.  The digest is not
+    sealed (see {!Det.promote}); callers bound comparisons against the dead
+    primary with {!Digest.capture}.  Must be called at the quiesced point
+    (replay idle). *)
 
 val replay_idle : t -> bool
 (** Secondary: replay has consumed everything delivered so far. *)

@@ -31,7 +31,7 @@ val was_accepted : t -> cid:int -> bool
 (** Whether an [R_accept] for [cid] was replayed.  [false] at failover
     means the connection was established — so it has a shadow and a logged
     input stream — but still sat in the primary's accept queue when it
-    died; the orchestrator must requeue its restored counterpart onto a
+    died; {!Namespace.go_live} requeues its restored counterpart onto a
     listener ({!Tcp.requeue_restored}) instead of orphaning it.  Unknown
     cids report [true] (nothing to requeue). *)
 
@@ -53,8 +53,8 @@ type listener_config = {
 val register_listener :
   t -> port:int -> shards:int -> backlog:int option -> overflow:Tcp.overflow -> unit
 (** A replayed [listen]/[listen_group]: remember the port and its group
-    shape, so the failover orchestrator re-creates an identically
-    configured listener group. *)
+    shape, so go-live re-creates an identically configured listener
+    group. *)
 
 val close_listener : t -> port:int -> unit
 (** A replayed [close_listener]: the port must not be re-opened at
@@ -79,8 +79,8 @@ val listener_configs : t -> listener_config list
 
 val restore_all : t -> Tcp.stack -> (int * Tcp.conn) list
 (** Recreate every live connection on the given stack; returns
-    [(cid, conn)] pairs.  (Re-listening on {!listener_configs} is the
-    failover orchestrator's job, which also keeps the handles.)  After this
+    [(cid, conn)] pairs.  (Re-listening on {!listener_configs} is
+    {!Namespace.go_live}'s job, which also keeps the handles.)  After this
     call {!restored} is set on each shadow connection. *)
 
 val restored : conn -> Tcp.conn option

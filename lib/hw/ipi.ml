@@ -1,10 +1,10 @@
 open Ftsim_sim
 
-let default_latency = Time.us 1
+let latency = Time.us 1
 
 let log = Trace.make "hw.ipi"
 
-let send_halt ?(latency = default_latency) eng target =
+let send_halt eng target =
   Engine.schedule eng ~at:(Engine.now eng + latency) (fun () ->
       if not (Partition.is_halted target) then begin
         Trace.warnf log ~eng "IPI halt delivered to %s" (Partition.name target);

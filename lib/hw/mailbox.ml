@@ -151,10 +151,6 @@ let drop_in_flight t =
 let msgs_sent t = Metrics.Counter.value t.sent_msgs
 let bytes_sent t = Metrics.Counter.value t.sent_bytes
 
-let reset_metrics t =
-  Metrics.Counter.reset t.sent_msgs;
-  Metrics.Counter.reset t.sent_bytes
-
 type 'a duplex = { a_to_b : 'a chan; b_to_a : 'a chan }
 
 let duplex eng ?config ~a ~b () =

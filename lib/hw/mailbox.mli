@@ -60,7 +60,6 @@ val drop_in_flight : 'a chan -> int
 
 val msgs_sent : 'a chan -> int
 val bytes_sent : 'a chan -> int
-val reset_metrics : 'a chan -> unit
 
 (** {1 Duplex convenience} *)
 

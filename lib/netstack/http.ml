@@ -85,12 +85,7 @@ let consume r n f acc =
 let read_body r n = List.rev (consume r n (fun acc c -> c :: acc) [])
 let skip_body r n = consume r n (fun k c -> k + Payload.chunk_len c) 0
 
-let request ~meth ~target ?(headers = []) () =
-  let hs =
-    List.map (fun (k, v) -> Printf.sprintf "%s: %s\r\n" k v) headers
-    |> String.concat ""
-  in
-  Printf.sprintf "%s %s HTTP/1.1\r\n%s\r\n" meth target hs
+let request ~meth ~target = Printf.sprintf "%s %s HTTP/1.1\r\n\r\n" meth target
 
 let response_header ?(status = 200) ?(reason = "OK") ~content_length () =
   Printf.sprintf "HTTP/1.1 %d %s\r\nContent-Length: %d\r\n\r\n" status reason

@@ -29,7 +29,8 @@ val skip_body : reader -> int -> int
 
 (** {1 Serialization} *)
 
-val request : meth:string -> target:string -> ?headers:(string * string) list -> unit -> string
+val request : meth:string -> target:string -> string
+(** A header-less request: the request line and the blank line. *)
 
 val response_header :
   ?status:int -> ?reason:string -> content_length:int -> unit -> string

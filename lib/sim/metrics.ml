@@ -5,7 +5,6 @@ module Counter = struct
   let incr t = t.v <- t.v + 1
   let add t n = t.v <- t.v + n
   let value t = t.v
-  let reset t = t.v <- 0
 end
 
 module Gauge = struct

@@ -10,7 +10,6 @@ module Counter : sig
   val incr : t -> unit
   val add : t -> int -> unit
   val value : t -> int
-  val reset : t -> unit
 end
 
 module Gauge : sig

@@ -571,6 +571,24 @@ let test_derive_multi_run_clean () =
   Alcotest.(check bool) "no consistency failure" false
     (Chaos.verdict_failing o.Chaos.verdict)
 
+(* Schedule #66 of the root-seed-42 mongoose battery with re-protection
+   (three faults, a 4 s horizon, the CLI's 100 ms regeneration delay): the
+   first primary death leaves a record journaled that the backup never
+   received.  The promoted survivor must continue the journal cut back to
+   what it received; continuing all of it replays that record on the
+   regenerated backup, whose digest then diverges. *)
+let test_promoted_journal_prefix () =
+  let s =
+    Chaos.derive_multi ~root_seed:42 ~index:66 ~replicas:2
+      ~horizon:(Time.sec 4) ~faults:3
+  in
+  let o =
+    Chaosrun.run ~reprotect:true ~regen_delay:(Time.ms 100)
+      ~workload:Chaosrun.Mongoose ~replicas:2 s
+  in
+  Alcotest.(check string) "verdict ok" "ok" (Chaos.verdict_label o.Chaos.verdict);
+  Alcotest.(check int) "three takeovers" 3 o.Chaos.o_failovers
+
 (* {1 Property: partial-order soundness of the sharded digest}
 
    The per-channel replay gate grants the secondary exactly this freedom:
@@ -781,5 +799,7 @@ let () =
             test_three_fault_reprotect_clean;
           Alcotest.test_case "derived multi-fault reprotect clean" `Quick
             test_derive_multi_run_clean;
+          Alcotest.test_case "promoted journal is the received prefix" `Quick
+            test_promoted_journal_prefix;
         ] );
     ]

@@ -957,6 +957,13 @@ let two_parts eng =
   let m = Machine.create eng Topology.small in
   Machine.split_symmetric m
 
+(* A fresh group and a log's primary end, its only member. *)
+let solo_member ?batch eng duplex =
+  let g = Msglayer.create_group () in
+  ( g,
+    Msglayer.create_member ?batch eng g ~out:duplex.Mailbox.a_to_b
+      ~inb:duplex.Mailbox.b_to_a )
+
 let test_msglayer_stability () =
   let eng = Engine.create () in
   let done_ = ref false in
@@ -964,10 +971,7 @@ let test_msglayer_stability () =
     (Engine.spawn eng (fun () ->
          let a, b = two_parts eng in
          let duplex = Mailbox.duplex eng ~a ~b () in
-         let ml_p =
-           Msglayer.create_primary eng ~out:duplex.Mailbox.a_to_b
-             ~inb:duplex.Mailbox.b_to_a
-         in
+         let g, ml_p = solo_member eng duplex in
          let ml_s =
            Msglayer.create_secondary eng ~inb:duplex.Mailbox.a_to_b
              ~out:duplex.Mailbox.b_to_a ~replay_cost:(Time.us 10)
@@ -979,11 +983,11 @@ let test_msglayer_stability () =
          let lsn = ref 0 in
          for _ = 1 to 100 do
            lsn :=
-             Msglayer.append ml_p
+             Msglayer.group_append g
                (Wire.Syscall_result
                   { ft_pid = 0; sseq = 0; result = Wire.R_accept 0 })
          done;
-         Msglayer.wait_stable ml_p ~lsn:!lsn;
+         Msglayer.group_wait_stable g ~lsn:!lsn;
          Alcotest.(check bool) "acked reached lsn" true (Msglayer.acked ml_p >= !lsn);
          done_ := true));
   Engine.run ~until:(Time.sec 1) eng;
@@ -996,20 +1000,17 @@ let test_msglayer_disable_releases_waiters () =
     (Engine.spawn eng (fun () ->
          let a, b = two_parts eng in
          let duplex = Mailbox.duplex eng ~a ~b () in
-         let ml_p =
-           Msglayer.create_primary eng ~out:duplex.Mailbox.a_to_b
-             ~inb:duplex.Mailbox.b_to_a
-         in
+         let g, ml_p = solo_member eng duplex in
          (* No secondary: the wait can only be released by [disable]. *)
          let lsn =
-           Msglayer.append ml_p
+           Msglayer.group_append g
              (Wire.Syscall_result { ft_pid = 0; sseq = 0; result = Wire.R_accept 0 })
          in
          ignore
            (Engine.spawn eng (fun () ->
                 Engine.sleep (Time.ms 5);
                 Msglayer.disable ml_p));
-         Msglayer.wait_stable ml_p ~lsn;
+         Msglayer.group_wait_stable g ~lsn;
          released := true));
   Engine.run ~until:(Time.sec 1) eng;
   Alcotest.(check bool) "waiter released on disable" true !released
@@ -1022,14 +1023,11 @@ let test_msglayer_backpressure () =
          let a, b = two_parts eng in
          let cfg = { Mailbox.propagation_delay = Time.ns 550; capacity = 8 } in
          let duplex = Mailbox.duplex eng ~config:cfg ~a ~b () in
-         let ml_p =
-           Msglayer.create_primary eng ~out:duplex.Mailbox.a_to_b
-             ~inb:duplex.Mailbox.b_to_a
-         in
+         let g, _ = solo_member eng duplex in
          (* No consumer: appends beyond the ring must block. *)
          for i = 1 to 20 do
            ignore
-             (Msglayer.append ml_p
+             (Msglayer.group_append g
                 (Wire.Syscall_result
                    { ft_pid = 0; sseq = i; result = Wire.R_accept 0 }));
            appended := i
@@ -1046,17 +1044,18 @@ let record_sseq = function
   | Wire.Syscall_result { sseq; _ } -> sseq
   | _ -> -1
 
-(* A log pair between two fresh partitions, the primary's end starting at
-   [base_lsn].  The secondary starts replaying and acking [acks_after] from
-   now (default: at once); [None] means it never does. *)
-let group_log eng ?(base_lsn = 0) ?(acks_after = Some 0) ?(handler = ignore) ()
-    =
+(* A log pair between two fresh partitions, the primary's end born a
+   member of [g] at its next LSN.  The secondary starts replaying and
+   acking [acks_after] from now (default: at once); [None] means it never
+   does. *)
+let group_log eng g ?(acks_after = Some 0) ?(handler = ignore) () =
   let a, b = two_parts eng in
   let duplex = Mailbox.duplex eng ~a ~b () in
   let ml_p =
-    Msglayer.create_primary ~base_lsn eng ~out:duplex.Mailbox.a_to_b
+    Msglayer.create_member eng g ~out:duplex.Mailbox.a_to_b
       ~inb:duplex.Mailbox.b_to_a
   in
+  let base_lsn = Msglayer.last_lsn ml_p + 1 in
   Msglayer.spawn_primary_rx ml_p (fun n f -> Engine.spawn eng ~name:n f);
   Option.iter
     (fun after ->
@@ -1071,13 +1070,12 @@ let group_log eng ?(base_lsn = 0) ?(acks_after = Some 0) ?(handler = ignore) ()
   ml_p
 
 (* A journaling group whose only member dies after ten records keeps
-   assigning gapless LSNs and journals alone; [test_group_attach_continues]
+   assigning gapless LSNs and journals alone; [test_group_member_continues]
    goes on from here. *)
 let group_journals_alone eng =
   let journal = ref [] in
   let g = Msglayer.create_group ~journal:(fun r -> journal := r :: !journal) () in
-  let ml_p = group_log eng () in
-  Msglayer.group_attach g ml_p;
+  let ml_p = group_log eng g () in
   let lsns = ref [] in
   for i = 0 to 19 do
     if i = 10 then Msglayer.disable ml_p;
@@ -1108,34 +1106,17 @@ let test_group_journals_alone () =
   let eng = Engine.create () in
   in_process eng (fun () -> ignore (group_journals_alone eng))
 
-let test_group_attach_out_of_step () =
-  let eng = Engine.create () in
-  in_process eng (fun () ->
-      let g = Msglayer.create_group () in
-      ignore (Msglayer.group_append g (syscall_record 0));
-      let refused base_lsn =
-        match Msglayer.group_attach g (group_log eng ~base_lsn ()) with
-        | () -> false
-        | exception Invalid_argument _ -> true
-      in
-      Alcotest.(check bool) "a log behind the group is refused" true (refused 0);
-      Alcotest.(check bool) "a log ahead of the group is refused" true
-        (refused 2);
-      Alcotest.(check bool) "a log at the group's next LSN joins" false
-        (refused 1))
-
-let test_group_attach_continues () =
+let test_group_member_continues () =
   let eng = Engine.create () in
   in_process eng (fun () ->
       let g = group_journals_alone eng in
       let base_lsn = Msglayer.group_last_lsn g + 1 in
       let received = ref [] in
       let ml_p =
-        group_log eng ~base_lsn ~acks_after:(Some (Time.ms 5))
+        group_log eng g ~acks_after:(Some (Time.ms 5))
           ~handler:(fun r -> received := record_sseq r :: !received)
           ()
       in
-      Msglayer.group_attach g ml_p;
       let lsn = Msglayer.group_append g (syscall_record 20) in
       Alcotest.(check int) "the fresh log takes the next LSN" base_lsn lsn;
       let t0 = Engine.now eng in
@@ -1149,10 +1130,8 @@ let test_group_disabled_member_never_blocks () =
   let eng = Engine.create () in
   in_process eng (fun () ->
       let g = Msglayer.create_group () in
-      let silent = group_log eng ~acks_after:None () in
-      let acker = group_log eng ~acks_after:(Some (Time.ms 5)) () in
-      Msglayer.group_attach g silent;
-      Msglayer.group_attach g acker;
+      let silent = group_log eng g ~acks_after:None () in
+      let acker = group_log eng g ~acks_after:(Some (Time.ms 5)) () in
       let lsn = Msglayer.group_append g (syscall_record 0) in
       Engine.schedule eng ~at:(Time.ms 1) (fun () -> Msglayer.disable silent);
       Msglayer.group_wait_stable g ~lsn;
@@ -1720,10 +1699,7 @@ let test_msglayer_parallel_executors () =
       (Engine.spawn eng (fun () ->
            let a, b = two_parts eng in
            let duplex = Mailbox.duplex eng ~a ~b () in
-           let ml_p =
-             Msglayer.create_primary ~batch eng ~out:duplex.Mailbox.a_to_b
-               ~inb:duplex.Mailbox.b_to_a
-           in
+           let g, ml_p = solo_member ~batch eng duplex in
            let ml_s =
              Msglayer.create_secondary ~batch ~workers:4 eng
                ~inb:duplex.Mailbox.a_to_b ~out:duplex.Mailbox.b_to_a
@@ -1747,9 +1723,9 @@ let test_msglayer_parallel_executors () =
                  Wire.Syscall_result
                    { ft_pid = i mod 7; sseq = i; result = Wire.R_accept i }
              in
-             Alcotest.(check int) "record i is lsn i" i (Msglayer.append ml_p record)
+             Alcotest.(check int) "record i is lsn i" i (Msglayer.group_append g record)
            done;
-           Msglayer.wait_stable ml_p ~lsn:(n - 1);
+           Msglayer.group_wait_stable g ~lsn:(n - 1);
            Alcotest.(check int) "watermark gapless at the tail" (n - 1)
              (Msglayer.received_lsn ml_s);
            done_ := true));
@@ -1787,10 +1763,7 @@ let ack_points batch =
     (Engine.spawn eng (fun () ->
          let a, b = two_parts eng in
          let duplex = Mailbox.duplex eng ~a ~b () in
-         let ml_p =
-           Msglayer.create_primary ~batch eng ~out:duplex.Mailbox.a_to_b
-             ~inb:duplex.Mailbox.b_to_a
-         in
+         let g, ml_p = solo_member ~batch eng duplex in
          let ml_s =
            Msglayer.create_secondary ~batch eng ~inb:duplex.Mailbox.a_to_b
              ~out:duplex.Mailbox.b_to_a ~replay_cost:(Time.us 10)
@@ -1798,7 +1771,7 @@ let ack_points batch =
          in
          Msglayer.spawn_primary_rx ml_p (fun n f -> Engine.spawn eng ~name:n f);
          Msglayer.spawn_secondary_rx ml_s (fun n f -> Engine.spawn eng ~name:n f);
-         let append i = Msglayer.append ml_p (syscall_record i) in
+         let append i = Msglayer.group_append g (syscall_record i) in
          for i = 0 to 39 do
            ignore (append i)
          done;
@@ -1806,13 +1779,13 @@ let ack_points batch =
          for i = 40 to 42 do
            ignore (append i)
          done;
-         Msglayer.wait_stable ml_p ~lsn:42;
+         Msglayer.group_wait_stable g ~lsn:42;
          Engine.sleep (Time.ms 1);
          let lsn = append 43 in
          (* Past the batch window, so 43 is on the wire, not yet acked. *)
          Engine.sleep (Time.us 25);
          ignore (append 44);
-         Msglayer.wait_stable ml_p ~lsn));
+         Msglayer.group_wait_stable g ~lsn));
   Engine.run ~until:(Time.ms 10) eng;
   List.filter_map
     (fun e ->
@@ -1843,10 +1816,7 @@ let test_msglayer_backpressure_through_backup () =
          let a, b = two_parts eng in
          let cfg = { Mailbox.propagation_delay = Time.ns 550; capacity = 8 } in
          let duplex = Mailbox.duplex eng ~config:cfg ~a ~b () in
-         let ml_p =
-           Msglayer.create_primary eng ~out:duplex.Mailbox.a_to_b
-             ~inb:duplex.Mailbox.b_to_a
-         in
+         let g, ml_p = solo_member eng duplex in
          let ml_s =
            Msglayer.create_secondary eng ~inb:duplex.Mailbox.a_to_b
              ~out:duplex.Mailbox.b_to_a ~replay_cost:(Time.ms 1)
@@ -1857,7 +1827,7 @@ let test_msglayer_backpressure_through_backup () =
          Engine.schedule eng ~at:(Time.us 5_500) (fun () ->
              received := Msglayer.received_lsn ml_s);
          for i = 1 to 100 do
-           ignore (Msglayer.append ml_p (syscall_record i));
+           ignore (Msglayer.group_append g (syscall_record i));
            appended := i
          done));
   Engine.run ~until:(Time.us 5_500) eng;
@@ -2086,10 +2056,8 @@ let () =
           Alcotest.test_case "backpressure" `Quick test_msglayer_backpressure;
           Alcotest.test_case "group journals alone" `Quick
             test_group_journals_alone;
-          Alcotest.test_case "group attach out of step" `Quick
-            test_group_attach_out_of_step;
           Alcotest.test_case "group attach continues" `Quick
-            test_group_attach_continues;
+            test_group_member_continues;
           Alcotest.test_case "group disabled member never blocks" `Quick
             test_group_disabled_member_never_blocks;
           Alcotest.test_case "parallel executors" `Quick

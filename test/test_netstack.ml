@@ -917,7 +917,7 @@ let test_http_request_response () =
                    Tcp.send c (Payload.of_string body);
                    Tcp.close c));
         let c = Tcp.connect client ~host:"10.0.0.1" ~port:80 in
-        Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target:"/index.html" ()));
+        Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target:"/index.html"));
         let r = Http.reader c in
         match Http.read_headers r with
         | None -> Alcotest.fail "no response"
@@ -952,7 +952,7 @@ let test_http_large_body_zero_copy () =
                    done;
                    Tcp.close c));
         let c = Tcp.connect client ~host:"10.0.0.1" ~port:80 in
-        Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target:"/big" ()));
+        Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target:"/big"));
         let r = Http.reader c in
         match Http.read_headers r with
         | None -> Alcotest.fail "no response"
