@@ -11,26 +11,6 @@ open Ftsim_netstack
 open Ftsim_ftlinux
 open Ftsim_apps
 
-let mib n = n * 1024 * 1024
-
-(* Run until [stop] holds, the clock reaches [cap] or nothing is left to
-   fire: [Engine.run] does not move the clock of an empty engine. *)
-let drive eng ~cap ~stop =
-  let rec loop () =
-    if
-      (not (stop ()))
-      && Engine.now eng < cap
-      && Engine.pending_events eng > 0
-    then begin
-      Engine.run ~until:(min cap (Engine.now eng + Time.ms 100)) eng;
-      loop ()
-    end
-  in
-  loop ()
-
-let gbit_link eng =
-  Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) ()
-
 (* {1 Common flags} *)
 
 let seed_t =
@@ -416,65 +396,41 @@ let finish r eng =
 
 (* {1 pbzip2} *)
 
+(* [--replicated false] runs the same application standalone. *)
+let server config replicated =
+  if replicated then Scenario.Replicated config else Scenario.Standalone
+
 let pbzip2_cmd =
   let run config r replicated fail_at block_kb file_mb workers =
     let eng = start r in
     let params =
       {
         Pbzip2.default_params with
-        Pbzip2.file_bytes = mib file_mb;
+        Pbzip2.file_bytes = Scenario.mib file_mb;
         block_bytes = block_kb * 1024;
         workers;
       }
     in
-    let t_done = ref None in
-    let cluster = ref None in
-    (* The run completes when the serving replica's copy does: the
-       primary's, or once the primary partition is down, the copy of the
-       backup taking over.  A backup's replay finishes later and does not
-       count. *)
-    let serving kernel =
-      match !cluster with
-      | None -> true
-      | Some c ->
-          let p = Cluster.primary_partition c in
-          Kernel.partition kernel == p || Ftsim_hw.Partition.is_halted p
-    in
-    let app api =
-      Pbzip2.run ~params api;
-      if serving api.Api.kernel then t_done := Some (Engine.now eng)
-    in
     let blocks = Pbzip2.block_count params in
-    let cluster_opt =
-      if replicated then begin
-        let c = Cluster.create eng ~config ~app () in
-        (match fail_at with
-        | Some ms -> Cluster.kill c ~role:Replica_set.Primary ~at:(Time.ms ms)
-        | None -> ());
-        Some c
-      end
-      else begin
-        ignore (Cluster.create_standalone eng ~app ());
-        None
-      end
+    let result =
+      Scenario.pbzip2 eng
+        ?fail_at:(Option.map Time.ms fail_at)
+        ~cap:(Time.sec 600) (server config replicated) params
     in
-    cluster := cluster_opt;
-    drive eng ~cap:(Time.sec 600) ~stop:(fun () -> !t_done <> None);
-    (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
     finish r eng;
-    match !t_done with
+    match result.Scenario.done_at with
     | Some t ->
         Printf.printf "compressed %d blocks (%d MiB) in %s: %.0f blocks/s\n"
           blocks file_mb (Time.to_string t)
           (float_of_int blocks /. Time.to_sec_f t);
-        (match cluster_opt with
-        | Some c ->
+        Option.iter
+          (fun c ->
             Printf.printf "inter-replica: %d msgs, %.2f MB, %d det sections\n"
               (Cluster.traffic_msgs c)
               (float_of_int (Cluster.traffic_bytes c) /. 1e6)
               (Cluster.det_ops c);
-            print_cluster config c
-        | None -> ())
+            print_cluster config c)
+          result.Scenario.started.Scenario.cluster
     | None -> Printf.printf "did not finish within the simulation cap\n"
   in
   let block_kb =
@@ -498,7 +454,7 @@ let mongoose_cmd =
   let run config r replicated cpu_us concurrency seconds listen_shards
       admission arrival_rate =
     let eng = start r in
-    let link = gbit_link eng in
+    let link = Scenario.gbit_link eng in
     let params =
       {
         Mongoose.default_params with
@@ -507,47 +463,34 @@ let mongoose_cmd =
         admission;
       }
     in
-    let app api = Mongoose.run ~params api in
-    let cluster_opt =
-      if replicated then
-        Some (Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app ())
-      else begin
-        ignore
-          (Cluster.create_standalone eng ~link:(Link.endpoint_a link) ~app ());
-        None
-      end
+    let s =
+      Scenario.start eng ~link (server config replicated)
+        ~app:(Mongoose.run ~params)
     in
-    let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
     (match arrival_rate with
     | None ->
-        let ab =
-          Loadgen.ab_start client ~server:"10.0.0.1" ~port:80 ~target:"/page"
-            ~concurrency ()
+        let w =
+          Scenario.ab s ~target:"/page" ~concurrency ~warmup:(Time.ms 400)
+            ~until:(Time.ms 400 + Time.sec seconds)
         in
-        Engine.run ~until:(Time.ms 400) eng;
-        let st = Loadgen.ab_stats ab in
-        let c0 = Metrics.Counter.value st.Loadgen.completed in
-        Engine.run ~until:(Time.ms 400 + Time.sec seconds) eng;
-        let c1 = Metrics.Counter.value st.Loadgen.completed in
-        Loadgen.ab_stop ab;
-        (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
         finish r eng;
         Printf.printf
           "%.0f req/s over %ds (concurrency %d, CPU loop %dus); p50 %.2fms \
            p99 %.2fms\n"
-          (float_of_int (c1 - c0) /. float_of_int seconds)
+          (float_of_int w.Scenario.ops /. float_of_int seconds)
           seconds concurrency cpu_us
-          (1000. *. Metrics.Hist.quantile st.Loadgen.latency 0.5)
-          (1000. *. Metrics.Hist.quantile st.Loadgen.latency 0.99)
+          (1000. *. Metrics.Hist.quantile w.Scenario.latency 0.5)
+          (1000. *. Metrics.Hist.quantile w.Scenario.latency 0.99)
     | Some rate ->
+        let client = Scenario.client s in
         Engine.run ~until:(Time.ms 400) eng;
         let conns = int_of_float (rate *. float_of_int seconds) in
         let ol =
-          Loadgen.ol_start client ~server:"10.0.0.1" ~port:80 ~target:"/page"
-            ~rate ~conns ~poisson:true ~seed:r.seed ()
+          Loadgen.ol_start client ~server:Scenario.server_ip ~port:80
+            ~target:"/page" ~rate ~conns ~poisson:true ~seed:r.seed ()
         in
         Engine.run ~until:(Time.ms 400 + Time.sec (seconds + 30)) eng;
-        (match cluster_opt with Some c -> Cluster.shutdown c | None -> ());
+        Scenario.stop s;
         finish r eng;
         let st = Loadgen.ol_stats ol in
         let cum = Metrics.Whist.cumulative st.Loadgen.ol_latency_w in
@@ -561,7 +504,7 @@ let mongoose_cmd =
           (Metrics.Hist.quantile cum 0.5)
           (Metrics.Hist.quantile cum 0.99)
           (Metrics.Hist.quantile cum 0.999));
-    Option.iter (print_cluster config) cluster_opt
+    Option.iter (print_cluster config) s.Scenario.cluster
   in
   let cpu_us =
     Arg.(
@@ -594,30 +537,23 @@ let mongoose_cmd =
 
 let run_transfer ~config ~run:r ~file_mb ~fail_at ~listen_shards ~admission =
   let eng = start r in
-  let link = gbit_link eng in
-  let app api =
-    Fileserver.run
-      ~params:
-        {
-          Fileserver.default_params with
-          Fileserver.file_bytes = mib file_mb;
-          listen_shards;
-          admission;
-        }
-      api
+  let link = Scenario.gbit_link eng in
+  let params =
+    {
+      Fileserver.default_params with
+      Fileserver.file_bytes = Scenario.mib file_mb;
+      listen_shards;
+      admission;
+    }
   in
-  let cluster = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
-  (match fail_at with
-  | Some ms -> Cluster.kill cluster ~role:Replica_set.Primary ~at:(Time.ms ms)
-  | None -> ());
-  let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
-  let w =
-    Loadgen.wget_start client ~server:"10.0.0.1" ~port:80 ~target:"/file" ()
+  let s =
+    Scenario.start eng ~link
+      ?fail_at:(Option.map Time.ms fail_at)
+      (Scenario.Replicated config) ~app:(Fileserver.run ~params)
   in
-  drive eng ~cap:(Time.sec 300) ~stop:(fun () -> Ivar.is_filled w.Loadgen.total);
-  Cluster.shutdown cluster;
+  let w = Scenario.wget s ~target:"/file" ~cap:(Time.sec 300) in
   finish r eng;
-  (eng, cluster, w)
+  (eng, Option.get s.Scenario.cluster, w)
 
 let print_outage cluster =
   match
@@ -636,8 +572,8 @@ let print_outage cluster =
 let print_download w ~file_mb =
   match Ivar.peek w.Loadgen.total with
   | Some n ->
-      Printf.printf "downloaded %d/%d bytes (%s)\n" n (mib file_mb)
-        (if n = mib file_mb then "complete" else "INCOMPLETE")
+      Printf.printf "downloaded %d/%d bytes (%s)\n" n (Scenario.mib file_mb)
+        (if n = Scenario.mib file_mb then "complete" else "INCOMPLETE")
   | None -> Printf.printf "download incomplete at cap\n"
 
 let file_mb_t =
@@ -750,7 +686,7 @@ let timeline_cmd =
 let triple_cmd =
   let run config r fail_backup_ms fail_primary_ms =
     let eng = start r in
-    let link = gbit_link eng in
+    let link = Scenario.gbit_link eng in
     let app (api : Api.t) =
       let l = api.Api.net.listen ~port:80 in
       let rec serve () =
@@ -769,19 +705,22 @@ let triple_cmd =
       in
       serve ()
     in
-    let t = Cluster.create eng ~config ~link:(Link.endpoint_a link) ~app () in
+    let s = Scenario.start eng ~link (Scenario.Replicated config) ~app in
+    let t = Option.get s.Scenario.cluster in
     (match fail_backup_ms with
     | Some ms -> Cluster.kill t ~role:Replica_set.Backup ~at:(Time.ms ms)
     | None -> ());
     (match fail_primary_ms with
     | Some ms -> Cluster.kill t ~role:Replica_set.Primary ~at:(Time.ms ms)
     | None -> ());
-    let client = Host.create eng ~ip:"10.0.0.9" (Link.endpoint_b link) in
+    let client = Scenario.client s in
     let messages = List.init 40 (fun i -> Printf.sprintf "m%02d|" i) in
     let result = Ivar.create () in
     ignore
       (Host.spawn client "client" (fun () ->
-           let c = Tcp.connect (Host.stack client) ~host:"10.0.0.1" ~port:80 in
+           let c =
+             Tcp.connect (Host.stack client) ~host:Scenario.server_ip ~port:80
+           in
            let out = Buffer.create 64 in
            List.iter
              (fun m ->
@@ -798,8 +737,8 @@ let triple_cmd =
                Engine.sleep (Time.ms 5))
              messages;
            Ivar.fill result (Buffer.contents out)));
-    drive eng ~cap:(Time.sec 60) ~stop:(fun () -> Ivar.is_filled result);
-    Cluster.shutdown t;
+    Scenario.drive eng ~cap:(Time.sec 60) ~stop:(fun () -> Ivar.is_filled result);
+    Scenario.stop s;
     finish r eng;
     Printf.printf "backups' received LSN: %d / %d\n"
       (Cluster.backup_received_lsn t 0)
@@ -896,7 +835,7 @@ let slo_cmd =
 
 let memdump_cmd =
   let run multiplier ram_gib trace_out =
-    let layout = Memlayout.create ~ram_bytes:(ram_gib * 1024 * mib 1) in
+    let layout = Memlayout.create ~ram_bytes:(ram_gib * 1024 * Scenario.mib 1) in
     Memcached.apply_load layout ~multiplier;
     let i, d, u = Memlayout.fractions layout in
     (* No engine here; the trace is a single summary event. *)

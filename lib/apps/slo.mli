@@ -55,5 +55,15 @@ val run :
     sharding and in-flight budget ({!Mongoose.params}).  Deterministic for
     a fixed engine seed. *)
 
+val failover_split :
+  Engine.t ->
+  (Time.t * Time.t) list ->
+  (Time.t * Time.t) option * Metrics.Hist.t * Metrics.Hist.t * Metrics.Hist.t
+(** [failover_split eng completions] reads the failover window from
+    [eng]'s pinned spans and records each [(done_at, latency)] completion's
+    latency, in ms, into the pre-fault, failover or post-recovery
+    histogram; without a window every completion is pre-fault.  Returns
+    [(window, pre, fo, post)]. *)
+
 val print_table : report -> unit
 (** The phase-split p50/p90/p99/p999 table, window bounds first. *)

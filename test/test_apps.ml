@@ -542,9 +542,25 @@ let test_failover_requeues_unaccepted () =
     true
     (errors = 0 && ok = conns)
 
+(* {1 Scenario} *)
+
+let test_drive_returns_when_drained () =
+  (* The only event fires at 5 ms and [stop] never holds: the drive loop
+     must return once nothing is left to fire, not spin at 5 ms until the
+     cap. *)
+  let eng = Engine.create () in
+  Engine.schedule eng ~at:(Time.ms 5) ignore;
+  Scenario.drive eng ~cap:(Time.sec 60) ~stop:(fun () -> false);
+  Alcotest.(check int) "returns at the last event" (Time.ms 5) (Engine.now eng)
+
 let () =
   Alcotest.run "apps"
     [
+      ( "scenario",
+        [
+          Alcotest.test_case "drive returns when drained" `Quick
+            test_drive_returns_when_drained;
+        ] );
       ( "workqueue",
         [
           Alcotest.test_case "fifo and close" `Quick test_workqueue_fifo_close;
