@@ -335,9 +335,6 @@ let setup_logging log_level log_filter =
                   item)
         (String.split_on_char ',' spec)
 
-let trace_format_of_path path =
-  if Filename.check_suffix path ".jsonl" then `Jsonl else `Chrome
-
 (* {1 The run term}
 
    Seed, live stats, metrics dump, trace and logging: what every cluster
@@ -384,24 +381,29 @@ let finish r eng =
         close_out oc
       with Sys_error msg ->
         Printf.eprintf "ftsim: cannot write metrics: %s\n" msg));
-  match r.trace_out with
-  | None -> ()
-  | Some path -> (
-      try
-        Evlog.write_file (Engine.evlog eng)
-          ~format:(trace_format_of_path path)
-          path
-      with Sys_error msg ->
-        Printf.eprintf "ftsim: cannot write trace: %s\n" msg)
+  Option.iter (Scenario.write_trace ~prog:"ftsim" (Engine.evlog eng)) r.trace_out
 
 (* {1 pbzip2} *)
 
-(* [--replicated false] runs the same application standalone. *)
-let server config replicated =
-  if replicated then Scenario.Replicated config else Scenario.Standalone
+(* [--replicated false] runs the same application standalone, so a cluster
+   flag or a primary kill alongside it is a usage error.  The term gives
+   the cluster config (for the report), the server and the kill time. *)
+let server_t cluster fail_at =
+  let check (config, used) replicated fail_at =
+    if replicated then Ok (config, Scenario.Replicated config, fail_at)
+    else
+      match (used, fail_at) with
+      | flag :: _, _ ->
+          Error (Printf.sprintf "%s needs a replicated run, not --replicated false" flag)
+      | [], Some _ -> Error "--fail-at-ms needs a replicated run, not --replicated false"
+      | [], None -> Ok (config, Scenario.Standalone, None)
+  in
+  Term.(
+    term_result' ~usage:true
+      (const check $ with_used_args cluster $ replicated_t $ fail_at))
 
 let pbzip2_cmd =
-  let run config r replicated fail_at block_kb file_mb workers =
+  let run (config, server, fail_at) r block_kb file_mb workers =
     let eng = start r in
     let params =
       {
@@ -415,7 +417,7 @@ let pbzip2_cmd =
     let result =
       Scenario.pbzip2 eng
         ?fail_at:(Option.map Time.ms fail_at)
-        ~cap:(Time.sec 600) (server config replicated) params
+        ~cap:(Time.sec 600) server params
     in
     finish r eng;
     match result.Scenario.done_at with
@@ -445,13 +447,14 @@ let pbzip2_cmd =
   Cmd.v
     (Cmd.info "pbzip2" ~doc:"Parallel compression workload (paper §4.1).")
     Term.(
-      const run $ cluster_t ~reload:false base_config $ run_t $ replicated_t
-      $ fail_at_t $ block_kb $ file_mb $ workers)
+      const run
+      $ server_t (cluster_t ~reload:false base_config) fail_at_t
+      $ run_t $ block_kb $ file_mb $ workers)
 
 (* {1 mongoose} *)
 
 let mongoose_cmd =
-  let run config r replicated cpu_us concurrency seconds listen_shards
+  let run (config, server, _) r cpu_us concurrency seconds listen_shards
       admission arrival_rate =
     let eng = start r in
     let link = Scenario.gbit_link eng in
@@ -464,7 +467,7 @@ let mongoose_cmd =
       }
     in
     let s =
-      Scenario.start eng ~link (server config replicated)
+      Scenario.start eng ~link server
         ~app:(Mongoose.run ~params)
     in
     (match arrival_rate with
@@ -524,8 +527,10 @@ let mongoose_cmd =
     (Cmd.info "mongoose" ~doc:"Web server under ApacheBench load (paper §4.2).")
     Term.(
       const run
-      $ cluster_t ~reload:false ~reprotect:false base_config
-      $ run_t $ replicated_t $ cpu_us $ concurrency $ seconds $ listen_shards_t
+      $ server_t
+          (cluster_t ~reload:false ~reprotect:false base_config)
+          (Term.const None)
+      $ run_t $ cpu_us $ concurrency $ seconds $ listen_shards_t
       $ admission_t $ arrival_rate_t)
 
 (* {1 failover / fileserver / timeline}
@@ -841,7 +846,7 @@ let memdump_cmd =
     (* No engine here; the trace is a single summary event. *)
     (match trace_out with
     | None -> ()
-    | Some path -> (
+    | Some path ->
         let ev = Evlog.create ~cap:16 () in
         Evlog.emit ev ~comp:"app.memdump" "fractions"
           ~args:
@@ -852,9 +857,7 @@ let memdump_cmd =
               ("delayed", Evlog.Float d);
               ("user", Evlog.Float u);
             ];
-        try Evlog.write_file ev ~format:(trace_format_of_path path) path
-        with Sys_error msg ->
-          Printf.eprintf "ftsim: cannot write trace: %s\n" msg));
+        Scenario.write_trace ~prog:"ftsim" ev path);
     Printf.printf
       "memcached at %dx on %d GiB: Ignored %.1f%%  Delayed %.1f%%  User %.1f%%\n"
       multiplier ram_gib (100. *. i) (100. *. d) (100. *. u)
@@ -946,13 +949,7 @@ let chaos_cmd =
                   (Chaosrun.run ~det_shard ~replay_workers ~reprotect
                      ~regen_delay ~listen_shards ?admission ~workload:w
                      ~replicas
-                     ~on_trace:(fun ev ->
-                       try
-                         Evlog.write_file ev
-                           ~format:(trace_format_of_path path)
-                           path
-                       with Sys_error msg ->
-                         Printf.eprintf "ftsim: cannot write trace: %s\n" msg)
+                     ~on_trace:(fun ev -> Scenario.write_trace ~prog:"ftsim" ev path)
                      minimal));
         let fails = Chaos.failures rep in
         let count v =

@@ -120,3 +120,8 @@ let wget t ~target ~cap =
   drive t.eng ~cap ~stop:(fun () -> Ivar.is_filled w.Loadgen.total);
   stop t;
   w
+
+let write_trace ~prog ev path =
+  let format = if Filename.check_suffix path ".jsonl" then `Jsonl else `Chrome in
+  try Evlog.write_file ev ~format path
+  with Sys_error msg -> Printf.eprintf "%s: cannot write trace: %s\n" prog msg

@@ -82,3 +82,8 @@ val ab :
 
 val wget : t -> target:string -> cap:Time.t -> Loadgen.wget
 (** Download [target] from a fresh client to completion or [cap]. *)
+
+val write_trace : prog:string -> Evlog.t -> string -> unit
+(** Export [ev] to [path]: JSONL if the path ends in .jsonl, else Chrome
+    trace_event JSON.  A file that cannot be written is reported on stderr
+    as ["<prog>: cannot write trace: ..."]. *)
