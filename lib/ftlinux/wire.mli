@@ -74,60 +74,58 @@ type message =
     the secondary ack immediately instead of arming its delayed-ack timer.
     An empty [Batch] with [ack_now] acts as a pure ack request. *)
 
+(** {2 Size model}
+
+    Frames travel as OCaml values through {!Ftsim_hw.Mailbox}; what the
+    traffic figures count is the size each frame would have in this
+    little-endian byte layout.  Integers are [i32]/[i64] (4/8 bytes),
+    counts [u8]/[u16]/[u32] (1/2/4 bytes).
+
+    Every frame starts with a 16-byte header: 2-byte magic, message kind
+    [u8], a sub byte [u8] (a record's kind, a batch's [ack_now], a
+    heartbeat's direction), total length [u32] and an [i64] aux word (a
+    batch's base LSN, a record's [ack_now]).  Then, per message:
+    - [Record]: lsn [i64], then the record's fields;
+    - [Batch]: record count [u32], then per record a 4-byte sub-header
+      (record kind [u8], subkind [u8], field length [u16]) and the
+      record's fields;
+    - [Ack]: upto [i64], cursor count [u32], then per (channel, consumed)
+      pair two [i32] (8 bytes);
+    - [Heartbeat]: seq [i64].
+
+    Record fields:
+    - [Sync_tuple]: ft_pid [i32], thread_seq [i32], channel count [u8],
+      per (channel, chan_seq) pair two [i32] (8 bytes), then the payload:
+      nothing for [P_plain], a [u8] for [P_timed_outcome], an [i32] for
+      [P_thread_spawn] and [P_fs_read_len];
+    - [Syscall_result]: ft_pid [i32], sseq [i32], then the result: an
+      [i64] for [R_gettimeofday]; cid [i32] for [R_accept] and [R_close];
+      cid and len [i32] for [R_read] and [R_write]; a ready count [u32]
+      and one [i32] per index for [R_poll];
+    - [Tcp_delta]: cid [i32], then: two addresses for [D_new_conn], each
+      port [u16], host length [u8] and the host's bytes; the data's bytes
+      for [D_in_data] (synthetic bytes count in full); len [i32] for
+      [D_out_seg]; snd_una [i64] for [D_ack_progress]; nothing for
+      [D_peer_fin]. *)
+
 val header : int
 (** Frame header size (16 bytes). *)
 
-val batch_sub_header : int
-(** Per-record sub-header inside a [Batch] frame (4 bytes). *)
-
 val max_frame_bytes : int
-(** Hard upper bound on one encoded frame; {!encode_message} raises
-    [Invalid_argument] beyond it and the batching layer flushes before
-    reaching it. *)
-
-val record_bytes : record -> int
-(** Modelled wire size of a record (header included), used for the
-    inter-replica traffic figures.  Exact: this is the number of bytes the
-    record occupies as a standalone frame body (see {!encode_message}). *)
+(** Upper bound on a [Batch] frame (64 KiB): the batching layer flushes
+    the staged batch before a record would push it past this.  A record
+    too large for any batch travels alone as a [Record] frame, which this
+    does not bound. *)
 
 val batched_record_bytes : record -> int
-(** Wire size of a record when carried inside a [Batch] frame:
-    [record_bytes r - header + batch_sub_header]. *)
+(** Size of a record carried inside a [Batch] frame: its 4-byte
+    sub-header plus its fields. *)
 
 val message_bytes : message -> int
-(** Exact encoded size: [String.length (encode_message m) = message_bytes m]. *)
+(** Size of a frame, header included. *)
 
 val wakes_thread : record -> bool
 (** Whether replaying this record wakes an application thread (sync tuples
     and syscall results) — the records that pay the [wake_up_process]
     latency — as opposed to TCP deltas absorbed by the replication
     component itself. *)
-
-val pp_record : Format.formatter -> record -> unit
-
-(** {2 Binary codec}
-
-    A real little-endian encoding whose framing matches the byte model
-    above exactly, so the traffic figures measure what would actually
-    cross the shared-memory channel.  The frame header is 16 bytes:
-    2-byte magic ["FT"], message kind, a sub byte (record kind/subkind,
-    or the heartbeat direction), u32 total length, i64 aux (the batch's
-    base LSN).  [decode_message] is total: any input that is not the
-    exact encoding of a message yields [Error]. *)
-
-type decode_error =
-  | Truncated  (** input shorter than the frame header or declared length *)
-  | Malformed of string  (** bad magic, unknown tag, inconsistent lengths *)
-
-val pp_decode_error : Format.formatter -> decode_error -> unit
-
-val encode_message : message -> string
-(** Raises [Invalid_argument] if the frame would exceed {!max_frame_bytes},
-    a batched record's fields exceed 65535 bytes, or an address does not
-    fit the encoding (port beyond u16, host longer than 255 bytes). *)
-
-val decode_message : string -> (message, decode_error) result
-
-val equal_message : message -> message -> bool
-(** Structural equality, except payload chunk lists compare by content —
-    the codec does not preserve chunk boundaries. *)
