@@ -366,7 +366,7 @@ let start r =
   let eng = Engine.create ~seed:r.seed () in
   if r.trace_detail then Evlog.set_detail (Engine.evlog eng) true;
   Option.iter
-    (fun ms -> ignore (Statsdump.arm eng ~every:(Time.ms ms)))
+    (fun ms -> Statsdump.arm eng ~every:(Time.ms ms))
     r.stats_interval;
   eng
 

@@ -51,7 +51,3 @@ let release t =
   Pthread.mutex_lock t.pt t.mu;
   if t.in_flight > 0 then t.in_flight <- t.in_flight - 1;
   Pthread.mutex_unlock t.pt t.mu
-
-let limit t = t.limit
-let admitted t = Metrics.Counter.value t.m_admitted
-let shed t = Metrics.Counter.value t.m_shed

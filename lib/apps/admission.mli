@@ -24,7 +24,3 @@ val try_admit : t -> bool
     [false] = saturated (caller sheds). *)
 
 val release : t -> unit
-
-val limit : t -> int
-val admitted : t -> int
-val shed : t -> int

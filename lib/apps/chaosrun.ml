@@ -198,9 +198,7 @@ let lag_label lagmons =
 let arm_stats eng sched = function
   | None -> ()
   | Some every ->
-      ignore
-        (Statsdump.arm eng ~every
-           ~label:(Printf.sprintf "#%03d" sched.Chaos.sched_index))
+      Statsdump.arm eng ~every ~label:(Printf.sprintf "#%03d" sched.Chaos.sched_index)
 
 let config ?(det_shard = Cluster.default_config.Cluster.det_shard)
     ?(replay_workers = Cluster.default_config.Cluster.replay_workers)

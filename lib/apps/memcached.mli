@@ -19,8 +19,6 @@ open Ftsim_ftlinux
 
 type footprint = { user_bytes : int; slab_bytes : int; page_cache_bytes : int }
 
-val footprint : multiplier:int -> footprint
-
 val apply_load : Ftsim_kernel.Memlayout.t -> multiplier:int -> unit
 (** Allocate the footprint on the layout.  Raises
     [Ftsim_kernel.Memlayout.Out_of_memory] if the dataset does not fit. *)

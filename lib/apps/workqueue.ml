@@ -51,9 +51,3 @@ let close pt t =
   Pthread.cond_broadcast pt t.not_empty;
   Pthread.cond_broadcast pt t.not_full;
   Pthread.mutex_unlock pt t.m
-
-let length pt t =
-  Pthread.mutex_lock pt t.m;
-  let n = Queue.length t.items in
-  Pthread.mutex_unlock pt t.m;
-  n

@@ -22,4 +22,3 @@ val pop : Pthread.t -> 'a t -> 'a option
 val close : Pthread.t -> 'a t -> unit
 (** No further pushes; poppers drain the remainder then see [None]. *)
 
-val length : Pthread.t -> 'a t -> int

@@ -4,7 +4,7 @@ type role = Primary_role | Secondary_role
 
 type queued_syscall = Q_result of Wire.syscall_result | Q_live
 
-(* Reserved channel ids; {!chan_alloc} hands out ids from 2. *)
+(* Reserved channel ids; [chan_alloc] hands out ids from 2. *)
 let chan_misc = 0
 let chan_fs = 1
 
@@ -53,7 +53,6 @@ type t = {
   mutable next_ftpid : int;
   turn_changed : Engine.Gate.t;  (* secondary: any delivery or cursor advance *)
   mutable live : bool;
-  mutable emitted_total : int;  (* primary: sections appended (the epoch) *)
   mutable consumed_total : int;  (* secondary: sections replayed *)
   mutable pending_count : int;  (* secondary: delivered, not yet replayed *)
   ops : Metrics.Counter.t;
@@ -85,7 +84,6 @@ let make rl ?(shard = true) eng ml =
     next_ftpid = 0;
     turn_changed = Engine.Gate.create ();
     live = false;
-    emitted_total = 0;
     consumed_total = 0;
     pending_count = 0;
     ops = Metrics.Counter.create ();
@@ -102,7 +100,6 @@ let make rl ?(shard = true) eng ml =
 let create_primary ?shard eng ml = make Primary_role ?shard eng (Some ml)
 let create_secondary ?shard eng = make Secondary_role ?shard eng None
 let role t = t.rl
-let sharded t = t.shard
 
 (* {1 Channels} *)
 
@@ -325,7 +322,6 @@ let det_end_primary t =
         ~chans:pairs ~payload:ctx.cur_payload
   | None -> ());
   ctx.dseq <- ctx.dseq + 1;
-  t.emitted_total <- t.emitted_total + 1;
   Metrics.Counter.incr t.ops;
   Metrics.Counter.incr t.m_sections;
   (* With batching the append usually just stages the tuple; when a flush
@@ -579,8 +575,6 @@ let promote t group =
   Hashtbl.iter
     (fun pid _ -> if pid >= t.next_ftpid then t.next_ftpid <- pid + 1)
     t.by_ftpid;
-  if t.emitted_total < t.consumed_total then
-    t.emitted_total <- t.consumed_total;
   if not t.live then begin
     t.live <- true;
     Trace.warnf log ~eng:t.eng "det engine promoted: recording primary";
@@ -593,10 +587,5 @@ let replay_idle t =
   && Hashtbl.fold (fun _ ctx acc -> acc && Bqueue.is_empty ctx.sys_q) t.by_ftpid true
 
 (* {1 Introspection} *)
-
-let global_seq t =
-  match t.rl with
-  | Primary_role -> t.emitted_total
-  | Secondary_role -> t.consumed_total
 
 let det_ops t = Metrics.Counter.value t.ops

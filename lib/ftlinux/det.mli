@@ -18,7 +18,7 @@
 
     Reserved channels: {!chan_misc} (0) carries thread spawns and other
     namespace-global sections; {!chan_fs} (1) carries file-system sections;
-    {!chan_alloc} issues ids from 2 for pthread objects.
+    the pthread hooks' [chan_alloc] issues ids from 2 for pthread objects.
 
     After a failover the engine is switched {e live}: replay gates open,
     remaining in-flight operations execute directly, and the channel
@@ -37,15 +37,11 @@ val create_primary : ?shard:bool -> Engine.t -> Msglayer.group -> t
 val create_secondary : ?shard:bool -> Engine.t -> t
 
 val role : t -> role
-val sharded : t -> bool
 
 (** {1 Channels} *)
 
 val chan_misc : int
 val chan_fs : int
-
-val chan_alloc : t -> int
-(** Fresh channel id for a new sync object (0 when unsharded). *)
 
 (** {1 Thread identity} *)
 
@@ -174,10 +170,6 @@ val replay_idle : t -> bool
     empty — i.e. replay has consumed everything delivered so far. *)
 
 (** {1 Introspection} *)
-
-val global_seq : t -> int
-(** Sections emitted (primary) or replayed (secondary) so far — the epoch;
-    no longer a wire-visible sequence under sharding. *)
 
 val det_ops : t -> int
 (** Total deterministic sections completed. *)

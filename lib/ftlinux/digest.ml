@@ -184,7 +184,6 @@ let seal t =
       t.threads
   end
 
-let sealed t = t.sealed_at <> None
 let sections t = t.nsections
 
 (* A cap is a point-in-time comparison boundary that — unlike [seal] — does
@@ -207,9 +206,6 @@ let capture t =
     cap_threads =
       Hashtbl.fold (fun pid ts acc -> (pid, ts.tcount) :: acc) t.threads [];
   }
-
-let truncated t =
-  Hashtbl.fold (fun _ cs acc -> acc || cs.ccount > cs.cnsnaps) t.chans false
 
 (* Effective comparison bound for one channel: the seal (if any) and the
    cap entry (if a cap is given) both limit the walk; a channel absent

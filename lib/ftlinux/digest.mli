@@ -43,25 +43,19 @@ val mix : int -> int -> int
 (** The underlying 62-bit mixer (splitmix-style finalizer); exposed for
     callers that pre-combine values before folding. *)
 
-val fold : t -> int -> unit
-(** Mix a value into channel 0's digest.  Call only at points that are
-    totally ordered across replicas (namespace setup, or inside a
-    deterministic section on the misc channel). *)
-
 val fold_chan : t -> chan:int -> int -> unit
 (** Mix a value into one channel's digest.  Call only inside a
     deterministic section that claims [chan] (the value is then totally
     ordered across replicas within that channel's stream). *)
 
 val fold_string : t -> string -> unit
+(** Mix a string into channel 0's digest.  Call only at points that are
+    totally ordered across replicas (namespace setup, or inside a
+    deterministic section on the misc channel). *)
 
 val fold_thread : t -> ft_pid:int -> int -> unit
 (** Mix a value into [ft_pid]'s per-thread digest (per-thread FIFO points:
     net/time syscall results). *)
-
-val thread_digest : t -> ft_pid:int -> int
-
-val hash_payload : Wire.det_payload -> int
 
 val section_end :
   t ->
@@ -83,8 +77,6 @@ val mark_commit : t -> lsn:int -> unit
 val seal : t -> unit
 (** Stop the comparable region (secondary go-live): snapshots taken after
     [seal] are excluded from {!comparable}. *)
-
-val sealed : t -> bool
 
 type cap
 (** A point-in-time comparison boundary that — unlike {!seal} — does not
@@ -110,10 +102,7 @@ val sections : t -> int
 val comparable : t -> (int * snapshot list) list
 (** Per-channel snapshots in the comparable region, channels in id order,
     each stream oldest first.  Bounded: beyond an internal per-channel cap
-    only the rolling digest keeps advancing; [truncated] reports whether
-    any cap was hit. *)
-
-val truncated : t -> bool
+    only the rolling digest keeps advancing. *)
 
 val value : t -> int
 (** Final combined digest: every per-channel digest in channel order plus

@@ -9,7 +9,6 @@ open Ftsim_hw
    old sender thread dying with its partition. *)
 type t = {
   mutable stopped : bool;
-  mutable fired : bool;
   mutable send_h : Engine.handle option;
   mutable mon_h : Engine.handle option;
 }
@@ -17,7 +16,7 @@ type t = {
 let start ?(name = "hb") ~spawn ~eng ~period ~timeout ~send ~last_peer
     ~on_failure () =
   if period <= 0 || timeout <= 0 then invalid_arg "Heartbeat.start";
-  let t = { stopped = false; fired = false; send_h = None; mon_h = None } in
+  let t = { stopped = false; send_h = None; mon_h = None } in
   let ev = Engine.evlog eng in
   let rec arm_send seq ~at =
     t.send_h <-
@@ -43,7 +42,6 @@ let start ?(name = "hb") ~spawn ~eng ~period ~timeout ~send ~last_peer
              t.mon_h <- None;
              if not t.stopped then
                if Engine.now eng - last_peer () > timeout then begin
-                 t.fired <- true;
                  t.stopped <- true;
                  Evlog.emit ev ~pin:true ~comp:"ft.heartbeat" "failure_detected"
                    ~args:
@@ -69,5 +67,3 @@ let stop t =
   (match t.mon_h with Some h -> Engine.cancel h | None -> ());
   t.send_h <- None;
   t.mon_h <- None
-
-let fired t = t.fired

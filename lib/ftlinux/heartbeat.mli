@@ -33,5 +33,3 @@ val start :
 val stop : t -> unit
 (** Silence the detector and cancel both timers eagerly (e.g. at shutdown,
     so the event queue drains immediately rather than at the next period). *)
-
-val fired : t -> bool

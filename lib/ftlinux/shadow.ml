@@ -10,7 +10,6 @@ type conn = {
   mutable peer_fin : bool;
   mutable app_closed : bool;
   mutable fully_closed : bool;  (* close replayed and peer FIN logged *)
-  mutable out_seq : int;  (* mirror of the primary's snd_nxt *)
   mutable claimed : bool;
       (* an R_accept for this cid was replayed: the app owns the connection.
          Still false at failover = the connection was established (and
@@ -52,16 +51,16 @@ let apply_delta t = function
           peer_fin = false;
           app_closed = false;
           fully_closed = false;
-          out_seq = 0;
           claimed = false;
           restored_conn = None;
         }
   | Wire.D_in_data { cid; data } ->
       let c = conn_exn t cid in
       List.iter (Payload.Buf.append c.instream) data
-  | Wire.D_out_seg { cid; len } ->
-      let c = conn_exn t cid in
-      c.out_seq <- c.out_seq + len
+  | Wire.D_out_seg { cid; _ } ->
+      (* Replay regenerates the output itself: the logged segment size only
+         costs traffic, and the lookup only checks the connection. *)
+      ignore (conn_exn t cid)
   | Wire.D_ack_progress { cid; snd_una } ->
       let c = conn_exn t cid in
       Payload.Buf.drop_to c.out_pending snd_una
@@ -96,7 +95,6 @@ let listener_config t ~port =
   List.find_opt (fun lc -> lc.lc_port = port) t.listeners
 
 let cid c = c.cid
-let out_seq c = c.out_seq
 let pending_output c = Payload.Buf.length c.out_pending
 
 let is_live c =

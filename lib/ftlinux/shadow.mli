@@ -65,14 +65,7 @@ val listener_config : t -> port:int -> listener_config option
 (** {1 Introspection} *)
 
 val cid : conn -> int
-val find : t -> cid:int -> conn option
-val pending_output : conn -> int
-(** Bytes written by replay and not yet acknowledged by the client. *)
 
-val out_seq : conn -> int
-(** Mirror of the primary's [snd_nxt] (sum of forwarded segment sizes). *)
-
-val live_conns : t -> conn list
 val listener_configs : t -> listener_config list
 
 (** {1 Failover} *)

@@ -34,7 +34,6 @@ let create eng spec =
 
 let engine t = t.eng
 let spec t = t.spec
-let partitions t = List.rev t.parts
 
 let find_partition t pid =
   List.find_opt (fun p -> Partition.id p = pid) t.parts

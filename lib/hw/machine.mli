@@ -33,11 +33,7 @@ val recommission : t -> Partition.t -> name:string -> Partition.t
     bringing the spare back).  Raises [Invalid_argument] if the partition
     is still live or not part of this machine. *)
 
-val partitions : t -> Partition.t list
-val find_partition : t -> int -> Partition.t option
-
 val free_cores : t -> int
-val free_ram : t -> int
 
 val on_machine_check : t -> (Fault.event -> unit) -> unit
 (** Subscribe to hardware error reports (MCA/AER).  Subscribers on the

@@ -25,8 +25,3 @@ let validate s =
   else if s.ram_bytes mod s.numa_nodes <> 0 then
     Error "RAM not evenly divisible across NUMA nodes"
   else Ok ()
-
-let pp fmt s =
-  Format.fprintf fmt "%d sockets x %d cores, %d NUMA nodes, %d GiB RAM"
-    s.sockets s.cores_per_socket s.numa_nodes
-    (s.ram_bytes / (1024 * 1024 * 1024))

@@ -28,5 +28,3 @@ val small : spec
 val validate : spec -> (unit, string) result
 (** Check internal consistency (cores divisible across nodes, positive
     sizes). *)
-
-val pp : Format.formatter -> spec -> unit

@@ -12,8 +12,6 @@ let create _eng ~cores ?(quantum = Time.ms 1) () =
   if quantum <= 0 then invalid_arg "Cpu.create: quantum must be positive";
   { sem = Sync.Semaphore.create cores; cores; quantum; busy = Metrics.Counter.create () }
 
-let cores t = t.cores
-
 (* Release and re-acquire between quanta: with a FIFO semaphore this yields
    round-robin among contending threads. *)
 let consume t d =

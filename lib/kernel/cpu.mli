@@ -13,14 +13,9 @@ type t
 val create : Engine.t -> cores:int -> ?quantum:Time.t -> unit -> t
 (** Default quantum: 1 ms. *)
 
-val cores : t -> int
-
 val consume : t -> Time.t -> unit
 (** Occupy a core for a total of the given CPU time (sliced by quantum).
     Must be called from a simulation process. *)
-
-val busy_ns : t -> int
-(** Total core-occupied time so far, for utilization accounting. *)
 
 val utilization : t -> elapsed:Time.t -> float
 (** [busy_ns / (cores * elapsed)]. *)

@@ -52,7 +52,4 @@ type hit_outcome = Kernel_fatal | Recovered | App_killed
 val hit_random_page : t -> Ftsim_sim.Prng.t -> hit_outcome
 (** Outcome of a memory error on a uniformly random physical page. *)
 
-val used_bytes : t -> int
-val free_bytes : t -> int
-
 exception Out_of_memory

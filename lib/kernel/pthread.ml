@@ -11,7 +11,6 @@ type hooks = {
 type t = { k : Kernel.t; mutable hooks : hooks option }
 
 let create k = { k; hooks = None }
-let kernel t = t.k
 let set_hooks t h = t.hooks <- h
 
 (* Channel id for a new sync object.  0 (the misc channel) when no

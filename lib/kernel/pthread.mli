@@ -55,7 +55,6 @@ type t
 (** A pthread library instance bound to one kernel. *)
 
 val create : Kernel.t -> t
-val kernel : t -> Kernel.t
 
 val set_hooks : t -> hooks option -> unit
 

@@ -15,7 +15,6 @@ type endpoint = {
   mutable extra_delay : Time.t;
   dropped : Metrics.Counter.t;
   lost : Metrics.Counter.t;
-  delivered : Metrics.Counter.t;
 }
 
 type t = { a : endpoint; b : endpoint }
@@ -34,7 +33,6 @@ let make_endpoint eng ~bandwidth_bps ~latency ~loss ~prng =
     extra_delay = 0;
     dropped = Metrics.Counter.create ();
     lost = Metrics.Counter.create ();
-    delivered = Metrics.Counter.create ();
   }
 
 let create eng ~bandwidth_bps ~latency ?(loss = 0.0) ?seed_split () =
@@ -82,13 +80,10 @@ let transmit ep pkt =
   else
     Engine.schedule ep.eng ~at:(finish + ep.latency + ep.extra_delay) (fun () ->
         match peer.receiver with
-        | Some rx ->
-            Metrics.Counter.incr peer.delivered;
-            rx pkt
+        | Some rx -> rx pkt
         | None -> Metrics.Counter.incr peer.dropped)
 
 let set_receiver ep rx = ep.receiver <- rx
 
 let dropped ep = Metrics.Counter.value ep.dropped
 let lost ep = Metrics.Counter.value ep.lost
-let delivered ep = Metrics.Counter.value ep.delivered

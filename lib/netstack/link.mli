@@ -42,5 +42,3 @@ val dropped : endpoint -> int
 
 val lost : endpoint -> int
 (** Packets destined to this endpoint lost to link errors. *)
-
-val delivered : endpoint -> int

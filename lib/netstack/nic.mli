@@ -11,9 +11,6 @@ open Ftsim_hw
 
 type t
 
-val default_driver_load_time : Time.t
-(** 4.95 s. *)
-
 val create : Engine.t -> ?driver_load_time:Time.t -> Link.endpoint -> t
 
 val attach : t -> ?owner:Partition.t -> rx:(Packet.t -> unit) -> unit -> unit

@@ -2,8 +2,6 @@ open Ftsim_sim
 
 type addr = { host : string; port : int }
 
-let pp_addr fmt a = Format.fprintf fmt "%s:%d" a.host a.port
-
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
 let data_flags = { syn = false; ack = true; fin = false; rst = false }
@@ -27,12 +25,3 @@ let header_bytes = 66
 let mtu = 1500
 
 let wire_size t = payload_len t + header_bytes
-
-let pp fmt t =
-  Format.fprintf fmt "%a -> %a seq=%d ack=%d%s%s%s%s len=%d" pp_addr t.src
-    pp_addr t.dst t.seq t.ack_seq
-    (if t.flags.syn then " SYN" else "")
-    (if t.flags.ack then " ACK" else "")
-    (if t.flags.fin then " FIN" else "")
-    (if t.flags.rst then " RST" else "")
-    (payload_len t)

@@ -4,8 +4,6 @@ open Ftsim_sim
 
 type addr = { host : string; port : int }
 
-val pp_addr : Format.formatter -> addr -> unit
-
 type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
 
 val data_flags : flags
@@ -25,15 +23,10 @@ type t = {
 
 val payload_len : t -> int
 
-val header_bytes : int
-(** Ethernet+IP+TCP header overhead per segment (66 bytes). *)
-
 val mtu : int
 (** IP MTU of the simulated links (1500).  Frame-sizing reference for the
     layers above: the replication runtime sizes its coalesced frames in MTU
     units so one flush stays comparable to one network-bound segment. *)
 
 val wire_size : t -> int
-(** Payload plus {!header_bytes} of Ethernet+IP+TCP headers. *)
-
-val pp : Format.formatter -> t -> unit
+(** Payload plus 66 bytes of Ethernet+IP+TCP headers. *)

@@ -110,7 +110,6 @@ and stack = {
 
 let log = Trace.make "net.tcp"
 
-let ip s = s.s_ip
 let set_hooks s h = s.hooks <- h
 
 let local_addr c = c.local
@@ -121,10 +120,7 @@ let snd_una c = Payload.Buf.base c.sndbuf
 let snd_nxt c = c.snd_nxt
 let rcv_nxt c = c.rcv_nxt
 
-let segs_in s = Metrics.Counter.value s.m_segs_in
 let segs_out s = Metrics.Counter.value s.m_segs_out
-let bytes_in s = Metrics.Counter.value s.m_bytes_in
-let bytes_out s = Metrics.Counter.value s.m_bytes_out
 let accept_overflow_drop s = Metrics.Counter.value s.m_ovf_drop
 let accept_overflow_rst s = Metrics.Counter.value s.m_ovf_rst
 let listener_port l = l.lport

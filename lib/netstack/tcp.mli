@@ -25,9 +25,6 @@ type config = {
           FINs before being reaped; [0] reaps immediately *)
 }
 
-val default_config : config
-(** mss 1460, rwnd 64 KiB, sndbuf 256 KiB, rto 200 ms, 2 µs/segment. *)
-
 type stack
 type conn
 type listener
@@ -69,7 +66,6 @@ val bind_nic : stack -> Nic.t -> unit
     by {!Nic.transfer} during failover). *)
 
 val set_hooks : stack -> hooks option -> unit
-val ip : stack -> string
 
 (** {1 Sockets} *)
 
@@ -126,10 +122,6 @@ val recv : conn -> max:int -> Payload.chunk list
 val close : conn -> unit
 (** Half-close: queue a FIN after buffered data; reading remains possible. *)
 
-val is_readable : conn -> bool
-(** Data buffered, end-of-stream reached, or aborted — i.e. [recv] would
-    not block. *)
-
 val poll : ?deadline:Time.t -> conn list -> conn list
 (** Block until at least one of the connections is readable (epoll-style);
     returns the ready subset, or [[]] at the deadline.  The list must be
@@ -180,10 +172,7 @@ val requeue_restored : stack -> conn -> unit
 
 (** {1 Metrics} *)
 
-val segs_in : stack -> int
 val segs_out : stack -> int
-val bytes_in : stack -> int
-val bytes_out : stack -> int
 
 val accept_overflow_drop : stack -> int
 (** SYNs silently dropped because the routed shard's backlog was full. *)

@@ -17,7 +17,6 @@ let create ?capacity () =
   }
 
 let length t = Ring.length t.items
-let capacity t = t.cap
 let is_empty t = Ring.is_empty t.items
 
 let is_full t =

@@ -24,6 +24,4 @@ val get_timeout : 'a t -> deadline:Time.t -> 'a option
 (** Dequeue, giving up (returning [None]) at [deadline]. *)
 
 val length : 'a t -> int
-val capacity : 'a t -> int option
 val is_empty : 'a t -> bool
-val is_full : 'a t -> bool

@@ -108,7 +108,6 @@ let pending_events t = Heap.length t.events + Twheel.live t.timers
 let live_procs t = t.live
 let stop t = t.stopping <- true
 let pid p = p.pid
-let proc_name p = p.name
 let engine_of_proc p = p.eng
 
 let schedule t ~at f =

@@ -190,7 +190,6 @@ val status : proc -> exit_reason option
 (** [None] while the process has not exited. *)
 
 val pid : proc -> int
-val proc_name : proc -> string
 val engine_of_proc : proc -> t
 
 val schedule : t -> at:Time.t -> (unit -> unit) -> unit

@@ -13,9 +13,6 @@ val split : t -> t
 (** [split t] returns a new generator whose stream is statistically
     independent of [t]'s future output. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 
@@ -23,6 +20,3 @@ val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val bool : t -> bool
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed sample with the given mean. *)

@@ -10,25 +10,9 @@
     host I/O, never suspending and never touching simulated state, so it
     cannot perturb the deterministic schedule. *)
 
-type t
-
-val default_prefixes : string list
-
-val snapshot_line : ?prefixes:string list -> ?label:string -> Engine.t -> string
-(** One snapshot line, no trailing newline. *)
-
-val arm :
-  ?out:out_channel ->
-  ?prefixes:string list ->
-  ?label:string ->
-  Engine.t ->
-  every:Time.t ->
-  t
-(** Start printing one line every [every] of sim time.  With [out] the
-    line goes to that channel directly; without it, through the calling
-    domain's {!Sink} (stderr by default; a multi-domain campaign
-    coordinator redirects worker sinks so lines never tear across
-    domains).  Raises [Invalid_argument] on a non-positive interval. *)
-
-val stop : t -> unit
-(** Cancel the recurring timer.  Idempotent. *)
+val arm : ?prefixes:string list -> ?label:string -> Engine.t -> every:Time.t -> unit
+(** Print one line every [every] of sim time, for as long as the engine
+    runs, through the calling domain's {!Sink} (stderr by default; a
+    multi-domain campaign coordinator redirects worker sinks so lines
+    never tear across domains).  Raises [Invalid_argument] on a
+    non-positive interval. *)

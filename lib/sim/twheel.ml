@@ -65,7 +65,6 @@ let create ?(now = 0) () =
     live = 0;
   }
 
-let now t = t.wnow
 let live t = t.live
 let is_armed = function Handle h -> h.state = Armed | Nil -> false
 

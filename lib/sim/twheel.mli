@@ -13,8 +13,6 @@ type 'a handle
 
 val create : ?now:Time.t -> unit -> 'a t
 
-val now : 'a t -> Time.t
-
 (** Number of armed (neither fired nor cancelled) timers. *)
 val live : 'a t -> int
 

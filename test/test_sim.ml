@@ -2235,9 +2235,7 @@ let test_sink_statsdump_routing () =
   let captured = ref [] in
   Sink.set (fun l -> captured := l :: !captured);
   Fun.protect ~finally:Sink.reset (fun () ->
-      let (_ : Statsdump.t) =
-        Statsdump.arm eng ~every:(Time.ms 100) ~label:"sinktest"
-      in
+      Statsdump.arm eng ~every:(Time.ms 100) ~label:"sinktest";
       Engine.run ~until:(Time.ms 250) eng);
   Alcotest.(check bool) "periodic stats lines went to the sink" true
     (List.length !captured >= 2
