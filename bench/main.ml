@@ -457,10 +457,8 @@ let fig8 quick =
   let share =
     record "" [ ("ft_of_linux_pct", 100. *. v "ft" "mb_per_s" /. v "linux" "mb_per_s") ]
   in
-  (* The duration heading overhangs its column by one character, as the
-     table has always printed it. *)
   let summary =
-    [ col "scenario" (-22) 0 ""; col "bytes" 10 0 ""; col "    duration" 11 1 "s";
+    [ col "scenario" (-22) 0 ""; col "bytes" 10 0 ""; col "duration" 11 1 "s";
       col "MB/s" 10 1 "" ]
   in
   print_newline ();
