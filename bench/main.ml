@@ -563,10 +563,10 @@ let ablations _quick =
     [ col "wake (us)" (-12) 0 ""; col "blocks/s" 14 0 "" ]
     (List.map
        (fun us ->
-         let kernel_config = { Kernel.default_config with Kernel.wake_latency = Time.us us } in
          ( string_of_int us,
            Printf.sprintf "%dus" us,
-           Scenario.Replicated { Cluster.default_config with Cluster.kernel_config } ))
+           Scenario.Replicated
+             { Cluster.default_config with Cluster.wake_latency = Time.us us } ))
        [ 15; 30; 55; 110 ]);
   (* D: the cost of the third replica (6 extension): the same transfer
      unreplicated, with one backup, and with two backups (quorum 1). *)

@@ -496,7 +496,7 @@ let mongoose_cmd =
         Scenario.stop s;
         finish r eng;
         let st = Loadgen.ol_stats ol in
-        let cum = Metrics.Whist.cumulative st.Loadgen.ol_latency_w in
+        let lat = st.Loadgen.ol_latency in
         Printf.printf
           "open loop: %d arrivals at %.0f/s (peak %d concurrent): %d ok, %d \
            shed, %d errors; p50 %.2fms p99 %.2fms p999 %.2fms\n"
@@ -504,9 +504,9 @@ let mongoose_cmd =
           (Metrics.Counter.value st.Loadgen.ol_ok)
           (Metrics.Counter.value st.Loadgen.ol_shed)
           (Metrics.Counter.value st.Loadgen.ol_errors)
-          (Metrics.Hist.quantile cum 0.5)
-          (Metrics.Hist.quantile cum 0.99)
-          (Metrics.Hist.quantile cum 0.999));
+          (Metrics.Hist.quantile lat 0.5)
+          (Metrics.Hist.quantile lat 0.99)
+          (Metrics.Hist.quantile lat 0.999));
     Option.iter (print_cluster config) s.Scenario.cluster
   in
   let cpu_us =

@@ -29,7 +29,7 @@ let shed_header =
   Http.response_header ~status:503 ~reason:"Service Unavailable"
     ~content_length:0 ()
 
-let serve_one (api : Api.t) p ~adm ~on_bytes_sent sock =
+let serve_one (api : Api.t) p ~adm sock =
   let reader =
     Http.reader_fn (fun max ->
         match api.Api.net.recv sock ~max with Ok cs -> cs | Error _ -> [])
@@ -67,16 +67,13 @@ let serve_one (api : Api.t) p ~adm ~on_bytes_sent sock =
                 let n = min p.chunk_bytes (p.file_bytes - !sent) in
                 if p.read_ns_per_byte > 0 then
                   api.Api.thread.compute (Time.ns (n * p.read_ns_per_byte));
-                if send (Payload.zeroes n) then begin
-                  sent := !sent + n;
-                  on_bytes_sent n
-                end
+                if send (Payload.zeroes n) then sent := !sent + n
                 else ok := false
               done
             end;
             api.Api.net.close sock)
 
-let run ?(params = default_params) ?(on_bytes_sent = fun _ -> ()) (api : Api.t) =
+let run ?(params = default_params) (api : Api.t) =
   let p = params in
   let adm =
     Option.map
@@ -94,7 +91,7 @@ let run ?(params = default_params) ?(on_bytes_sent = fun _ -> ()) (api : Api.t) 
       | Ok sock ->
           ignore
             (api.Api.thread.spawn (name_of i) (fun () ->
-                 serve_one api p ~adm ~on_bytes_sent sock));
+                 serve_one api p ~adm sock));
           loop (i + 1)
     in
     loop 0

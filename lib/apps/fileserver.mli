@@ -23,6 +23,6 @@ type params = {
 
 val default_params : params
 
-val run : ?params:params -> ?on_bytes_sent:(int -> unit) -> Api.app
+val run : ?params:params -> Api.app
 (** Serve file downloads forever, one connection-handling thread per
-    accepted connection.  [on_bytes_sent n] fires per application write. *)
+    accepted connection. *)

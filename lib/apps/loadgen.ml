@@ -1,14 +1,10 @@
 open Ftsim_sim
 open Ftsim_netstack
 
-(* Every latency Whist's window width. *)
-let latency_window = Time.ms 100
-
 type ab_stats = {
   completed : Metrics.Counter.t;
   errors : Metrics.Counter.t;
   latency : Metrics.Hist.t;
-  latency_w : Metrics.Whist.t;  (* same samples, windowed on completion time *)
   completions : Metrics.Series.t;
 }
 
@@ -42,7 +38,6 @@ let ab_start host ~server ~port ~target ~concurrency ?on_complete () =
           completed = Metrics.Counter.create ();
           errors = Metrics.Counter.create ();
           latency = Metrics.Hist.create ();
-          latency_w = Metrics.Whist.create ~width:latency_window ();
           completions = Metrics.Series.create ~bucket:(Time.sec 1);
         };
       stopped = false;
@@ -68,8 +63,6 @@ let ab_start host ~server ~port ~target ~concurrency ?on_complete () =
                    let dt = now - t0 in
                    Metrics.Counter.incr t.stats.completed;
                    Metrics.Hist.record t.stats.latency (Time.to_sec_f dt);
-                   Metrics.Whist.record t.stats.latency_w ~at:now
-                     (Time.to_ms_f dt);
                    Metrics.Series.add t.stats.completions ~at:now 1.0;
                    (match on_complete with
                    | Some f -> f ~at:now ~latency:dt
@@ -97,7 +90,7 @@ type ol_stats = {
   ol_ok : Metrics.Counter.t;
   ol_shed : Metrics.Counter.t;
   ol_errors : Metrics.Counter.t;
-  ol_latency_w : Metrics.Whist.t;
+  ol_latency : Metrics.Hist.t;
 }
 
 type ol = {
@@ -118,16 +111,19 @@ let ol_launched t = t.ol_launched
    The watchdog matters under fail-stop: a connection whose request was
    fully ACKed by the old primary has nothing left to retransmit when the
    host silently dies, so without a deadline its read would block forever.
-   The timer aborts the connection, the blocked read raises, and the
-   request classifies as an error like any other client-visible failure. *)
-let ol_one_request host ~server ~port ~target ~timeout =
+   The timer aborts the connection [ol_timeout] after it established, the
+   blocked read raises, and the request classifies as an error like any
+   other client-visible failure. *)
+let ol_timeout = Time.sec 10
+
+let ol_one_request host ~server ~port ~target =
   let stack = Host.stack host in
   match Tcp.connect stack ~host:server ~port with
   | exception Tcp.Connection_closed -> `Error
   | c ->
       let eng = Engine.engine_of_proc (Engine.self ()) in
       let watchdog =
-        Engine.timer eng ~at:(Engine.now eng + timeout) (fun () -> Tcp.abort c)
+        Engine.timer eng ~at:(Engine.now eng + ol_timeout) (fun () -> Tcp.abort c)
       in
       let result =
         try
@@ -156,7 +152,7 @@ let ol_one_request host ~server ~port ~target ~timeout =
       result
 
 let ol_start host ~server ~port ~target ~rate ~conns ?(poisson = false)
-    ?(seed = 1) ?(timeout = Time.sec 10) ?on_complete () =
+    ?(seed = 1) ?on_complete () =
   if rate <= 0.0 then invalid_arg "Loadgen.ol_start: rate must be positive";
   if conns < 0 then invalid_arg "Loadgen.ol_start: conns must be >= 0";
   let t =
@@ -166,7 +162,7 @@ let ol_start host ~server ~port ~target ~rate ~conns ?(poisson = false)
           ol_ok = Metrics.Counter.create ();
           ol_shed = Metrics.Counter.create ();
           ol_errors = Metrics.Counter.create ();
-          ol_latency_w = Metrics.Whist.create ~width:latency_window ();
+          ol_latency = Metrics.Hist.create ();
         };
       ol_launched = 0;
       ol_in_flight = 0;
@@ -199,13 +195,12 @@ let ol_start host ~server ~port ~target ~rate ~conns ?(poisson = false)
                 (Printf.sprintf "ol-req-%d" i)
                 (fun () ->
                   let t0 = Engine.now eng in
-                  (match ol_one_request host ~server ~port ~target ~timeout with
+                  (match ol_one_request host ~server ~port ~target with
                   | `Ok ->
                       let now = Engine.now eng in
                       let dt = now - t0 in
                       Metrics.Counter.incr t.ol_stats.ol_ok;
-                      Metrics.Whist.record t.ol_stats.ol_latency_w ~at:now
-                        (Time.to_ms_f dt);
+                      Metrics.Hist.record t.ol_stats.ol_latency (Time.to_ms_f dt);
                       (match on_complete with
                       | Some f -> f ~at:now ~latency:dt
                       | None -> ())
@@ -239,13 +234,12 @@ type oracle = {
   oracle_done : unit Ivar.t;  (** filled when the client exits *)
   mutable bytes_verified : int;
   mutable o_shed : int;  (** explicit 503 sheds observed (and retried) *)
-  o_latency : Metrics.Whist.t;  (* per verified response, ms, windowed *)
 }
 
 let oracle_ok o = o.violations = [] && not o.truncated
 
 let verified_start host ~server ~port ~target ~expect_bytes
-    ?(requests = 1) ?(allow_shed = false) ?on_complete () =
+    ?(requests = 1) ?(allow_shed = false) () =
   let o =
     {
       completed = 0;
@@ -255,13 +249,11 @@ let verified_start host ~server ~port ~target ~expect_bytes
       oracle_done = Ivar.create ();
       bytes_verified = 0;
       o_shed = 0;
-      o_latency = Metrics.Whist.create ~width:latency_window ();
     }
   in
   let violate fmt = Printf.ksprintf (fun s -> o.violations <- s :: o.violations) fmt in
   ignore
     (Host.spawn host "oracle-client" (fun () ->
-         let eng = Engine.engine_of_proc (Engine.self ()) in
          let stack = Host.stack host in
          let c = Tcp.connect stack ~host:server ~port in
          let reader =
@@ -292,7 +284,6 @@ let verified_start host ~server ~port ~target ~expect_bytes
             let r = ref 0 in
             let ok = ref true in
             while !ok && !r < requests do
-              let t0 = Engine.now eng in
               Tcp.send c (Payload.of_string (Http.request ~meth:"GET" ~target));
               (match Http.read_headers reader with
               | None ->
@@ -331,13 +322,7 @@ let verified_start host ~server ~port ~target ~expect_bytes
                   else begin
                     o.bytes_verified <- o.bytes_verified + !received;
                     o.completed <- o.completed + 1;
-                    incr r;
-                    let now = Engine.now eng in
-                    let dt = now - t0 in
-                    Metrics.Whist.record o.o_latency ~at:now (Time.to_ms_f dt);
-                    match on_complete with
-                    | Some f -> f ~at:now ~latency:dt
-                    | None -> ()
+                    incr r
                   end)
             done
           with Tcp.Connection_closed -> o.truncated <- true);

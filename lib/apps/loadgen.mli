@@ -16,10 +16,6 @@ type ab_stats = {
   completed : Metrics.Counter.t;
   errors : Metrics.Counter.t;
   latency : Metrics.Hist.t;  (** per-request seconds *)
-  latency_w : Metrics.Whist.t;
-      (** the same per-request samples in milliseconds, windowed on
-          completion time (100 ms windows) — percentiles can be
-          read per interval, e.g. across a failover *)
   completions : Metrics.Series.t;  (** requests per time bucket *)
 }
 
@@ -56,9 +52,7 @@ type ol_stats = {
   ol_shed : Metrics.Counter.t;  (** explicit zero-body 503 load sheds *)
   ol_errors : Metrics.Counter.t;
       (** everything else: resets, truncations, malformed responses *)
-  ol_latency_w : Metrics.Whist.t;
-      (** per successful request, milliseconds, windowed on completion
-          time (100 ms windows) *)
+  ol_latency : Metrics.Hist.t;  (** per successful request, milliseconds *)
 }
 
 type ol
@@ -72,7 +66,6 @@ val ol_start :
   conns:int ->
   ?poisson:bool ->
   ?seed:int ->
-  ?timeout:Time.t ->
   ?on_complete:(at:Time.t -> latency:Time.t -> unit) ->
   unit ->
   ol
@@ -80,10 +73,9 @@ val ol_start :
     evenly spaced, or exponentially with [~poisson:true] drawn from a
     dedicated RNG stream seeded by [seed] (default 1), so the arrival
     pattern is a pure function of the parameters.  A request that has not
-    completed [timeout] (default 10 s) after its connection established is
-    aborted and counted as an error — necessary under fail-stop, where a
-    fully-ACKed request to a silently dead primary would otherwise block
-    its reader forever. *)
+    completed 10 s after its connection established is aborted and counted
+    as an error — necessary under fail-stop, where a fully-ACKed request to
+    a silently dead primary would otherwise block its reader forever. *)
 
 val ol_stats : ol -> ol_stats
 
@@ -118,9 +110,6 @@ type oracle = {
   mutable o_shed : int;
       (** explicit zero-body 503 sheds observed and retried (only under
           [allow_shed]) *)
-  o_latency : Metrics.Whist.t;
-      (** per verified response, milliseconds, windowed on completion time
-          (100 ms windows) *)
 }
 
 val oracle_ok : oracle -> bool
@@ -134,7 +123,6 @@ val verified_start :
   expect_bytes:int ->
   ?requests:int ->
   ?allow_shed:bool ->
-  ?on_complete:(at:Time.t -> latency:Time.t -> unit) ->
   unit ->
   oracle
 (** [allow_shed] (default false): treat the admission controller's exact

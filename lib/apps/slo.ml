@@ -42,7 +42,6 @@ type report = {
       (* every successful request as (done_at, latency), oldest first *)
   completed : int;
   errors : int;
-  latency_w : Metrics.Whist.t;  (* the live windowed view of the same data *)
   lag_verdict : Lagmon.verdict option;  (* final, when the monitor ran *)
   lag_worst : Lagmon.verdict option;
 }
@@ -137,7 +136,6 @@ let run eng ?(config = default_config) ?(concurrency = 16)
     completions;
     completed = Metrics.Counter.value stats.Loadgen.completed;
     errors = Metrics.Counter.value stats.Loadgen.errors;
-    latency_w = stats.Loadgen.latency_w;
     lag_verdict = Option.map Lagmon.verdict lagmon;
     lag_worst = Option.map Lagmon.worst lagmon;
   }

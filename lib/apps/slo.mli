@@ -30,7 +30,6 @@ type report = {
       (** every successful request as [(done_at, latency)], oldest first *)
   completed : int;
   errors : int;
-  latency_w : Metrics.Whist.t;  (** the live windowed view of the same data *)
   lag_verdict : Lagmon.verdict option;
   lag_worst : Lagmon.verdict option;
 }

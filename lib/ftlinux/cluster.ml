@@ -13,7 +13,7 @@ type config = {
   topology : Topology.spec;
   split : [ `Symmetric | `Asymmetric of int ];
   replicas : int;  (* the primary plus [replicas - 1] backups *)
-  kernel_config : Kernel.config;
+  wake_latency : Time.t;
   mailbox_config : Mailbox.config;
   hb_period : Time.t;
   hb_timeout : Time.t;
@@ -40,7 +40,7 @@ let default_config =
     topology = Topology.opteron_testbed;
     split = `Symmetric;
     replicas = 2;
-    kernel_config = Kernel.default_config;
+    wake_latency = Time.us 55;
     mailbox_config = Mailbox.default_config;
     hb_period = Time.ms 10;
     hb_timeout = Time.ms 60;
@@ -357,7 +357,7 @@ let drain b =
 (* Boot a backup on [part]: a fresh kernel and a replaying FT-Namespace
    that carries a digest recorder, returned with it. *)
 let boot_backup cfg ~joined part =
-  let kernel = Kernel.boot part ~config:cfg.kernel_config () in
+  let kernel = Kernel.boot part () in
   let ns =
     Namespace.secondary kernel ~env:cfg.app_env ~det_shard:cfg.det_shard ()
   in
@@ -390,7 +390,7 @@ let log_pair machine cfg group ~primary r =
       ~chan_restore:(fun chans -> Namespace.chan_restore ns chans)
       ~base_lsn:(Msglayer.last_lsn ml_p + 1)
       ~workers:cfg.replay_workers eng ~inb:d.Mailbox.a_to_b
-      ~out:d.Mailbox.b_to_a ~replay_cost:cfg.kernel_config.Kernel.wake_latency
+      ~out:d.Mailbox.b_to_a ~replay_cost:cfg.wake_latency
       ~delta_cost:delta_replay_cost
       ~handler:(fun record -> Namespace.record_handler ns record)
   in
@@ -934,7 +934,7 @@ let create eng ?(config = default_config) ?link ~app () =
   | Error e -> invalid_arg ("Cluster.create: " ^ e));
   let machine = Machine.create eng config.topology in
   let part_p, parts_b = carve machine config in
-  let kernel_p = Kernel.boot part_p ~config:config.kernel_config () in
+  let kernel_p = Kernel.boot part_p () in
   (* The one journal (re-protection only): the group spools records at LSN
      assignment. *)
   let journal = { j_buf = [||]; j_len = 0 } in
@@ -1066,12 +1066,10 @@ type standalone = {
   sa_ns : Namespace.t;
 }
 
-let create_standalone eng ?(topology = Topology.opteron_testbed) ?cores ?link
-    ~app () =
+let create_standalone eng ?(topology = Topology.opteron_testbed) ?link ~app
+    () =
   let machine = Machine.create eng topology in
-  let cores =
-    match cores with Some c -> c | None -> Topology.total_cores topology / 2
-  in
+  let cores = Topology.total_cores topology / 2 in
   let nodes = List.init (topology.Topology.numa_nodes / 2) Fun.id in
   let part =
     Machine.add_partition machine ~name:"ubuntu" ~cores

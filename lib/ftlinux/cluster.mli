@@ -71,7 +71,10 @@ type config = {
   replicas : int;
       (** the primary plus [replicas - 1] backups (default 2, the paper's
           pair) *)
-  kernel_config : Kernel.config;
+  wake_latency : Time.t;
+      (** the backup's cost of [wake_up_process()] per thread-waking
+          replay record (default 55 µs): the replay bottleneck the paper
+          identifies (§4.1) *)
   mailbox_config : Mailbox.config;
   hb_period : Time.t;
   hb_timeout : Time.t;
@@ -270,15 +273,13 @@ type standalone
 val create_standalone :
   Engine.t ->
   ?topology:Topology.spec ->
-  ?cores:int ->
   ?link:Link.endpoint ->
   app:Api.app ->
   unit ->
   standalone
-(** One partition with [cores] cores (default: half the machine, matching
-    one FT-Linux partition) running the application directly, on the
-    default kernel configuration and, given [link], as 10.0.0.1 like
-    {!create}. *)
+(** One partition with half the machine's cores, matching one FT-Linux
+    partition, running the application directly and, given [link], as
+    10.0.0.1 like {!create}. *)
 
 val standalone_kernel : standalone -> Kernel.t
 val standalone_namespace : standalone -> Namespace.t

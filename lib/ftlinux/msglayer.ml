@@ -182,13 +182,13 @@ let append p record =
       (* Never let the staged frame outgrow the wire format. *)
       if p.buf_count > 0 && p.buf_bytes + sub > Wire.max_frame_bytes then
         flush p;
-      if Wire.header + 4 + sub > Wire.max_frame_bytes then
+      if Wire.empty_batch_bytes + sub > Wire.max_frame_bytes then
         (* A record too large to batch at all travels standalone. *)
         send_frame p (Wire.Record { lsn; ack_now = false; record })
       else begin
         if p.buf_count = 0 then begin
           p.buf_base <- lsn;
-          p.buf_bytes <- Wire.header + 4;
+          p.buf_bytes <- Wire.empty_batch_bytes;
           p.buf_opened <- Engine.now p.p_eng;
           (* First staged record opens the window: wake the flusher. *)
           ignore (Waitq.wake_all p.flush_wq)

@@ -143,10 +143,15 @@ let install_primary_tcp_hooks t group stack =
              if t.output_commit then wait_tail "ack" ());
          egress_gate =
            (fun c ~len ->
-             (* The size of every output segment is forwarded before it is
-                sent, resolving the stack's output non-determinism (§3.4);
-                output commit (§3.5) then holds the packet until everything
-                that causally precedes it is stable on the secondary. *)
+             (* The size of every output segment is streamed before it is
+                sent, as the paper's primary does ("the primary will inform
+                the replicas of the size of the packet", §3.4), and the
+                traffic figures count it; the backup only checks the
+                connection, and a restored stack re-segments from the
+                shadow's unacknowledged output rather than replaying these
+                sizes.  Output commit (§3.5) then holds the packet until
+                everything that causally precedes it is stable on the
+                secondary. *)
              (match cid_opt t c with
              | Some cid when len > 0 ->
                  append (Wire.Tcp_delta (Wire.D_out_seg { cid; len }))

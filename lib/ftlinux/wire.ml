@@ -95,10 +95,14 @@ let record_bytes = function
 
 let batched_record_bytes r = record_bytes r - header + batch_sub_header
 
+(* The header and the record count. *)
+let empty_batch_bytes = header + 4
+
 let message_bytes = function
   | Record { record; _ } -> 8 + record_bytes record
   | Batch { records; _ } ->
-      header + 4 + List.fold_left (fun acc r -> acc + batched_record_bytes r) 0 records
+      empty_batch_bytes
+      + List.fold_left (fun acc r -> acc + batched_record_bytes r) 0 records
   | Ack { chans; _ } -> header + 12 + (8 * List.length chans)
   | Heartbeat _ -> header + 8
 

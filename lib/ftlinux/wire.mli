@@ -40,8 +40,11 @@ type tcp_delta =
   | D_new_conn of { cid : int; local : Ftsim_netstack.Packet.addr; remote : Ftsim_netstack.Packet.addr }
   | D_in_data of { cid : int; data : Ftsim_sim.Payload.chunk list }
   | D_out_seg of { cid : int; len : int }
-      (** size of an output segment, forwarded before it is sent ("the
-          primary will inform the replicas of the size of the packet") *)
+      (** size of an output segment, streamed before it is sent as the
+          paper's primary does ("the primary will inform the replicas of
+          the size of the packet"); it costs traffic and a replay step,
+          but the backup does not use it: go-live's restored stack
+          re-segments the unacknowledged output itself *)
   | D_ack_progress of { cid : int; snd_una : int }
   | D_peer_fin of { cid : int }
 
@@ -108,9 +111,6 @@ type message =
       [D_out_seg]; snd_una [i64] for [D_ack_progress]; nothing for
       [D_peer_fin]. *)
 
-val header : int
-(** Frame header size (16 bytes). *)
-
 val max_frame_bytes : int
 (** Upper bound on a [Batch] frame (64 KiB): the batching layer flushes
     the staged batch before a record would push it past this.  A record
@@ -120,6 +120,11 @@ val max_frame_bytes : int
 val batched_record_bytes : record -> int
 (** Size of a record carried inside a [Batch] frame: its 4-byte
     sub-header plus its fields. *)
+
+val empty_batch_bytes : int
+(** Size of a [Batch] frame with no records (20 bytes: the header and the
+    record count); each record it carries adds its
+    {!batched_record_bytes}. *)
 
 val message_bytes : message -> int
 (** Size of a frame, header included. *)

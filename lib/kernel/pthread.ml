@@ -39,8 +39,7 @@ let det_end t =
 (* Charge the operation's CPU cost before entering the deterministic
    section: no suspension may separate the section from the queue position
    it fixes. *)
-let charge t =
-  Kernel.small_op t.k (Kernel.config t.k).Kernel.pthread_op_cost
+let charge t = Kernel.pthread_op t.k
 
 (* {1 Mutex}
 

@@ -1,8 +1,8 @@
 type t = { env : Netenv.t; tcp : Tcp.stack; nic : Nic.t }
 
-let create eng ~ip ?tcp_config ep =
+let create eng ~ip ep =
   let env = Netenv.plain eng in
-  let tcp = Tcp.create env ?config:tcp_config ~ip () in
+  let tcp = Tcp.create env ~ip () in
   let nic = Nic.create eng ~driver_load_time:0 ep in
   Tcp.attach_nic tcp nic;
   { env; tcp; nic }

@@ -7,8 +7,7 @@ open Ftsim_sim
 
 type t
 
-val create :
-  Engine.t -> ip:string -> ?tcp_config:Tcp.config -> Link.endpoint -> t
+val create : Engine.t -> ip:string -> Link.endpoint -> t
 
 val stack : t -> Tcp.stack
 val spawn : t -> string -> (unit -> unit) -> Engine.proc

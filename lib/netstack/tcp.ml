@@ -1,25 +1,12 @@
 open Ftsim_sim
 
-type config = {
-  mss : int;
-  rwnd : int;
-  sndbuf_cap : int;
-  rto : Time.t;
-  per_seg_cpu : Time.t;
-  time_wait : Time.t;
-      (* how long a fully closed connection lingers in the demux table,
-         re-ACKing duplicate FINs; 0 reaps immediately *)
-}
-
-let default_config =
-  {
-    mss = 1460;
-    rwnd = 64 * 1024;
-    sndbuf_cap = 256 * 1024;
-    rto = Time.ms 200;
-    per_seg_cpu = Time.us 2;
-    time_wait = 0;
-  }
+(* The stack's constants: a LAN-sized window and send buffer, a fixed RTO
+   and the CPU one segment costs the stack. *)
+let mss = 1460
+let rwnd = 64 * 1024  (* advertised receive window *)
+let sndbuf_cap = 256 * 1024  (* writers block beyond it *)
+let rto = Time.ms 200
+let per_seg_cpu = Time.us 2
 
 exception Connection_closed
 
@@ -53,7 +40,6 @@ type conn = {
   (* cancellable timers (engine wheel); None = disarmed *)
   mutable rto_timer : Engine.handle option;
   mutable syn_timer : Engine.handle option;
-  mutable tw_timer : Engine.handle option;
 }
 
 and listener = {
@@ -89,7 +75,6 @@ and hooks = {
 
 and stack = {
   env : Netenv.t;
-  cfg : config;
   s_ip : string;
   mutable nic : Nic.t option;
   conns : (int, conn list) Hashtbl.t;
@@ -208,7 +193,7 @@ let make_packet c ?(flags = Packet.data_flags) ?(payload = []) ~seq () =
     dst = c.remote;
     seq;
     ack_seq = c.rcv_nxt;
-    window = c.stack.cfg.rwnd;
+    window = rwnd;
     flags;
     payload;
   }
@@ -229,12 +214,12 @@ let rec sender_loop c =
     let window = max 0 (c.peer_wnd - in_flight) in
     let avail = Payload.Buf.limit c.sndbuf - c.snd_nxt in
     if c.established && avail > 0 && window > 0 then begin
-      let n = min s.cfg.mss (min avail window) in
+      let n = min mss (min avail window) in
       let seq0 = c.snd_nxt in
       (match s.hooks with
       | Some h -> h.egress_gate c ~len:n
       | None -> ());
-      s.env.Netenv.compute s.cfg.per_seg_cpu;
+      s.env.Netenv.compute per_seg_cpu;
       (* The gate and the CPU charge can suspend us; an RTO rewind or an ACK
          may have moved the window meanwhile.  Only transmit and advance if
          the segment is still the next thing to send. *)
@@ -300,7 +285,7 @@ and arm_rto c =
   c.rto_timer <-
     Some
       (Engine.timer eng
-         ~at:(Engine.now eng + s.cfg.rto)
+         ~at:(Engine.now eng + rto)
          (fun () ->
            c.rto_timer <- None;
            if (not c.aborted) && (not c.fin_acked) && outstanding c then begin
@@ -337,7 +322,7 @@ let make_conn stack ~local ~remote ~established () =
       sndbuf = Payload.Buf.create ();
       snd_nxt = 0;
       snd_max = 0;
-      peer_wnd = stack.cfg.rwnd;
+      peer_wnd = rwnd;
       fin_queued = false;
       fin_sent = false;
       fin_ever_sent = false;
@@ -351,7 +336,6 @@ let make_conn stack ~local ~remote ~established () =
       aborted = false;
       rto_timer = None;
       syn_timer = None;
-      tw_timer = None;
     }
   in
   if established then Ivar.fill c.established_iv ();
@@ -444,23 +428,8 @@ let process_fin c (pkt : Packet.t) =
   else false
 
 (* Fully closed connections (our FIN acked, peer FIN received) leave the
-   demux table.  With [time_wait > 0] the connection lingers in TIME_WAIT
-   first, re-ACKing duplicate FINs; an [abort] cancels the linger timer. *)
-let maybe_reap c =
-  if c.fin_acked && c.peer_fin && c.tw_timer = None then begin
-    let s = c.stack in
-    if s.cfg.time_wait <= 0 then remove_conn s c
-    else begin
-      let eng = s.env.Netenv.eng in
-      c.tw_timer <-
-        Some
-          (Engine.timer eng
-             ~at:(Engine.now eng + s.cfg.time_wait)
-             (fun () ->
-               c.tw_timer <- None;
-               remove_conn s c))
-    end
-  end
+   demux table at once: there is no TIME_WAIT linger. *)
+let maybe_reap c = if c.fin_acked && c.peer_fin then remove_conn c.stack c
 
 let handle_established c (pkt : Packet.t) =
   if pkt.Packet.flags.Packet.ack then process_ack c pkt;
@@ -489,11 +458,6 @@ let abort c =
     c.aborted <- true;
     cancel_rto c;
     cancel_syn c;
-    (match c.tw_timer with
-    | Some h ->
-        Engine.cancel h;
-        c.tw_timer <- None
-    | None -> ());
     remove_conn c.stack c;
     wake_all c.readable;
     wake_all c.writable;
@@ -615,7 +579,7 @@ let handle_packet s (pkt : Packet.t) =
 
 let rx_callback s pkt = Bqueue.put s.rx_q pkt
 
-let create env ?(config = default_config) ~ip () =
+let create env ~ip () =
   (* Counters live in the engine registry under the stack's IP, so a stack
      re-created on the backup partition after failover continues the same
      series — and every stack shows up in the one JSON dump. *)
@@ -624,7 +588,6 @@ let create env ?(config = default_config) ~ip () =
   let s =
     {
       env;
-      cfg = config;
       s_ip = ip;
       nic = None;
       conns = Hashtbl.create 64;
@@ -645,7 +608,7 @@ let create env ?(config = default_config) ~ip () =
     (env.Netenv.spawn "tcp-rx" (fun () ->
          let rec loop () =
            let pkt = Bqueue.get s.rx_q in
-           env.Netenv.compute config.per_seg_cpu;
+           env.Netenv.compute per_seg_cpu;
            handle_packet s pkt;
            loop ()
          in
@@ -733,7 +696,7 @@ let connect s ~host ~port =
     c.syn_timer <-
       Some
         (Engine.timer eng
-           ~at:(Engine.now eng + s.cfg.rto)
+           ~at:(Engine.now eng + rto)
            (fun () ->
              c.syn_timer <- None;
              if (not c.established) && (not c.aborted) && attempts > 0 then begin
@@ -749,7 +712,7 @@ let connect s ~host ~port =
 let send c chunk =
   if c.aborted || c.fin_queued then raise Connection_closed;
   let rec wait_space () =
-    if Payload.Buf.length c.sndbuf >= c.stack.cfg.sndbuf_cap then begin
+    if Payload.Buf.length c.sndbuf >= sndbuf_cap then begin
       ignore (Sync.wait_on c.writable);
       if c.aborted then raise Connection_closed;
       wait_space ()
@@ -833,7 +796,7 @@ let restore s (ls : logical_state) =
       sndbuf = Payload.Buf.create ~base:ls.l_snd_una ();
       snd_nxt = ls.l_snd_una;
       snd_max = ls.l_snd_una;
-      peer_wnd = s.cfg.rwnd;
+      peer_wnd = rwnd;
       fin_queued = false;
       fin_sent = false;
       fin_ever_sent = false;
@@ -851,7 +814,6 @@ let restore s (ls : logical_state) =
       aborted = false;
       rto_timer = None;
       syn_timer = None;
-      tw_timer = None;
     }
   in
   Ivar.fill c.established_iv ();

@@ -14,17 +14,6 @@
 
 open Ftsim_sim
 
-type config = {
-  mss : int;
-  rwnd : int;  (** advertised receive window *)
-  sndbuf_cap : int;  (** send-buffer size; writers block beyond it *)
-  rto : Time.t;
-  per_seg_cpu : Time.t;  (** stack CPU per segment processed *)
-  time_wait : Time.t;
-      (** how long a fully closed connection lingers re-ACKing duplicate
-          FINs before being reaped; [0] reaps immediately *)
-}
-
 type stack
 type conn
 type listener
@@ -51,7 +40,12 @@ type hooks = {
   on_peer_fin : conn -> unit;
 }
 
-val create : Netenv.t -> ?config:config -> ip:string -> unit -> stack
+val create : Netenv.t -> ip:string -> unit -> stack
+(** A stack with a 1,460-byte MSS, a 64 KiB advertised window, a 256 KiB
+    send buffer (writers block beyond it), a 200 ms RTO and 2 µs of CPU
+    per segment; a fully closed connection leaves the demux table at once
+    (no TIME_WAIT). *)
+
 val attach_nic : stack -> Nic.t -> unit
 (** Bind the stack to a NIC at boot ({!Nic.attach} with no owner tracking —
     use [Nic.attach] directly for owner-aware binding and pass the stack's

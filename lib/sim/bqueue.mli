@@ -1,19 +1,18 @@
-(** Blocking FIFO queues with optional capacity bound.
+(** Unbounded blocking FIFO queues.
 
-    The inter-replica mailbox and every producer/consumer structure in the
-    workloads are built on these.  A bounded queue makes producers block when
-    the consumer falls behind — the mechanism behind the paper's
-    burst-versus-sustained throughput distinction.  Items sit in a
-    {!Ring}, so a {!put} and a {!get} that do not block allocate nothing
-    beyond the ring's growth. *)
+    The inter-replica mailbox's inbox, the stack's receive and accept
+    queues, the det engine's syscall queue and the replay executors' queues
+    are built on these.  Nothing bounds a queue: a producer that must wait
+    for its consumer throttles elsewhere (the mailbox on its ring-slot
+    semaphore).  Items sit in a {!Ring}, so a {!put} and a {!get} that do
+    not block allocate nothing beyond the ring's growth. *)
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Unbounded unless [capacity] is given (must be positive). *)
+val create : unit -> 'a t
 
 val put : 'a t -> 'a -> unit
-(** Enqueue; blocks while the queue is full. *)
+(** Enqueue; never blocks. *)
 
 val get : 'a t -> 'a
 (** Dequeue; blocks while the queue is empty. *)

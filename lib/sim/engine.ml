@@ -526,8 +526,6 @@ let with_timeout ~at register =
   | None -> ());
   !outcome
 
-let yield () = suspend (fun p waker -> schedule p.eng ~at:p.eng.now waker)
-
 let kill p =
   match p.state with
   | Exited _ -> ()

@@ -2,8 +2,8 @@
 
     The engine multiplexes cooperative green threads ("processes") over a
     simulated nanosecond clock using OCaml 5 effect handlers.  A process runs
-    until it suspends ({!sleep}, {!suspend}, {!yield} or a primitive built on
-    them); the engine then advances the clock to the next pending event.
+    until it suspends ({!sleep}, {!suspend} or a primitive built on them);
+    the engine then advances the clock to the next pending event.
 
     A run is fully deterministic: events with equal timestamps fire in the
     order they were scheduled, and all randomness flows through the engine's
@@ -106,12 +106,6 @@ val with_timeout :
     the call returns [`Timeout].  Exactly one of the two wins; the loser's
     callback is inert.  A deadline at or before the current time still parks
     the process and times out at the current instant. *)
-
-val yield : unit -> unit
-(** Reschedule the calling process at the current time, letting other
-    processes ready at this instant run first.  A {!suspend} whose waker
-    is an event at the current instant, so it allocates what that park
-    does. *)
 
 val suspend : (proc -> (unit -> unit) -> unit) -> unit
 (** [suspend register] parks the calling process and invokes

@@ -141,8 +141,8 @@ let memo_size = 256
 
 type t = {
   mutable clock : unit -> Time.t;
-  mutable cap : int;
-  mutable slots : Bytes.t array;  (* [Bytes.empty] until first written *)
+  cap : int;
+  slots : Bytes.t array;  (* [Bytes.empty] until first written *)
   mutable first : int;  (* ring index of the oldest retained event *)
   mutable next_ring : int;  (* ring index one past the newest event *)
   mutable next_seq : int;
@@ -186,8 +186,6 @@ type span = {
   mutable sp_open : bool;
 }
 
-let no_slots cap = Array.make (((cap - 1) lsr slot_bits) + 1) Bytes.empty
-
 let create ?(cap = default_cap) () =
   if cap < 1 then invalid_arg "Evlog.create: cap must be positive";
   (* The memo's filler is a fresh string no caller can pass: a shared [""]
@@ -196,7 +194,7 @@ let create ?(cap = default_cap) () =
   {
     clock = (fun () -> 0);
     cap;
-    slots = no_slots cap;
+    slots = Array.make (((cap - 1) lsr slot_bits) + 1) Bytes.empty;
     first = 0;
     next_ring = 0;
     next_seq = 0;
@@ -338,27 +336,6 @@ let evict_oldest t j =
   t.w_tail <- t.w_tail + nwords (header_of t j);
   t.first <- t.first + 1;
   if t.w_tail lsr word_bits > t.words.lo || t.w_tail = t.w_head then release_behind t
-
-let set_capacity t cap =
-  if cap < 1 then invalid_arg "Evlog.set_capacity: cap must be positive";
-  let live = t.next_ring - t.first in
-  let keep = min live cap in
-  for _ = 1 to live - keep do
-    evict_oldest t (t.first mod t.cap)
-  done;
-  drop t (live - keep);
-  let kept = Bytes.create (keep * slot_bytes) in
-  for k = 0 to keep - 1 do
-    let j = (t.first + k) mod t.cap in
-    Bytes.blit (slot_chunk t j) (slot_off j) kept (k * slot_bytes) slot_bytes
-  done;
-  t.slots <- no_slots cap;
-  t.cap <- cap;
-  t.first <- 0;
-  t.next_ring <- keep;
-  for k = 0 to keep - 1 do
-    Bytes.blit kept (k * slot_bytes) (slot_chunk_w t k) (slot_off k) slot_bytes
-  done
 
 (* {2 Decoding} *)
 

@@ -70,10 +70,6 @@ val set_dropped_counter : t -> Metrics.Counter.t -> unit
 (** Mirror ring evictions into a metrics counter
     (["evlog.dropped_events"] in the engine registry). *)
 
-val set_capacity : t -> int -> unit
-(** Resize the ring.  Existing events are retained (newest first) up to the
-    new capacity; evictions caused by shrinking count as drops. *)
-
 val capacity : t -> int
 
 val set_detail : t -> bool -> unit

@@ -53,17 +53,6 @@ module Hist = struct
     Hashtbl.fold (fun b c acc -> (b, c) :: acc) t.tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-  let merge_into ~into src =
-    Hashtbl.iter
-      (fun b c ->
-        Hashtbl.replace into.tbl b
-          (c + Option.value ~default:0 (Hashtbl.find_opt into.tbl b)))
-      src.tbl;
-    into.n <- into.n + src.n;
-    into.sum <- into.sum +. src.sum;
-    if src.mn < into.mn then into.mn <- src.mn;
-    if src.mx > into.mx then into.mx <- src.mx
-
   let quantile t q =
     if t.n = 0 then nan
     else begin
@@ -77,77 +66,6 @@ module Hist = struct
       in
       walk 0 buckets
     end
-
-  let reset t =
-    Hashtbl.reset t.tbl;
-    t.n <- 0;
-    t.sum <- 0.0;
-    t.mn <- infinity;
-    t.mx <- neg_infinity
-end
-
-module Whist = struct
-  (* A ring of fixed-width windows keyed on sim time plus a cumulative
-     histogram.  Rotation is lazy: a slot is reclaimed the first time a
-     record lands in a newer window that maps to it, and [window_at] treats
-     a slot whose stamped start disagrees with the queried time as evicted.
-     Nothing here allocates per record beyond the Hist bucket update. *)
-  type t = {
-    w_width : Time.t;
-    w_count : int;
-    starts : Time.t array; (* Time.ns (-1) when the slot has never been used *)
-    hists : Hist.t array;
-    cum : Hist.t;
-  }
-
-  let create ?(windows = 32) ~width () =
-    if width <= 0 then invalid_arg "Whist.create: width must be positive";
-    if windows < 2 then invalid_arg "Whist.create: need at least 2 windows";
-    {
-      w_width = width;
-      w_count = windows;
-      starts = Array.make windows (-1);
-      hists = Array.init windows (fun _ -> Hist.create ());
-      cum = Hist.create ();
-    }
-
-  let width t = t.w_width
-  let window_count t = t.w_count
-  let slot_of t at = at / t.w_width mod t.w_count
-  let start_of t at = at / t.w_width * t.w_width
-
-  let record t ~at v =
-    if at < 0 then invalid_arg "Whist.record: negative time";
-    let s = slot_of t at and start = start_of t at in
-    if t.starts.(s) <> start then begin
-      Hist.reset t.hists.(s);
-      t.starts.(s) <- start
-    end;
-    Hist.record t.hists.(s) v;
-    Hist.record t.cum v
-
-  let cumulative t = t.cum
-
-  let window_at t ~at =
-    if at < 0 then None
-    else
-      let s = slot_of t at in
-      if t.starts.(s) = start_of t at then Some t.hists.(s) else None
-
-  let live_windows t =
-    let acc = ref [] in
-    for i = t.w_count - 1 downto 0 do
-      if t.starts.(i) >= 0 then acc := (t.starts.(i), t.hists.(i)) :: !acc
-    done;
-    List.sort (fun (a, _) (b, _) -> compare a b) !acc
-
-  let between t ~lo ~hi =
-    let out = Hist.create () in
-    List.iter
-      (fun (start, h) ->
-        if start + t.w_width > lo && start <= hi then Hist.merge_into ~into:out h)
-      (live_windows t);
-    out
 end
 
 module Registry = struct
@@ -155,7 +73,6 @@ module Registry = struct
     | I_counter of Counter.t
     | I_gauge of Gauge.t
     | I_hist of Hist.t
-    | I_whist of Whist.t
   type t = (string, instrument) Hashtbl.t
 
   let create () : t = Hashtbl.create 64
@@ -192,15 +109,6 @@ module Registry = struct
         Hashtbl.replace t name (I_hist h);
         h
 
-  let whist t ?windows ?(width = Time.ms 100) name =
-    match Hashtbl.find_opt t name with
-    | Some (I_whist w) -> w
-    | Some _ -> kind_err name "whist"
-    | None ->
-        let w = Whist.create ?windows ~width () in
-        Hashtbl.replace t name (I_whist w);
-        w
-
   let names t =
     (* String.compare, not polymorphic compare: the bench-regression gate
        byte-diffs these dumps, so key order must not depend on how any
@@ -211,13 +119,11 @@ module Registry = struct
     | V_counter of int
     | V_gauge of float
     | V_hist of Hist.t
-    | V_whist of Whist.t
 
   let view = function
     | I_counter c -> V_counter (Counter.value c)
     | I_gauge g -> V_gauge (Gauge.value g)
     | I_hist h -> V_hist h
-    | I_whist w -> V_whist w
 
   let find t name = Option.map view (Hashtbl.find_opt t name)
 
@@ -256,36 +162,6 @@ module Registry = struct
       (json_float (Hist.quantile h 0.99))
       (json_float (Hist.quantile h 0.999))
 
-  let whist_json w =
-    (* Keys inside each object are sorted and the windows array is sorted by
-       window start, so same-seed dumps stay byte-identical under cmp. *)
-    let window_json (start, h) =
-      Printf.sprintf
-        "{\"count\": %d, \"p50\": %s, \"p90\": %s, \"p99\": %s, \"p999\": %s, \
-         \"start_ms\": %s}"
-        (Hist.count h)
-        (json_float (Hist.quantile h 0.50))
-        (json_float (Hist.quantile h 0.90))
-        (json_float (Hist.quantile h 0.99))
-        (json_float (Hist.quantile h 0.999))
-        (json_float (Time.to_ms_f start))
-    in
-    let cum = Whist.cumulative w in
-    Printf.sprintf
-      "{\"count\": %d, \"max\": %s, \"mean\": %s, \"min\": %s, \"p50\": %s, \
-       \"p90\": %s, \"p99\": %s, \"p999\": %s, \"window_ms\": %s, \
-       \"windows\": [%s]}"
-      (Hist.count cum)
-      (json_float (Hist.max cum))
-      (json_float (Hist.mean cum))
-      (json_float (Hist.min cum))
-      (json_float (Hist.quantile cum 0.50))
-      (json_float (Hist.quantile cum 0.90))
-      (json_float (Hist.quantile cum 0.99))
-      (json_float (Hist.quantile cum 0.999))
-      (json_float (Time.to_ms_f (Whist.width w)))
-      (String.concat ", " (List.map window_json (Whist.live_windows w)))
-
   let to_json t =
     let b = Buffer.create 1024 in
     Buffer.add_string b "{";
@@ -298,8 +174,7 @@ module Registry = struct
         match Hashtbl.find t name with
         | I_counter c -> Buffer.add_string b (string_of_int (Counter.value c))
         | I_gauge g -> Buffer.add_string b (json_float (Gauge.value g))
-        | I_hist h -> Buffer.add_string b (hist_json h)
-        | I_whist w -> Buffer.add_string b (whist_json w))
+        | I_hist h -> Buffer.add_string b (hist_json h))
       (names t);
     Buffer.add_string b "\n}\n";
     Buffer.contents b

@@ -15,7 +15,6 @@ end
 module Gauge : sig
   type t
 
-  val create : unit -> t
   val set : t -> float -> unit
   val value : t -> float
 end
@@ -37,57 +36,10 @@ module Hist : sig
   (** [quantile t 0.99] is an approximation of the 99th percentile.
       Returns [nan] when empty. *)
 
-  val buckets : t -> (int * int) list
-  (** [(bucket_index, count)] pairs sorted by bucket index. *)
-
-  val merge_into : into:t -> t -> unit
-  (** Fold [src]'s buckets, count, sum and min/max into [into]. *)
-
   val bucket_of : float -> int
   (** Bucket index of a value: [round (8 * log2 v)], or [min_int] for
       non-positive values.  Monotone; exposed so tests can assert the
       one-bucket error bound of quantile estimates. *)
-
-  val value_of_bucket : int -> float
-  (** Representative value of a bucket index (inverse of [bucket_of] up to
-      bucket granularity). *)
-
-  val reset : t -> unit
-end
-
-module Whist : sig
-  (** Time-windowed histogram: a ring of [windows] fixed-[width] windows
-      rotated on simulated time, plus a cumulative histogram.  Percentiles
-      can be queried per interval ([window_at], [between]) or overall
-      ([cumulative]).  Windows older than [windows * width] are evicted
-      lazily as the ring wraps. *)
-
-  type t
-
-  val create : ?windows:int -> width:Time.t -> unit -> t
-  (** Default 32 windows.  Raises [Invalid_argument] on non-positive width
-      or fewer than 2 windows. *)
-
-  val width : t -> Time.t
-  val window_count : t -> int
-
-  val record : t -> at:Time.t -> float -> unit
-  (** Record [v] at sim time [at]: lands in the window covering [at] (and in
-      the cumulative histogram), reclaiming the ring slot if it still holds
-      a stale window. *)
-
-  val cumulative : t -> Hist.t
-
-  val window_at : t -> at:Time.t -> Hist.t option
-  (** The live window covering sim time [at], or [None] if that window was
-      never populated or has been evicted by ring rotation. *)
-
-  val live_windows : t -> (Time.t * Hist.t) list
-  (** [(window_start, hist)] for every live window, sorted by start. *)
-
-  val between : t -> lo:Time.t -> hi:Time.t -> Hist.t
-  (** A fresh histogram merging every live window overlapping
-      [\[lo, hi\]] (window granularity, not exact record membership). *)
 end
 
 module Registry : sig
@@ -106,11 +58,6 @@ module Registry : sig
   val gauge : t -> string -> Gauge.t
   val hist : t -> string -> Hist.t
 
-  val whist : t -> ?windows:int -> ?width:Time.t -> string -> Whist.t
-  (** Get-or-create a windowed histogram.  [windows]/[width] (default 32 ×
-      100 ms) apply only on creation; an existing instrument is returned
-      as-is. *)
-
   val names : t -> string list
   (** Sorted. *)
 
@@ -118,8 +65,7 @@ module Registry : sig
     | V_counter of int
     | V_gauge of float
     | V_hist of Hist.t
-    | V_whist of Whist.t
-        (** A read-only view of one instrument, for snapshot printers. *)
+  (** A read-only view of one instrument, for snapshot printers. *)
 
   val find : t -> string -> value option
   (** Look up an instrument without creating it. *)

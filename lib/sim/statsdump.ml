@@ -7,9 +7,9 @@
    suspends and never touches simulated state, so arming it cannot perturb
    the deterministic schedule. *)
 
-let default_prefixes = [ "lag"; "msglayer."; "replay."; "det."; "failover." ]
+let prefixes = [ "lag"; "msglayer."; "replay."; "det."; "failover." ]
 
-let matches prefixes name =
+let matches name =
   List.exists
     (fun p ->
       String.length name >= String.length p
@@ -25,7 +25,7 @@ let matches prefixes name =
         in
         has_chan 0)
 
-let snapshot_line ?(prefixes = default_prefixes) ?label eng =
+let snapshot_line ?label eng =
   let b = Buffer.create 128 in
   Printf.bprintf b "[stats%s t=%.3fs]"
     (match label with Some l -> " " ^ l | None -> "")
@@ -39,23 +39,21 @@ let snapshot_line ?(prefixes = default_prefixes) ?label eng =
         (Metrics.Hist.quantile h 0.999)
   in
   Metrics.Registry.iter (Engine.metrics eng) (fun name v ->
-      if matches prefixes name then
+      if matches name then
         match v with
         | Metrics.Registry.V_counter c -> Printf.bprintf b " %s=%d" name c
         | Metrics.Registry.V_gauge g -> Printf.bprintf b " %s=%g" name g
-        | Metrics.Registry.V_hist h -> hist_cells name h
-        | Metrics.Registry.V_whist w ->
-            hist_cells name (Metrics.Whist.cumulative w));
+        | Metrics.Registry.V_hist h -> hist_cells name h);
   Buffer.contents b
 
-let arm ?prefixes ?label eng ~every =
+let arm ?label eng ~every =
   if every <= 0 then invalid_arg "Statsdump.arm: interval must be positive";
   (* Lines go through the domain-local [Sink]: under a multi-domain campaign
      the coordinator drains them, so snapshot lines from concurrent runs
      never tear. *)
   let rec next () = ignore (Engine.timer eng ~at:(Engine.now eng + every) tick)
   and tick () =
-    Sink.line (snapshot_line ?prefixes ?label eng);
+    Sink.line (snapshot_line ?label eng);
     next ()
   in
   next ()

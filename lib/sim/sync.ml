@@ -31,49 +31,15 @@ module Mutex = struct
       match wait_on t.q with `Woken -> () | `Timeout -> assert false
     end
 
-  let try_lock t =
-    if t.locked then false
-    else begin
-      t.locked <- true;
-      true
-    end
-
   let unlock t =
     if not t.locked then invalid_arg "Sync.Mutex.unlock: not locked";
     if not (Waitq.wake_one t.q) then t.locked <- false
 
   let is_locked t = t.locked
-  let waiters t = Waitq.length t.q
 
   let with_lock t f =
     lock t;
     Fun.protect ~finally:(fun () -> unlock t) f
-end
-
-module Cond = struct
-  type t = { q : Waitq.t }
-
-  let create () = { q = Waitq.create () }
-
-  let wait t m =
-    Engine.suspend (fun _p waker ->
-        ignore (Waitq.add t.q waker);
-        Mutex.unlock m);
-    Mutex.lock m
-
-  let timed_wait t m ~deadline =
-    let outcome =
-      Engine.with_timeout ~at:deadline (fun _p wake ->
-          let entry = Waitq.add t.q wake in
-          Mutex.unlock m;
-          fun () -> Waitq.cancel entry)
-    in
-    Mutex.lock m;
-    match outcome with `Done -> `Woken | `Timeout -> `Timeout
-
-  let signal t = ignore (Waitq.wake_one t.q)
-  let broadcast t = ignore (Waitq.wake_all t.q)
-  let waiters t = Waitq.length t.q
 end
 
 module Semaphore = struct
@@ -96,7 +62,4 @@ module Semaphore = struct
     else false
 
   let release t = if not (Waitq.wake_one t.q) then t.count <- t.count + 1
-
-  let available t = t.count
-  let waiters t = Waitq.length t.q
 end

@@ -1,5 +1,5 @@
-(** Blocking synchronization for simulated processes: mutexes, condition
-    variables and counting semaphores.
+(** Blocking synchronization for simulated processes: mutexes and counting
+    semaphores.
 
     These are the *simulation-level* primitives used to build the model
     itself.  The kernel's pthread layer ({!Ftsim_kernel.Pthread}) is a
@@ -20,29 +20,10 @@ module Mutex : sig
 
   val create : unit -> t
   val lock : t -> unit
-  val try_lock : t -> bool
   val unlock : t -> unit
-
   val is_locked : t -> bool
-  val waiters : t -> int
 
   val with_lock : t -> (unit -> 'a) -> 'a
-end
-
-module Cond : sig
-  type t
-
-  val create : unit -> t
-
-  val wait : t -> Mutex.t -> unit
-  (** Atomically release the mutex and park; re-acquires before returning. *)
-
-  val timed_wait : t -> Mutex.t -> deadline:Time.t -> outcome
-  (** Like {!wait} with a deadline; the mutex is re-acquired either way. *)
-
-  val signal : t -> unit
-  val broadcast : t -> unit
-  val waiters : t -> int
 end
 
 module Semaphore : sig
@@ -52,6 +33,4 @@ module Semaphore : sig
   val acquire : t -> unit
   val try_acquire : t -> bool
   val release : t -> unit
-  val available : t -> int
-  val waiters : t -> int
 end

@@ -54,9 +54,9 @@ let top_shift = slot_bits * levels
 
 let unarmed = Nil
 
-let create ?(now = 0) () =
+let create () =
   {
-    wnow = now;
+    wnow = 0;
     slots = Array.init levels (fun _ -> Array.make wheel_slots Nil);
     bits = Array.make levels 0;
     overflow = Nil;

@@ -11,7 +11,8 @@
 type 'a t
 type 'a handle
 
-val create : ?now:Time.t -> unit -> 'a t
+(** An empty wheel at time 0. *)
+val create : unit -> 'a t
 
 (** Number of armed (neither fired nor cancelled) timers. *)
 val live : 'a t -> int

@@ -14,10 +14,10 @@ let run_sim f =
   | Some v -> v
   | None -> Alcotest.fail "test process did not complete"
 
-let boot_kernel ?config eng =
+let boot_kernel eng =
   let m = Machine.create eng Topology.small in
   let a, _ = Machine.split_symmetric m in
-  Kernel.boot a ?config ()
+  Kernel.boot a ()
 
 (* {1 Cpu} *)
 

@@ -230,15 +230,13 @@ let test_link_drops_without_receiver () =
 
 (* {1 TCP setup helpers} *)
 
-let make_pair ?server_config ?client_config eng =
+let make_pair eng =
   let link = Link.create eng ~bandwidth_bps:1_000_000_000 ~latency:(Time.us 100) () in
   let server_env = Netenv.plain eng in
-  let server = Tcp.create server_env ?config:server_config ~ip:"10.0.0.1" () in
+  let server = Tcp.create server_env ~ip:"10.0.0.1" () in
   let snic = Nic.create eng ~driver_load_time:0 (Link.endpoint_a link) in
   Tcp.attach_nic server snic;
-  let client_host =
-    Host.create eng ~ip:"10.0.0.2" ?tcp_config:client_config (Link.endpoint_b link)
-  in
+  let client_host = Host.create eng ~ip:"10.0.0.2" (Link.endpoint_b link) in
   (server, Host.stack client_host, link, snic)
 
 let test_tcp_connect_accept () =

@@ -242,7 +242,7 @@ let test_ivar_double_fill () =
       Alcotest.(check bool) "second fill rejected" false (Ivar.try_fill iv 2);
       Alcotest.(check (option int)) "value preserved" (Some 1) (Ivar.peek iv))
 
-(* {1 Mutex / Cond / Semaphore} *)
+(* {1 Mutex / timed wait / Semaphore} *)
 
 let test_mutex_mutual_exclusion () =
   let v =
@@ -284,71 +284,26 @@ let test_mutex_fifo () =
   in
   Alcotest.(check (list int)) "FIFO hand-off" [ 1; 2; 3; 4 ] order
 
-let test_cond_signal_wakes_one () =
+let test_timed_out_waiter_eats_no_wake () =
+  (* A timed-out waiter must not eat a later wake meant for a live one. *)
   let v =
     run_sim (fun eng ->
-        let m = Sync.Mutex.create () in
-        let c = Sync.Cond.create () in
-        let woken = ref 0 in
-        for _ = 1 to 3 do
-          ignore
-            (Engine.spawn eng (fun () ->
-                 Sync.Mutex.lock m;
-                 Sync.Cond.wait c m;
-                 incr woken;
-                 Sync.Mutex.unlock m))
-        done;
-        Engine.sleep (Time.ms 1);
-        Sync.Cond.signal c;
-        Engine.sleep (Time.ms 1);
-        let after_one = !woken in
-        Sync.Cond.broadcast c;
-        Engine.sleep (Time.ms 1);
-        (after_one, !woken))
-  in
-  Alcotest.(check (pair int int)) "signal then broadcast" (1, 3) v
-
-let test_cond_timedwait_timeout () =
-  let v =
-    run_sim (fun eng ->
-        let m = Sync.Mutex.create () in
-        let c = Sync.Cond.create () in
-        Sync.Mutex.lock m;
-        let r = Sync.Cond.timed_wait c m ~deadline:(Engine.now eng + Time.ms 5) in
-        let held = Sync.Mutex.is_locked m in
-        Sync.Mutex.unlock m;
-        (r, held, Engine.now eng))
-  in
-  match v with
-  | `Timeout, true, t -> Alcotest.(check int) "woke at deadline" (Time.ms 5) t
-  | `Woken, _, _ -> Alcotest.fail "expected timeout"
-  | `Timeout, false, _ -> Alcotest.fail "mutex not re-acquired"
-
-let test_cond_timedwait_cancel_consumes_no_signal () =
-  (* A timed-out waiter must not eat a later signal meant for a live one. *)
-  let v =
-    run_sim (fun eng ->
-        let m = Sync.Mutex.create () in
-        let c = Sync.Cond.create () in
-        let live_woken = ref false in
+        let q = Waitq.create () in
+        let timed_out = ref None and live_woken = ref false in
         ignore
           (Engine.spawn eng (fun () ->
-               Sync.Mutex.lock m;
-               let r = Sync.Cond.timed_wait c m ~deadline:(Time.ms 2) in
-               assert (r = `Timeout);
-               Sync.Mutex.unlock m));
+               timed_out := Some (Sync.wait_on q ~deadline:(Time.ms 2))));
         ignore
           (Engine.spawn eng (fun () ->
-               Sync.Mutex.lock m;
-               Sync.Cond.wait c m;
-               live_woken := true;
-               Sync.Mutex.unlock m));
+               ignore (Sync.wait_on q);
+               live_woken := true));
         Engine.sleep (Time.ms 5);
-        Sync.Cond.signal c;
+        let taken = Waitq.wake_one q in
         Engine.sleep (Time.ms 1);
-        !live_woken)
+        (!timed_out = Some `Timeout, taken, !live_woken))
   in
-  Alcotest.(check bool) "live waiter got the signal" true v
+  Alcotest.(check (triple bool bool bool))
+    "first waiter timed out, the live one took the wake" (true, true, true) v
 
 let test_semaphore_bounds () =
   let v =
@@ -370,7 +325,7 @@ let test_semaphore_bounds () =
   in
   Alcotest.(check int) "at most 2 concurrent" 2 v
 
-(* {1 Bounded queue} *)
+(* {1 Blocking queue} *)
 
 let test_bqueue_fifo () =
   let v =
@@ -388,26 +343,6 @@ let test_bqueue_fifo () =
         List.rev !out)
   in
   Alcotest.(check (list int)) "FIFO" [ 1; 2; 3; 4; 5 ] v
-
-let test_bqueue_capacity_blocks_producer () =
-  let v =
-    run_sim (fun eng ->
-        let q = Bqueue.create ~capacity:2 () in
-        let produced = ref 0 in
-        ignore
-          (Engine.spawn eng (fun () ->
-               for i = 1 to 5 do
-                 Bqueue.put q i;
-                 produced := i
-               done));
-        Engine.sleep (Time.ms 1);
-        let stalled_at = !produced in
-        let drained = List.init 5 (fun _ -> Bqueue.get q) in
-        (stalled_at, drained))
-  in
-  let stalled_at, drained = v in
-  Alcotest.(check int) "producer stalled at capacity" 2 stalled_at;
-  Alcotest.(check (list int)) "order preserved" [ 1; 2; 3; 4; 5 ] drained
 
 let test_bqueue_get_timeout () =
   let v =
@@ -685,82 +620,6 @@ let prop_hist_quantile_bucket_exact =
       in
       Metrics.Hist.bucket_of (Metrics.Hist.quantile h q)
       = Metrics.Hist.bucket_of exact)
-
-(* {1 Windowed histograms} *)
-
-let test_whist_window_routing () =
-  let w = Metrics.Whist.create ~windows:4 ~width:(Time.ms 10) () in
-  Metrics.Whist.record w ~at:(Time.ms 5) 100.0;
-  Metrics.Whist.record w ~at:(Time.ms 7) 200.0;
-  Metrics.Whist.record w ~at:(Time.ms 15) 300.0;
-  (match Metrics.Whist.window_at w ~at:(Time.ms 9) with
-  | Some h -> Alcotest.(check int) "first window holds both" 2 (Metrics.Hist.count h)
-  | None -> Alcotest.fail "window [0,10) should be live");
-  (match Metrics.Whist.window_at w ~at:(Time.ms 12) with
-  | Some h -> Alcotest.(check int) "second window holds one" 1 (Metrics.Hist.count h)
-  | None -> Alcotest.fail "window [10,20) should be live");
-  Alcotest.(check bool) "untouched window is absent" true
-    (Metrics.Whist.window_at w ~at:(Time.ms 25) = None);
-  Alcotest.(check int) "cumulative sees every record" 3
-    (Metrics.Hist.count (Metrics.Whist.cumulative w))
-
-let test_whist_ring_eviction () =
-  (* 4 windows x 10 ms: a record at 45 ms maps to the slot that held
-     [0,10), reclaiming it.  The evicted window must disappear from
-     window_at and live_windows while the cumulative histogram keeps its
-     records. *)
-  let w = Metrics.Whist.create ~windows:4 ~width:(Time.ms 10) () in
-  Metrics.Whist.record w ~at:(Time.ms 5) 100.0;
-  Metrics.Whist.record w ~at:(Time.ms 45) 200.0;
-  Alcotest.(check bool) "evicted window gone" true
-    (Metrics.Whist.window_at w ~at:(Time.ms 5) = None);
-  (match Metrics.Whist.window_at w ~at:(Time.ms 45) with
-  | Some h ->
-      Alcotest.(check int) "reclaimed slot holds only the new record" 1
-        (Metrics.Hist.count h)
-  | None -> Alcotest.fail "window [40,50) should be live");
-  Alcotest.(check (list int)) "live starts" [ Time.ms 40 ]
-    (List.map fst (Metrics.Whist.live_windows w));
-  Alcotest.(check int) "cumulative survives eviction" 2
-    (Metrics.Hist.count (Metrics.Whist.cumulative w))
-
-let test_whist_between () =
-  let w = Metrics.Whist.create ~windows:8 ~width:(Time.ms 10) () in
-  Metrics.Whist.record w ~at:(Time.ms 5) 1.0;
-  Metrics.Whist.record w ~at:(Time.ms 15) 2.0;
-  Metrics.Whist.record w ~at:(Time.ms 25) 3.0;
-  Alcotest.(check int) "interval merge picks overlapping windows" 2
-    (Metrics.Hist.count
-       (Metrics.Whist.between w ~lo:(Time.ms 12) ~hi:(Time.ms 26)));
-  Alcotest.(check int) "full span merges everything" 3
-    (Metrics.Hist.count
-       (Metrics.Whist.between w ~lo:0 ~hi:(Time.ms 100)))
-
-let test_whist_json_deterministic () =
-  (* The BENCH dumps are byte-diffed across runs, so a whist's JSON must
-     not depend on record or registration order. *)
-  let mk order =
-    let r = Metrics.Registry.create () in
-    if order then ignore (Metrics.Registry.counter r "a.first");
-    let w = Metrics.Registry.whist r ~width:(Time.ms 10) "lat.w" in
-    List.iter
-      (fun (at, v) -> Metrics.Whist.record w ~at v)
-      (if order then [ (Time.ms 5, 100.0); (Time.ms 15, 50.0) ]
-       else [ (Time.ms 15, 50.0); (Time.ms 5, 100.0) ]);
-    if not order then ignore (Metrics.Registry.counter r "a.first");
-    Metrics.Registry.to_json r
-  in
-  let j = mk true in
-  Alcotest.(check string) "dump independent of order" j (mk false);
-  let contains needle =
-    let n = String.length needle and m = String.length j in
-    let rec find i = i + n <= m && (String.sub j i n = needle || find (i + 1)) in
-    find 0
-  in
-  Alcotest.(check bool) "windows sorted by start" true
-    (contains "\"start_ms\": 0" && contains "\"start_ms\": 10");
-  Alcotest.(check bool) "cumulative count present" true
-    (contains "\"count\": 2")
 
 (* {1 Prng} *)
 
@@ -1292,40 +1151,24 @@ let test_evlog_subscriber () =
       | None -> Alcotest.failf "seq %d never reached the subscriber" e.Evlog.seq)
     (Evlog.events t)
 
-let test_evlog_set_capacity () =
-  let t, _ = mk_evlog ~cap:16 () in
-  for i = 1 to 10 do
-    Evlog.emit t ~comp:"x" "e" ~args:[ ("i", Evlog.Int i) ]
-  done;
-  Evlog.set_capacity t 4;
-  Alcotest.(check int) "new capacity" 4 (Evlog.capacity t);
-  Alcotest.(check int) "shrink evictions count as drops" 6 (Evlog.dropped t);
-  Alcotest.(check (list int)) "newest kept"
-    [ 7; 8; 9; 10 ]
-    (List.map (fun e -> e.Evlog.seq) (Evlog.events t));
-  for i = 11 to 13 do
-    Evlog.emit t ~comp:"x" "e" ~args:[ ("i", Evlog.Int i) ]
-  done;
-  Alcotest.(check (list int)) "ring keeps rotating after resize"
-    [ 10; 11; 12; 13 ]
-    (List.map (fun e -> e.Evlog.seq) (Evlog.events t));
-  (* Capacities that straddle the ring's 4,096-event storage chunks. *)
-  let newest n = List.init n (fun i -> Evlog.emitted t - n + 1 + i) in
-  let check_ring name cap =
-    Alcotest.(check (list int)) name (newest cap)
-      (List.map (fun e -> e.Evlog.seq) (Evlog.events t));
-    Alcotest.(check int) (name ^ ": every eviction counted")
-      (Evlog.emitted t - cap) (Evlog.dropped t);
-    Alcotest.(check bool) (name ^ ": header reports cap") true
-      (contains (Evlog.to_jsonl t) (Printf.sprintf "\"cap\":%d," cap))
-  in
-  Evlog.set_capacity t 4101;
-  for _ = 14 to 10_000 do
-    Evlog.emit t ~comp:"x" "e"
-  done;
-  check_ring "wraps across chunks" 4101;
-  Evlog.set_capacity t 4097;
-  check_ring "shrinks across chunks" 4097
+(* Rings whose capacity straddles the ring's 4,096-event storage chunks
+   wrap across them and keep the newest [cap] events. *)
+let test_evlog_ring_straddles_chunks () =
+  List.iter
+    (fun cap ->
+      let t, _ = mk_evlog ~cap () in
+      for _ = 1 to 10_000 do
+        Evlog.emit t ~comp:"x" "e"
+      done;
+      let name = Printf.sprintf "cap %d" cap in
+      Alcotest.(check (list int)) (name ^ ": newest kept")
+        (List.init cap (fun i -> 10_000 - cap + 1 + i))
+        (List.map (fun e -> e.Evlog.seq) (Evlog.events t));
+      Alcotest.(check int) (name ^ ": every eviction counted") (10_000 - cap)
+        (Evlog.dropped t);
+      Alcotest.(check bool) (name ^ ": header reports cap") true
+        (contains (Evlog.to_jsonl t) (Printf.sprintf "\"cap\":%d," cap)))
+    [ 4101; 4097 ]
 
 let test_evlog_chrome_shape () =
   let t, now = mk_evlog ~cap:64 () in
@@ -1399,7 +1242,7 @@ module Ref_log = struct
 
   type t = {
     now : int ref;
-    mutable cap : int;
+    cap : int;
     ring : event Queue.t;
     mutable pinned : event list;  (* newest first *)
     mutable next_seq : int;
@@ -1418,13 +1261,6 @@ module Ref_log = struct
   let create ~now cap =
     { now; cap; ring = Queue.create (); pinned = []; next_seq = 0; next_span = 0;
       dropped = 0 }
-
-  let set_capacity t cap =
-    while Queue.length t.ring > cap do
-      ignore (Queue.pop t.ring);
-      t.dropped <- t.dropped + 1
-    done;
-    t.cap <- cap
 
   let record t ~pin ~comp ~name ~kind ~span args =
     t.next_seq <- t.next_seq + 1;
@@ -1635,7 +1471,6 @@ type e_op =
   | E_log of e_str * Evlog.level * e_str
   | E_burst of int * (e_str * e_val) list  (* [n] ring events that wrap *)
   | E_big of int  (* one event with more than 4,096 arg words *)
-  | E_cap of int
   | E_tick of int
 
 and e_val = V_int of int | V_float of float | V_bool of bool | V_str of e_str
@@ -1704,7 +1539,6 @@ let e_op_gen =
             (oneofl Evlog.[ Error; Warn; Info; Debug ])
             e_str_gen );
         (1, map2 (fun n a -> E_burst (n, a)) (int_range 1 10_000) e_args_gen);
-        (1, map (fun n -> E_cap n) e_cap_gen);
         (2, map (fun d -> E_tick d) (int_range 0 1_000_000));
       ])
 
@@ -1814,9 +1648,6 @@ let e_run ?(writer = false) (cap, ops) =
           if writer then e_write t ~comp:"big" "event" a
           else Evlog.emit t ~args:a ~comp:"big" "event";
           Ref_log.emit m ~pin:false ~comp:"big" "event" a
-      | E_cap c ->
-          Evlog.set_capacity t c;
-          Ref_log.set_capacity m c
       | E_tick d -> now := !now + d)
     ops;
   (t, m, seen)
@@ -1864,32 +1695,36 @@ let test_evlog_model_corners () =
       (lit "q\"\\", V_str (lit "ctl\001\031\128\255"));
     ]
   in
-  let script =
-    ( 4096,
-      [
-        E_emit (true, lit "ft.cluster", lit "pin", odd);
-        E_burst (4095, [ (lit "i", V_int 1) ]);
-        E_begin (false, fresh "ft.det", lit "section", odd);
-        E_burst (2, odd);
-        E_cap 4097;
-        E_big 4200;
-        E_counter (lit "", lit "", Float.nan, []);
-        E_log (fresh "", Evlog.Error, lit "");
-        E_log (lit "x", Evlog.Warn, lit "w");
-        E_log (lit "x", Evlog.Info, lit "i");
-        E_log (lit "x", Evlog.Debug, lit "d");
-        E_burst (9000, odd);
-        E_end (0, odd);
-        E_cap 1;
-        E_emit (false, lit "a", lit "b", odd);
-        E_cap 9000;
-        E_burst (5000, []);
-        E_begin (true, lit "ft.cluster", lit "failover.detect", []);
-        E_cap 4095;
-        E_end (1, [ (lit "x", V_str (fresh "y")) ]);
-      ] )
+  (* One script at each capacity the corners need: 4,096, which the pin
+     and the first burst fill exactly, its neighbours across a chunk
+     boundary, a one-event ring and one wider than two chunks. *)
+  let ops =
+    [
+      E_emit (true, lit "ft.cluster", lit "pin", odd);
+      E_burst (4095, [ (lit "i", V_int 1) ]);
+      E_begin (false, fresh "ft.det", lit "section", odd);
+      E_burst (2, odd);
+      E_big 4200;
+      E_counter (lit "", lit "", Float.nan, []);
+      E_log (fresh "", Evlog.Error, lit "");
+      E_log (lit "x", Evlog.Warn, lit "w");
+      E_log (lit "x", Evlog.Info, lit "i");
+      E_log (lit "x", Evlog.Debug, lit "d");
+      E_burst (9000, odd);
+      E_end (0, odd);
+      E_emit (false, lit "a", lit "b", odd);
+      E_burst (5000, []);
+      E_begin (true, lit "ft.cluster", lit "failover.detect", []);
+      E_end (1, [ (lit "x", V_str (fresh "y")) ]);
+    ]
   in
-  Alcotest.(check (option string)) "agrees with the model" None (e_disagreement script);
+  List.iter
+    (fun cap ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "agrees with the model at cap %d" cap)
+        None
+        (e_disagreement (cap, ops)))
+    [ 4096; 4097; 1; 9000; 4095 ];
   (* After one Int-only event, every event writes one word and one string,
      so word 4,096 (a word chunk's first) carries string 4,095 (a string
      chunk's last).  The oldest of the 100 retained events is that one. *)
@@ -2464,18 +2299,19 @@ let test_dispatch_allocation () =
 
    A park allocates its effect value, the continuation OCaml's effect
    runtime builds and the box that holds it; a sleep also files its wheel
-   handle.  The process's
-   resume event, its sleep waker, its wait-queue entry and its handler's
-   closures are built once, when it first runs, and a wait queue, the
-   wheel and a bounded queue's ring link or store what they hold without a
-   cell of their own.  OCaml 5.1 on 64 bits measures sleep 13, yield 12,
-   [wait_on] plus wake 7 and [self] 2 words per cycle, 0 per [Bqueue.put]
-   and [get], and 22 per [Mailbox] message (in [test_hw]); a waker, queue
-   entry and cell per wait made [wait_on] 18, list cells per cascade made
-   a sleep 20.2, and a [Queue] cell and a [Some] made a put and get 5.
-   Each bound sits less than a box (2 words) above its measurement, so a
-   cell, box or closure added back per park or per item fails, and leaves
-   a word for a runtime whose continuation is a word larger. *)
+   handle.  The process's resume event, its sleep waker, its wait-queue
+   entry and its handler's closures are built once, when it first runs,
+   and a wait queue, the wheel and a blocking queue's ring link or store
+   what they hold without a cell of their own.  OCaml 5.1 on 64 bits
+   measures sleep 13, a [suspend] woken by an event at the current instant
+   12, [wait_on] plus wake 7 and [self] 2 words per cycle, 0 per
+   [Bqueue.put] and [get], and 22 per [Mailbox] message (in [test_hw]);
+   a waker, queue entry and cell per wait made [wait_on] 18, list cells
+   per cascade made a sleep 20.2, and a [Queue] cell and a [Some] made a
+   put and get 5.  Each bound sits less than a box (2 words) above its
+   measurement, so a cell, box or closure added back per park or per item
+   fails, and leaves a word for a runtime whose continuation is a word
+   larger. *)
 let words_per_cycle ~cycles body =
   let eng = Engine.create ~evlog_cap:16 () in
   let words = ref nan in
@@ -2499,7 +2335,13 @@ let test_park_allocation () =
   (* A 10 us sleep files its timer two levels up the wheel, so its
      handle cascades twice. *)
   let sleep = words_per_cycle ~cycles (fun _ -> Engine.sleep (Time.us 10)) in
-  let yield = words_per_cycle ~cycles (fun _ -> Engine.yield ()) in
+  (* The registration closes over nothing, so it is built once. *)
+  let suspend =
+    words_per_cycle ~cycles (fun _ ->
+        Engine.suspend (fun p waker ->
+            let eng = Engine.engine_of_proc p in
+            Engine.schedule eng ~at:(Engine.now eng) waker))
+  in
   let q = Waitq.create () in
   let wake () = ignore (Waitq.wake_one q) in
   let wait =
@@ -2525,7 +2367,7 @@ let test_park_allocation () =
       Alcotest.failf "%s: %.2f words per cycle, bound %.0f" name v bound
   in
   within "sleep" 14. sleep;
-  within "yield" 13. yield;
+  within "suspend" 13. suspend;
   within "wait_on plus wake" 8. wait;
   within "self" 3. self;
   within "Bqueue put plus get, per item" 1. put_get
@@ -2958,10 +2800,8 @@ let () =
         [
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_mutual_exclusion;
           Alcotest.test_case "mutex FIFO" `Quick test_mutex_fifo;
-          Alcotest.test_case "cond signal/broadcast" `Quick test_cond_signal_wakes_one;
-          Alcotest.test_case "cond timedwait timeout" `Quick test_cond_timedwait_timeout;
           Alcotest.test_case "timed-out waiter eats no signal" `Quick
-            test_cond_timedwait_cancel_consumes_no_signal;
+            test_timed_out_waiter_eats_no_wake;
           Alcotest.test_case "semaphore bounds" `Quick test_semaphore_bounds;
           Alcotest.test_case "gate matches recheck loop" `Quick
             test_gate_matches_recheck_loop;
@@ -2972,8 +2812,6 @@ let () =
       ( "bqueue",
         [
           Alcotest.test_case "fifo" `Quick test_bqueue_fifo;
-          Alcotest.test_case "capacity blocks" `Quick
-            test_bqueue_capacity_blocks_producer;
           Alcotest.test_case "get timeout" `Quick test_bqueue_get_timeout;
           QCheck_alcotest.to_alcotest prop_bqueue_matches_queue;
           Alcotest.test_case "ring of floats" `Quick test_ring_floats;
@@ -2992,13 +2830,6 @@ let () =
             test_hist_negative_values;
           Alcotest.test_case "series rate" `Quick test_series_rate;
           QCheck_alcotest.to_alcotest prop_hist_quantile_bucket_exact;
-          Alcotest.test_case "whist window routing" `Quick
-            test_whist_window_routing;
-          Alcotest.test_case "whist ring eviction" `Quick
-            test_whist_ring_eviction;
-          Alcotest.test_case "whist between" `Quick test_whist_between;
-          Alcotest.test_case "whist json deterministic" `Quick
-            test_whist_json_deterministic;
           Alcotest.test_case "registry get-or-create" `Quick
             test_registry_get_or_create;
           Alcotest.test_case "registry kind mismatch" `Quick
@@ -3029,7 +2860,8 @@ let () =
             test_evlog_pin_survives_wrap;
           Alcotest.test_case "spans and query" `Quick test_evlog_spans_and_query;
           Alcotest.test_case "subscriber" `Quick test_evlog_subscriber;
-          Alcotest.test_case "set capacity" `Quick test_evlog_set_capacity;
+          Alcotest.test_case "ring straddles chunks" `Quick
+            test_evlog_ring_straddles_chunks;
           Alcotest.test_case "chrome export shape" `Quick
             test_evlog_chrome_shape;
           Alcotest.test_case "engine lifecycle events" `Quick
